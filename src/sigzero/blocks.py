@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     InvariantViolation,
@@ -379,7 +379,6 @@ def invert_multiplicity(b: Block) -> Dict[Tuple[int, int], IntPoly]:
     for (r, c) in b.Q:
         if r != c and lengths[r] >= lengths[c]:
             raise NotUpperTriangular("Q[%d,%d] breaks the length order" % (r, c))
-    pos = {eid: i for i, eid in enumerate(order)}
     n = len(order)
     X: Dict[Tuple[int, int], IntPoly] = {}
     for j in range(n):
@@ -491,6 +490,25 @@ def _int_parse(x) -> int:
     raise SchemaError("bad integer value %r" % (x,))
 
 
+def _json_list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise SchemaError("%s must be a list" % what)
+    return x
+
+
+def _parse_param(raw) -> LanglandsParam:
+    if not isinstance(raw, Mapping):
+        raise SchemaError("param must be an object")
+    dlambda = _json_list(raw.get("dlambda"), "param dlambda")
+    nu = _json_list(raw.get("nu"), "param nu")
+    if not dlambda or len(dlambda) != len(nu):
+        raise SchemaError("param dlambda and nu need one equal, nonzero length")
+    try:
+        return param_from_json(raw)
+    except (KeyError, TypeError, ValueError) as e:
+        raise SchemaError("bad param: %s" % e)
+
+
 def block_to_json_obj(b: Block) -> dict:
     elements = []
     for e in sorted(b.elements, key=lambda e: e.id):
@@ -543,20 +561,17 @@ def parse_block(data: Union[bytes, str, Mapping]) -> Block:
     if not isinstance(group, str):
         raise SchemaError("group must be a string")
     try:
-        inf_char = tuple(parse_frac(x) for x in data["inf_char"])
+        inf_char = tuple(parse_frac(x) for x in _json_list(data["inf_char"], "inf_char"))
     except ValueError as e:
         raise SchemaError(str(e))
     elements = []
-    for raw in data["elements"]:
+    for raw in _json_list(data["elements"], "elements"):
         if not isinstance(raw, Mapping):
             raise SchemaError("element entries must be objects")
         for key in ("id", "cartan", "length", "orient", "param"):
             if key not in raw:
                 raise SchemaError("element missing key %r" % key)
-        try:
-            param = param_from_json(raw["param"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise SchemaError("bad param: %s" % e)
+        param = _parse_param(raw["param"])
         tau = raw.get("tau")
         try:
             elem = BlockElement(
@@ -565,20 +580,21 @@ def parse_block(data: Union[bytes, str, Mapping]) -> Block:
                 length=_int_parse(raw["length"]),
                 orient=_int_parse(raw["orient"]),
                 param=param,
-                tau=None if tau is None else frozenset(_int_parse(x) for x in tau),
+                tau=None if tau is None else frozenset(
+                    _int_parse(x) for x in _json_list(tau, "tau")),
                 label=element_label(group, param),
             )
         except ValueError as e:
             raise SchemaError(str(e))
         elements.append(elem)
     Q = {}
-    for raw in data["Q"]:
+    for raw in _json_list(data["Q"], "Q"):
         if not isinstance(raw, Mapping) or not {"row", "col", "coeffs"} <= set(raw):
             raise SchemaError("Q entries need row, col, coeffs")
         key = (_int_parse(raw["row"]), _int_parse(raw["col"]))
         if key in Q:
             raise SchemaError("duplicate Q entry %s" % (key,))
-        Q[key] = tuple(_int_parse(x) for x in raw["coeffs"])
+        Q[key] = tuple(_int_parse(x) for x in _json_list(raw["coeffs"], "coeffs"))
     return Block(group=group, inf_char=inf_char, elements=tuple(elements), Q=Q)
 
 
@@ -705,20 +721,33 @@ def builtin_block(group: str, inf_char) -> List[Block]:
 # provider
 
 def _canon_key(group: str, inf_char) -> Tuple[Fraction, ...]:
+    return tuple(sorted(_abs_coords(inf_char), reverse=True))
+
+
+def _abs_coords(inf_char) -> Tuple[Fraction, ...]:
     if isinstance(inf_char, (tuple, list)):
-        vals = tuple(abs(Fraction(x)) for x in inf_char)
-    else:
-        vals = (abs(Fraction(inf_char)),)
-    return tuple(sorted(vals, reverse=True))
+        return tuple(abs(Fraction(x)) for x in inf_char)
+    return (abs(Fraction(inf_char)),)
 
 
 class BlockProvider:
     """Lookup of the block partition keyed by (group, infinitesimal
-    character).  Built-in groups resolve analytically; ingested libraries
-    are registered explicitly; a miss is a hard MissingBlock error."""
+    character).  Registered libraries win; built-in groups resolve
+    analytically; a miss is a hard MissingBlock error.
+
+    The provider owns every cache derived from its blocks, each one empty
+    when the provider is created and private to it: the built-in partitions
+    it has served, the $(Q^c)^{-1}$ of each block (keyed by the Block
+    object), and the results of ``deform_to_zero``.  ``register`` empties
+    all three, so no answer depends on what was asked before a library
+    arrived.  The caches are plain dicts without a lock: two threads
+    sharing a provider can at worst compute the same value twice."""
 
     def __init__(self):
         self._store: Dict[Tuple[str, Tuple[Fraction, ...]], List[Block]] = {}
+        self._builtin: Dict[Tuple[str, Tuple[Fraction, ...]], List[Block]] = {}
+        self._inverses: Dict[Block, object] = {}
+        self._deformations: Dict[tuple, object] = {}
 
     def register(self, blocks: Sequence[Block]) -> None:
         if not blocks:
@@ -731,6 +760,9 @@ class BlockProvider:
                 % (group, [frac_str(x) for x in key[1]])
             )
         self._store[key] = list(blocks)
+        self._builtin.clear()
+        self._inverses.clear()
+        self._deformations.clear()
 
     def keys(self):
         return sorted(self._store, key=lambda k: (k[0], k[1]))
@@ -740,8 +772,29 @@ class BlockProvider:
         if key in self._store:
             return self._store[key]
         if group in _CARTANS:
-            return builtin_block(group, inf_char)
+            # keyed by the coordinates in the order given: the sl2c
+            # singletons are numbered in that order
+            bkey = (group, _abs_coords(inf_char))
+            blocks = self._builtin.get(bkey)
+            if blocks is None:
+                blocks = self._builtin[bkey] = builtin_block(group, inf_char)
+            return blocks
         raise MissingBlock(
             "no block data for group %r at infinitesimal character %s"
             % (group, [frac_str(x) for x in _canon_key(group, inf_char)])
         )
+
+    def inverse(self, b: Block, compute: Callable[[Block], object]):
+        """The $(Q^c)^{-1}$ of a block this provider served, computed by
+        ``compute`` on first use."""
+        inv = self._inverses.get(b)
+        if inv is None:
+            inv = self._inverses[b] = compute(b)
+        return inv
+
+    def deformation(self, key: tuple):
+        """A remembered ``deform_to_zero`` result, or None."""
+        return self._deformations.get(key)
+
+    def remember_deformation(self, key: tuple, value) -> None:
+        self._deformations[key] = value

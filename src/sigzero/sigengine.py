@@ -23,16 +23,15 @@ $|d\\lambda|^2 + |\\nu|^2$ of the calling parameter.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple, Union
-from weakref import WeakKeyDictionary
 
 from .blocks import (
     Block,
     BlockElement,
     BlockProvider,
+    _length_order,
     element_label,
     group_cartan,
     invert_multiplicity,
@@ -202,10 +201,6 @@ class SignatureChar:
 WPolyMatrix = Dict[Tuple[int, int], WPoly]
 
 
-def _length_order(b: Block) -> List[int]:
-    return [e.id for e in sorted(b.elements, key=lambda e: (e.length, e.id))]
-
-
 def signature_Q(b: Block) -> WPolyMatrix:
     """$Q^c_{\\Xi,\\Gamma} = s^{(\\ell_o(\\Xi)-\\ell_o(\\Gamma))/2}
     Q_{\\Xi,\\Gamma}(sq)$, including unit diagonal entries."""
@@ -236,7 +231,6 @@ def signature_Q(b: Block) -> WPolyMatrix:
 def _invert_unitriangular(b: Block, mat: WPolyMatrix) -> WPolyMatrix:
     """Inverse of a matrix that is unitriangular in the length order."""
     order = _length_order(b)
-    pos = {eid: i for i, eid in enumerate(order)}
     n = len(order)
     inv: WPolyMatrix = {}
     one = WPoly.from_int_coeffs((1,))
@@ -254,6 +248,11 @@ def _invert_unitriangular(b: Block, mat: WPolyMatrix) -> WPolyMatrix:
     return inv
 
 
+def _qc_inverse(b: Block) -> WPolyMatrix:
+    """$(Q^c)^{-1}$, the matrix whose q = 1 columns expand irreducibles."""
+    return _invert_unitriangular(b, signature_Q(b))
+
+
 def signature_P(b: Block) -> WPolyMatrix:
     """$P^c_{\\Gamma,\\Psi} = (-1)^{\\ell(\\Psi)-\\ell(\\Gamma)}$ times the
     $(Q^c)^{-1}$ entry, computed by exact unitriangular inversion and checked
@@ -261,7 +260,7 @@ def signature_P(b: Block) -> WPolyMatrix:
     P_{\\Gamma,\\Psi}(sq)$."""
     lengths = {e.id: e.length for e in b.elements}
     orient = {e.id: e.orient for e in b.elements}
-    qc_inv = _invert_unitriangular(b, signature_Q(b))
+    qc_inv = _qc_inverse(b)
     out: WPolyMatrix = {}
     for (r, c), v in qc_inv.items():
         sign = -1 if (lengths[c] - lengths[r]) % 2 else 1
@@ -293,8 +292,13 @@ def irreducible_in_standards(b: Block, psi) -> SignatureChar:
     """Expansion $sig^c_{J(\\Psi)} = \\sum_\\Gamma W^c_{\\Gamma,\\Psi}
     \\, sig^c_{I(\\Gamma)}$ with $W^c = (Q^c)^{-1}$ at $q = 1$; forgetting
     $s$ recovers the character-formula row $M_{\\cdot,\\Psi}$."""
+    return _column_in_standards(b, _qc_inverse(b), psi)
+
+
+def _column_in_standards(b: Block, qc_inv: WPolyMatrix, psi) -> SignatureChar:
+    """The column of $\\Psi$ in $(Q^c)^{-1}$ at $q = 1$, as a signature
+    character in the standard basis."""
     e_psi = _resolve_element(b, psi)
-    qc_inv = _invert_unitriangular(b, signature_Q(b))
     out = SignatureChar(b.group, "standard")
     for e in b.elements:
         v = qc_inv.get((e.id, e_psi.id))
@@ -382,19 +386,6 @@ def _block_containing(provider: BlockProvider, group: str,
     )
 
 
-_MEMO_LOCK = threading.Lock()
-_MEMO: "WeakKeyDictionary[BlockProvider, dict]" = WeakKeyDictionary()
-
-
-def _memo_for(provider: BlockProvider) -> dict:
-    with _MEMO_LOCK:
-        cache = _MEMO.get(provider)
-        if cache is None:
-            cache = {}
-            _MEMO[provider] = cache
-        return cache
-
-
 def deform_to_zero(
     g: LanglandsParam,
     provider: BlockProvider,
@@ -409,13 +400,14 @@ def deform_to_zero(
     remaining below it on the path: each of those later crossings flips the
     form on the K-types carrying this wall's layers, so the layer's form
     just below the wall is $s^a$ times the positive form, and the jump is
-    $s^{a+1}-s^a$ rather than $s-1$."""
-    cache = _memo_for(provider)
+    $s^{a+1}-s^a$ rather than $s-1$.
+
+    Results are remembered by the provider, which forgets them when a
+    library is registered; a traced call recomputes so that its stream is
+    complete."""
     key = (group, param_key(g))
     if trace is None:
-        # tracing bypasses the cache so the emitted stream is complete
-        with _MEMO_LOCK:
-            hit = cache.get(key)
+        hit = provider.deformation(key)
         if hit is not None:
             return hit
 
@@ -451,7 +443,8 @@ def deform_to_zero(
                     }
                 )
             for label, coef in delta.items():
-                expansion = irreducible_in_standards(blk, label.param)
+                expansion = _column_in_standards(
+                    blk, provider.inverse(blk, _qc_inverse), label.param)
                 for slabel, w in expansion.items():
                     child = slabel.param
                     cdl2 = norm_sq(child.discrete.dlambda)
@@ -481,8 +474,7 @@ def deform_to_zero(
             )
         )
 
-    with _MEMO_LOCK:
-        cache[key] = out
+    provider.remember_deformation(key, out)
     return out
 
 
@@ -533,7 +525,8 @@ def unitary_test(
                              "tempered parameter (nu = 0)")
 
     blk, e_psi, _ = _block_containing(provider, group, g)
-    expansion = irreducible_in_standards(blk, e_psi.id)
+    expansion = _column_in_standards(
+        blk, provider.inverse(blk, _qc_inverse), e_psi)
     B = SignatureChar(group, "final_tempered")
     for slabel, w in expansion.items():
         B.add_char(deform_to_zero(slabel.param, provider, group), w)

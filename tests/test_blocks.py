@@ -189,6 +189,23 @@ def test_provider_canonical_key():
     assert p.get("sl2c", (1, 3))[0] is p.get("sl2c", (3, 1))[0]
 
 
+def test_provider_serves_builtin_partition_once():
+    p = BlockProvider()
+    first = p.get("sl2r", (F(5, 2),))
+    assert p.get("sl2r", F(-5, 2)) is first
+    assert p.get("sl2r", (F(5, 2),)) is not BlockProvider().get("sl2r", (F(5, 2),))
+
+
+def test_provider_register_wins_over_served_builtin():
+    p = BlockProvider()
+    served = p.get("sl2r", (2,))
+    library = builtin_block("sl2r", (2,))
+    p.register(library)
+    got = p.get("sl2r", (2,))
+    assert got is not served
+    assert all(a is b for a, b in zip(got, library))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -223,6 +223,29 @@ def test_block_load(tmp_path, capsys):
     assert json.loads(out) == {"components": 2, "elements": 4, "key": "sl2r:5"}
 
 
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("inf_char",), 5),
+        (("elements",), 5),
+        (("Q",), 5),
+        (("Q", 0, "coeffs"), 7),
+        (("elements", 0, "tau"), 5),
+        (("elements", 0, "param"), 5),
+    ],
+)
+def test_block_load_malformed_exits_3(tmp_path, capsys, path, value):
+    obj = json.loads(_library_file(tmp_path).read_text())
+    cur = obj
+    for k in path[:-1]:
+        cur = cur[k]
+    cur[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    rc, _, err = run(capsys, "block", "load", str(bad))
+    assert rc == 3 and err.startswith("error:")
+
+
 def test_block_search_path(tmp_path, capsys, monkeypatch):
     _library_file(tmp_path)
     monkeypatch.setenv("SIGZERO_BLOCK_PATH", str(tmp_path))

@@ -11,6 +11,7 @@ from sigzero.blocks import (
     BlockProvider,
     builtin_block,
     sl2c_param,
+    split_components,
     sl2r_ds_param,
     sl2r_ps_param,
 )
@@ -206,6 +207,28 @@ def test_deform_is_provider_local():
     p1, p2 = BlockProvider(), BlockProvider()
     g = sl2r_ps_param(0, F(3, 2))
     assert deform_to_zero(g, p1) == deform_to_zero(g, p2)
+
+
+def _drop_q12(b):
+    """The built-in sl2r:1 chain without its Q[1,2] entry, split into its
+    two components."""
+    Q = {k: v for k, v in b.Q.items() if k != (1, 2)}
+    return split_components(Block(b.group, b.inf_char, b.elements, Q))
+
+
+def test_register_clears_deformation_memo():
+    g = sl2r_ps_param(0, F(3, 2))
+    chain, lone = builtin_block("sl2r", (1,))
+    library = _drop_q12(chain) + [lone]
+    used = BlockProvider()
+    before = deform_to_zero(g, used)
+    used.register(library)
+    fresh = BlockProvider()
+    fresh.register(library)
+    want = deform_to_zero(g, fresh)
+    assert want != before
+    assert deform_to_zero(g, used) == want
+    assert as_dict(want) == {"DS+(1)": S_MINUS_1, "PS0": W_ONE}
 
 
 # ---------------------------------------------------------------------------
