@@ -30,7 +30,6 @@ from .errors import (
     UnsupportedRealSystem,
     UnsupportedUnequalRank,
     ValidationError,
-    ZeroContinuousParameter,
 )
 from .sigring import (
     WElem,

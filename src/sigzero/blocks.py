@@ -31,6 +31,7 @@ from .errors import (
     SchemaError,
     UnsupportedGroup,
 )
+from .intpoly import IntPoly, p_add, p_mul, p_neg, p_trim
 from .params import (
     CartanClass,
     DiscreteParam,
@@ -72,41 +73,6 @@ __all__ = [
     "element_label",
     "group_cartan",
 ]
-
-IntPoly = Tuple[int, ...]
-
-
-def _p_trim(c: Sequence[int]) -> IntPoly:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _p_add(a: Sequence[int], b: Sequence[int]) -> IntPoly:
-    n = max(len(a), len(b))
-    return _p_trim(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def _p_neg(a: Sequence[int]) -> IntPoly:
-    return tuple(-x for x in a)
-
-
-def _p_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _p_trim(out)
-
-
-def _p_eval1(a: Sequence[int]) -> int:
-    return sum(a)
-
 
 # ---------------------------------------------------------------------------
 # built-in root data and Cartan classes
@@ -294,9 +260,9 @@ class Block:
             self,
             "Q",
             {
-                (int(r), int(c)): _p_trim(v)
+                (int(r), int(c)): p_trim(v)
                 for (r, c), v in dict(self.Q).items()
-                if _p_trim(v)
+                if p_trim(v)
             },
         )
         _validate_block(self)
@@ -389,9 +355,9 @@ def invert_multiplicity(b: Block) -> Dict[Tuple[int, int], IntPoly]:
                 q = b.q_poly(order[i], order[k])
                 x = X.get((order[k], order[j]), ())
                 if q and x:
-                    acc = _p_add(acc, _p_mul(q, x))
+                    acc = p_add(acc, p_mul(q, x))
             if acc:
-                X[(order[i], order[j])] = _p_neg(acc)
+                X[(order[i], order[j])] = p_neg(acc)
     P: Dict[Tuple[int, int], IntPoly] = {}
     for (r, c), v in X.items():
         sign = -1 if (lengths[c] - lengths[r]) % 2 else 1
@@ -406,7 +372,7 @@ def multiplicity_inverse(b: Block) -> Dict[Tuple[int, int], int]:
     out = {}
     for (r, c), v in P.items():
         sign = -1 if (lengths[c] - lengths[r]) % 2 else 1
-        val = sign * _p_eval1(v)
+        val = sign * sum(v)
         if val:
             out[(r, c)] = val
     return out
@@ -683,9 +649,7 @@ def builtin_block(group: str, inf_char) -> List[Block]:
         ]
 
     if group == "sl2c":
-        m, v = (abs(Fraction(x)) for x in inf_char)
-        a, b = (m, v) if m >= v else (v, m)
-        ic = (a, b)
+        a, b = ic = _canon_key(group, inf_char)
         if (
             a.denominator == 1
             and b.denominator == 1
@@ -705,9 +669,11 @@ def builtin_block(group: str, inf_char) -> List[Block]:
                 )
             ]
         out = []
-        coords = [(m, v)]
-        if v.denominator == 1 and (v, m) != (m, v):
-            coords.append((v, m))
+        coords = [(a, b)] if a.denominator == 1 else []
+        if b.denominator == 1 and b != a:
+            coords.append((b, a))
+        if not coords:
+            raise ValueError("no sl2c parameter: neither coordinate is an integer")
         for i, (mm, vv) in enumerate(coords):
             out.append(
                 _singleton("sl2c", i, sl2c_param(mm, vv), frozenset(), ic)
@@ -721,13 +687,9 @@ def builtin_block(group: str, inf_char) -> List[Block]:
 # provider
 
 def _canon_key(group: str, inf_char) -> Tuple[Fraction, ...]:
-    return tuple(sorted(_abs_coords(inf_char), reverse=True))
-
-
-def _abs_coords(inf_char) -> Tuple[Fraction, ...]:
-    if isinstance(inf_char, (tuple, list)):
-        return tuple(abs(Fraction(x)) for x in inf_char)
-    return (abs(Fraction(inf_char)),)
+    if not isinstance(inf_char, (tuple, list)):
+        inf_char = (inf_char,)
+    return tuple(sorted((abs(Fraction(x)) for x in inf_char), reverse=True))
 
 
 class BlockProvider:
@@ -772,12 +734,9 @@ class BlockProvider:
         if key in self._store:
             return self._store[key]
         if group in _CARTANS:
-            # keyed by the coordinates in the order given: the sl2c
-            # singletons are numbered in that order
-            bkey = (group, _abs_coords(inf_char))
-            blocks = self._builtin.get(bkey)
+            blocks = self._builtin.get(key)
             if blocks is None:
-                blocks = self._builtin[bkey] = builtin_block(group, inf_char)
+                blocks = self._builtin[key] = builtin_block(group, inf_char)
             return blocks
         raise MissingBlock(
             "no block data for group %r at infinitesimal character %s"

@@ -44,11 +44,6 @@ class MissingRootData(ValidationError):
     """CartanClass lacks the restricted-root data needed for hyperplanes."""
 
 
-class ZeroContinuousParameter(SigzeroError):
-    """Kept in the public vocabulary; crossing_times returns [] at nu = 0
-    instead of raising."""
-
-
 # blocks
 class NotUpperTriangular(ValidationError):
     """Multiplicity matrix is not unitriangular in the length order."""

@@ -10,6 +10,22 @@ $D = ord_{t_0} \\det L = \\sum_r r \\cdot \\dim E^r/E^{r+1}$ certifies the
 computation.  For symmetric families the same elimination done by congruence
 preserves the residual forms, whose signs give the layer signatures.
 
+No rational-function arithmetic runs in the filtration.  $\\det L$ is
+exact: Bareiss elimination over $\\mathbb{Z}[t]$ on $L$ with each row
+scaled by the product of its distinct denominators, orders read by integer
+synthetic division by $bt - a$ ($t_0 = a/b$); $\\det L \\equiv 0$ means a
+singular family.  Each entry is then expanded as $U^e$ times a unit power
+series in $U = bt - a$ modulo $U^N$, $N = D - (n-1)m + 1$ with
+$m = \\min(0, \\text{least entry valuation})$: the elementary divisors are
+$\\geq m$ and sum to $D$, so each is $< N$.  The elimination pivots on
+minimal valuation, row-major on ties.  Division by a pivot of valuation
+$v$ keeps absolute precision $N - v \\geq 1$ and the Schur complement keeps
+$N$, so every pivot is read exactly and an entry that truncates to zero is
+never one: the truncation is exact.  Orders, residual signs (the factor
+$b > 0$ between $U$ and $t - t_0$ keeps them) and the adapted basis (the
+column operations modulo $U$) are those of the elimination over
+$\\mathbb{Q}(t)$.
+
 The oracle diagonalizes the long intertwining operator of SL(2,R) principal
 series in the K-type basis.  With $K$-weights $n$ of one parity and level
 coordinate $\\nu = \\langle\\nu, \\alpha^\\vee\\rangle$, the ladder recurrence
@@ -35,6 +51,18 @@ from math import gcd
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import DegenerateResidual, SchemaError, SingularFamily
+from .intpoly import (
+    IntPoly,
+    p_add,
+    p_at,
+    p_divexact,
+    p_gcd,
+    p_mul,
+    p_neg,
+    p_ord,
+    p_shift,
+    p_trim,
+)
 from .sigring import WElem, W_ONE, W_S
 
 __all__ = [
@@ -50,118 +78,35 @@ __all__ = [
     "oracle_unitary",
 ]
 
-QPoly = Tuple[Fraction, ...]
-
-
-def _q_trim(c: Sequence[Fraction]) -> QPoly:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _q_add(a: QPoly, b: QPoly) -> QPoly:
-    n = max(len(a), len(b))
-    return _q_trim(
-        [
-            (a[i] if i < len(a) else Fraction(0))
-            + (b[i] if i < len(b) else Fraction(0))
-            for i in range(n)
-        ]
-    )
-
-
-def _q_neg(a: QPoly) -> QPoly:
-    return tuple(-x for x in a)
-
-
-def _q_mul(a: QPoly, b: QPoly) -> QPoly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _q_trim(out)
-
-
-def _q_divmod(a: QPoly, b: QPoly) -> Tuple[QPoly, QPoly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) >= len(b) and _q_trim(r):
-        r = list(_q_trim(r))
-        if len(r) < len(b):
-            break
-        k = len(r) - len(b)
-        c = r[-1] / b[-1]
-        q[k] = c
-        for i, x in enumerate(b):
-            r[i + k] -= c * x
-        r = list(_q_trim(r))
-    return _q_trim(q), _q_trim(r)
-
-
-def _q_gcd(a: QPoly, b: QPoly) -> QPoly:
-    while b:
-        _, r = _q_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = tuple(x / lead for x in a)
-    return a
-
-
-def _q_eval(a: QPoly, x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(a):
-        out = out * x + c
-    return out
-
-
-def _q_from_ints(c: Sequence[int]) -> QPoly:
-    return _q_trim([Fraction(x) for x in c])
-
 
 @dataclass(frozen=True)
 class RatFn:
     """Rational function num/den, integer coefficients ascending in t,
-    gcd-reduced with positive leading denominator coefficient."""
+    gcd-reduced, jointly primitive, with positive leading denominator
+    coefficient."""
 
     num: Tuple[int, ...]
     den: Tuple[int, ...] = (1,)
 
     def __post_init__(self):
-        num = _q_from_ints(self.num)
-        den = _q_from_ints(self.den)
+        num, den = p_trim(self.num), p_trim(self.den)
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            object.__setattr__(self, "num", ())
-            object.__setattr__(self, "den", (1,))
-            return
-        g = _q_gcd(num, den)
-        if len(g) > 1:
-            num, _ = _q_divmod(num, g)
-            den, _ = _q_divmod(den, g)
-        # jointly primitive integer representative, so num/den is unchanged
-        scale = 1
-        for x in num + den:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        ni = [int(x * scale) for x in num]
-        di = [int(x * scale) for x in den]
-        g2 = 0
-        for x in ni + di:
-            g2 = gcd(g2, abs(x))
-        if g2 > 1:
-            ni = [x // g2 for x in ni]
-            di = [x // g2 for x in di]
-        if di[-1] < 0:
-            ni = [-x for x in ni]
-            di = [-x for x in di]
-        object.__setattr__(self, "num", tuple(ni))
-        object.__setattr__(self, "den", tuple(di))
+            num, den = (), (1,)
+        else:
+            if len(num) > 1 and len(den) > 1:
+                g = p_gcd(num, den)
+                if len(g) > 1:
+                    num, den = p_divexact(num, g), p_divexact(den, g)
+            c = gcd(*num, *den)
+            if den[-1] < 0:
+                c = -c
+            if c != 1:
+                num = tuple(x // c for x in num)
+                den = tuple(x // c for x in den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def const(x) -> "RatFn":
@@ -179,62 +124,51 @@ class RatFn:
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def _qn(self) -> QPoly:
-        return _q_from_ints(self.num)
-
-    def _qd(self) -> QPoly:
-        return _q_from_ints(self.den)
-
     def __add__(self, other: "RatFn") -> "RatFn":
-        n = _q_add(
-            _q_mul(self._qn(), other._qd()), _q_mul(other._qn(), self._qd())
-        )
-        return _ratfn_from_q(n, _q_mul(self._qd(), other._qd()))
+        n = p_add(p_mul(self.num, other.den), p_mul(other.num, self.den))
+        return RatFn(n, p_mul(self.den, other.den))
 
     def __sub__(self, other: "RatFn") -> "RatFn":
         return self + (-other)
 
     def __neg__(self) -> "RatFn":
-        return RatFn(tuple(-x for x in self.num), self.den)
+        # a sign flip keeps the canonical form
+        out = object.__new__(RatFn)
+        object.__setattr__(out, "num", p_neg(self.num))
+        object.__setattr__(out, "den", self.den)
+        return out
 
     def __mul__(self, other: "RatFn") -> "RatFn":
-        return _ratfn_from_q(
-            _q_mul(self._qn(), other._qn()), _q_mul(self._qd(), other._qd())
-        )
+        return RatFn(p_mul(self.num, other.num), p_mul(self.den, other.den))
 
     def __truediv__(self, other: "RatFn") -> "RatFn":
         if other.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        return _ratfn_from_q(
-            _q_mul(self._qn(), other._qd()), _q_mul(self._qd(), other._qn())
-        )
+        return RatFn(p_mul(self.num, other.den), p_mul(self.den, other.num))
 
     def valuation(self, t0: Fraction) -> Optional[int]:
         """Order of vanishing at t0 (negative at a pole, None for 0)."""
         if self.is_zero():
             return None
         t0 = Fraction(t0)
-        return _q_val(self._qn(), t0) - _q_val(self._qd(), t0)
+        return p_ord(self.num, t0)[0] - p_ord(self.den, t0)[0]
 
     def residual(self, t0: Fraction) -> Fraction:
         """Value of (t-t0)^{-val} f at t0; nonzero for nonzero f."""
         if self.is_zero():
             raise ZeroDivisionError("zero function has no residual")
         t0 = Fraction(t0)
-        factor = (-t0, Fraction(1))
-        n, d = self._qn(), self._qd()
-        while _q_eval(n, t0) == 0:
-            n, _ = _q_divmod(n, factor)
-        while _q_eval(d, t0) == 0:
-            d, _ = _q_divmod(d, factor)
-        return _q_eval(n, t0) / _q_eval(d, t0)
+        vn, n = p_ord(self.num, t0)
+        vd, d = p_ord(self.den, t0)
+        # num/den = (b t - a)^(vn - vd) n/d and b t - a = b (t - t0)
+        return Fraction(t0.denominator) ** (vn - vd) * p_at(n, t0) / p_at(d, t0)
 
     def evaluate(self, t0: Fraction) -> Fraction:
         t0 = Fraction(t0)
-        dv = _q_eval(self._qd(), t0)
+        dv = p_at(self.den, t0)
         if dv == 0:
             raise ZeroDivisionError("pole at t0")
-        return _q_eval(self._qn(), t0) / dv
+        return p_at(self.num, t0) / dv
 
     def to_json_obj(self) -> dict:
         return {"num": list(self.num), "den": list(self.den)}
@@ -262,26 +196,6 @@ class RatFn:
         if self.den == (1,):
             return poly(self.num)
         return "(%s)/(%s)" % (poly(self.num), poly(self.den))
-
-
-def _ratfn_from_q(n: QPoly, d: QPoly) -> RatFn:
-    if not n:
-        return RAT_ZERO
-    den_l = 1
-    for x in n + d:
-        den_l = den_l * x.denominator // gcd(den_l, x.denominator)
-    return RatFn(
-        tuple(int(x * den_l) for x in n), tuple(int(x * den_l) for x in d)
-    )
-
-
-def _q_val(a: QPoly, t0: Fraction) -> int:
-    v = 0
-    factor = (-t0, Fraction(1))
-    while a and _q_eval(a, t0) == 0:
-        a, _ = _q_divmod(a, factor)
-        v += 1
-    return v
 
 
 RAT_ZERO = RatFn((), (1,))
@@ -338,50 +252,113 @@ def ratmatrix_to_json_obj(m: RatMatrix) -> list:
 
 
 # ---------------------------------------------------------------------------
-# filtration
+# filtration over the local ring at t0
+#
+# In the elimination an entry is the list of its coefficients at U^m ..
+# U^(N-1), U = b (t - t0), or None for zero (to that precision).
 
-def _det(m: RatMatrix) -> RatFn:
-    """Determinant by minor expansion with column-subset memoization."""
-    n = len(m)
-    memo: Dict[Tuple[int, int], RatFn] = {}
+def _det_order(L: RatMatrix, t0: Fraction) -> Optional[int]:
+    """ord_{t0} det L, or None when det L vanishes identically: Bareiss over
+    Z[t], with first-nonzero pivoting, on L with each row scaled by the
+    product of its distinct denominators."""
+    n = len(L)
+    if not n:
+        return 0
+    M = []
+    scaling = 0
+    for row in L:
+        P: IntPoly = (1,)
+        for d in {f.den for f in row}:
+            P = p_mul(P, d)
+        scaling += p_ord(P, t0)[0]
+        M.append([p_divexact(p_mul(f.num, P), f.den) for f in row])
+    prev: IntPoly = (1,)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if M[i][k]), None)
+        if piv is None:
+            return None
+        M[k], M[piv] = M[piv], M[k]
+        rk, p = M[k], M[k][k]
+        for ri in M[k + 1:]:
+            c = ri[k]
+            for j in range(k + 1, n):
+                x = p_add(p_mul(p, ri[j]), p_neg(p_mul(c, rk[j])))
+                ri[j] = p_divexact(x, prev) if x else x
+        prev = p
+    return p_ord(M[-1][-1], t0)[0] - scaling
 
-    def rec(row: int, cols: int) -> RatFn:
-        if row == n:
-            return RAT_ONE
-        key = (row, cols)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        acc = RAT_ZERO
-        sign = 1
-        for j in range(n):
-            if not (cols >> j) & 1:
-                continue
-            entry = m[row][j]
-            if entry:
-                term = entry * rec(row + 1, cols & ~(1 << j))
-                acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-        memo[key] = acc
-        return acc
 
-    return rec(0, (1 << n) - 1)
+def _lead(c: Sequence) -> int:
+    """Index of the first nonzero coefficient."""
+    return next(i for i, x in enumerate(c) if x)
 
 
-def _min_valuation_pivot(a: RatMatrix, k: int, t0: Fraction):
-    """Position of minimal valuation in the trailing submatrix, row-major on
-    ties; None when the submatrix vanishes identically."""
+def _norm(x):
+    """A Fraction with denominator 1 as an int, which is cheaper to use."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _inverse(c: Sequence, prec: int) -> list:
+    """1/c modulo U^prec, for c[0] != 0."""
+    inv = [_norm(Fraction(1, c[0]))]
+    for r in range(1, prec):
+        acc = sum(c[s] * inv[r - s] for s in range(1, min(r, len(c) - 1) + 1))
+        inv.append(_norm(-acc * inv[0]))
+    return inv
+
+
+def _sub_mul(x, y: list, q: list, W: int):
+    """x - y q modulo U^N, for x and y over U^m .. and q over U^0 .."""
+    out = list(x) if x is not None else [0] * W
+    for s, c in enumerate(y):
+        if c:
+            for r, d in enumerate(q[: W - s]):
+                if d:
+                    out[s + r] -= c * d
+    return out if any(out) else None
+
+
+def _expand(L: RatMatrix, t0: Fraction, D: int):
+    """(m, W, a): the entries of L expanded at t0 modulo U^N, with m =
+    min(0, least entry valuation), N = D - (n-1) m + 1 and W = N - m."""
+    n = len(L)
+    shifted = {}
+    for i, row in enumerate(L):
+        for j, f in enumerate(row):
+            if f:
+                pn, pd = p_shift(f.num, t0), p_shift(f.den, t0)
+                shifted[i, j] = (pn, _lead(pn), pd, _lead(pd), len(f.den) - len(f.num))
+    m = min([0] + [vn - vd for _, vn, _, vd, _ in shifted.values()])
+    W = D - n * m + 1
+    a: list = [[None] * n for _ in range(n)]
+    for (i, j), (pn, vn, pd, vd, dd) in shifted.items():
+        lo = vn - vd - m
+        if lo < W:
+            # f = b^dd pn / pd as U^(vn - vd) times a unit series
+            scale = -_norm(Fraction(t0.denominator) ** dd)
+            q = [_norm(scale * x) for x in _inverse(pd[vd:], W - lo)]
+            a[i][j] = _sub_mul(None, ([0] * lo + list(pn[vn:]))[:W], q, W)
+    return m, W, a
+
+
+def _pivot(a: list, k: int):
+    """(lead index, i, j) of minimal valuation in the trailing submatrix,
+    row-major on ties; None when it vanishes to the working precision."""
     n = len(a)
-    best = None
-    best_v = None
-    for i in range(k, n):
-        for j in range(k, n):
-            if not a[i][j]:
-                continue
-            v = a[i][j].valuation(t0)
-            if best_v is None or v < best_v:
-                best, best_v = (i, j), v
-    return best
+    cells = [(_lead(a[i][j]), i, j) for i in range(k, n) for j in range(k, n) if a[i][j]]
+    return min(cells, default=None)
+
+
+def _quotients(a: list, k: int, W: int) -> list:
+    """a[k][j] / a[k][k] for j > k (None otherwise) over U^0 .. U^(N-v-1):
+    a quotient by a pivot of valuation v has absolute precision N - v."""
+    p = a[k][k]
+    lo = _lead(p)
+    q = [-x for x in _inverse(p[lo:], W - lo)]
+    return [
+        None if j <= k or x is None else _sub_mul(None, x[lo:], q, W - lo)
+        for j, x in enumerate(a[k])
+    ]
 
 
 def jantzen_levels(
@@ -391,43 +368,39 @@ def jantzen_levels(
     filtration of L at t0, certified by D = ord det = sum r dim."""
     t0 = Fraction(t0)
     n = len(L)
-    det = _det(L)
-    if det.is_zero():
+    D = _det_order(L, t0)
+    if D is None:
         raise SingularFamily("determinant vanishes identically")
-    a: RatMatrix = [list(row) for row in L]
-    # C tracks right (domain) column operations; its columns at the end are
-    # the adapted basis, regular at t0 because every quotient has val >= 0
-    C: RatMatrix = [
-        [RAT_ONE if i == j else RAT_ZERO for j in range(n)] for i in range(n)
-    ]
+    m, W, a = _expand(L, t0, D)
+    # C tracks right (domain) column operations modulo U; its columns at the
+    # end are the adapted basis, regular at t0 because every quotient has
+    # val >= 0
+    C = [[int(i == j) for j in range(n)] for i in range(n)]
     orders = [0] * n
     for k in range(n):
-        piv = _min_valuation_pivot(a, k, t0)
+        piv = _pivot(a, k)
         if piv is None:
             raise SingularFamily("family is singular at every order")
-        pi, pj = piv
+        v, pi, pj = piv
         if pi != k:
             a[k], a[pi] = a[pi], a[k]
         if pj != k:
-            for row in a:
+            for row in a + C:
                 row[k], row[pj] = row[pj], row[k]
-            for row in C:
-                row[k], row[pj] = row[pj], row[k]
-        p = a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] / p
-                for j in range(k, n):
-                    a[i][j] = a[i][j] - f * a[k][j]
+        # clearing the pivot row only changes C; clearing the pivot column
+        # leaves the Schur complement a_ij - a_ik a_kj / a_kk
+        q = _quotients(a, k, W)
         for j in range(k + 1, n):
-            if a[k][j]:
-                f = a[k][j] / p
-                for i in range(k, n):
-                    a[i][j] = a[i][j] - f * a[i][k]
-                for i in range(n):
-                    C[i][j] = C[i][j] - f * C[i][k]
-        orders[k] = p.valuation(t0)
-    D = det.valuation(t0)
+            if q[j] is None:
+                continue
+            f = q[j][0]
+            if f:
+                for row in C:
+                    row[j] -= f * row[k]
+            for i in range(k + 1, n):
+                if a[i][k] is not None:
+                    a[i][j] = _sub_mul(a[i][j], a[i][k], q[j], W)
+        orders[k] = v + m
     if D != sum(orders):
         raise SingularFamily(
             "valuation bookkeeping failed: ord det = %d, sum of layer "
@@ -435,7 +408,7 @@ def jantzen_levels(
         )
     layers: Dict[int, List[Tuple[Fraction, ...]]] = {}
     for k in range(n):
-        vec = tuple(C[i][k].evaluate(t0) for i in range(n))
+        vec = tuple(Fraction(C[i][k]) for i in range(n))
         layers.setdefault(orders[k], []).append(vec)
     return [(r, len(vs), vs) for r, vs in sorted(layers.items())]
 
@@ -445,61 +418,46 @@ def level_signatures(L: RatMatrix, t0) -> List[Tuple[int, WElem]]:
     family, via congruence diagonalization over the local ring at t0."""
     t0 = Fraction(t0)
     n = len(L)
-    for i in range(n):
-        for j in range(n):
-            if L[i][j] != L[j][i]:
-                raise ValueError("level_signatures needs a symmetric family")
-    a: RatMatrix = [list(row) for row in L]
-
-    def sym_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def sym_transfer(i, j):
-        # row_i += row_j then col_i += col_j
-        for c in range(n):
-            a[i][c] = a[i][c] + a[j][c]
-        for r in range(n):
-            a[r][i] = a[r][i] + a[r][j]
-
-    for k in range(n):
-        piv = _min_valuation_pivot(a, k, t0)
-        if piv is None:
-            raise DegenerateResidual(
-                "form is identically zero on a Jantzen layer"
-            )
-        v = a[piv[0]][piv[1]].valuation(t0)
-        diag = [
-            i for i in range(k, n) if a[i][i] and a[i][i].valuation(t0) == v
-        ]
-        if diag:
-            pi = diag[0]
-        else:
-            # strictly off-diagonal minimum: transfer it onto the diagonal;
-            # the cross term 2 a_ij dominates a_ii + a_jj, so a_ii picks up
-            # the minimal valuation regardless of signs
-            sym_transfer(piv[0], piv[1])
-            pi = piv[0]
-        if pi != k:
-            sym_swap(pi, k)
-        p = a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] / p
-                for j in range(k, n):
-                    a[i][j] = a[i][j] - f * a[k][j]
-                for j in range(k, n):
-                    a[j][i] = a[j][i] - f * a[j][k]
+    if any(L[i][j] != L[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("level_signatures needs a symmetric family")
+    degenerate = DegenerateResidual("form is identically zero on a Jantzen layer")
+    D = _det_order(L, t0)
+    if D is None:
+        raise degenerate
+    m, W, a = _expand(L, t0, D)
     levels: Dict[int, WElem] = {}
     for k in range(n):
-        d = a[k][k]
-        if d.is_zero():
-            raise DegenerateResidual("zero diagonal after congruence")
-        r = d.valuation(t0)
-        sign = d.residual(t0)
-        w = W_ONE if sign > 0 else W_S
-        levels[r] = levels.get(r, WElem(0, 0)) + w
+        piv = _pivot(a, k)
+        if piv is None:
+            raise degenerate
+        v, i0, j0 = piv
+        pi = next(
+            (i for i in range(k, n) if a[i][i] is not None and _lead(a[i][i]) == v),
+            None,
+        )
+        if pi is None:
+            # strictly off-diagonal minimum: row_i0 += row_j0, then
+            # col_i0 += col_j0; the cross term 2 a_ij dominates a_ii + a_jj,
+            # so a_ii picks up the minimal valuation regardless of signs
+            for c in range(k, n):
+                if a[j0][c] is not None:
+                    a[i0][c] = _sub_mul(a[i0][c], a[j0][c], [-1], W)
+            for r in range(k, n):
+                if a[r][j0] is not None:
+                    a[r][i0] = _sub_mul(a[r][i0], a[r][j0], [-1], W)
+            pi = i0
+        if pi != k:
+            a[k], a[pi] = a[pi], a[k]
+            for row in a:
+                row[k], row[pi] = row[pi], row[k]
+        q = _quotients(a, k, W)
+        for i in range(k + 1, n):
+            if a[i][k] is not None:
+                for j in range(i, n):
+                    if q[j] is not None:
+                        a[i][j] = a[j][i] = _sub_mul(a[i][j], a[i][k], q[j], W)
+        w = W_ONE if a[k][k][v] > 0 else W_S
+        levels[v + m] = levels.get(v + m, WElem(0, 0)) + w
     return sorted(levels.items())
 
 

@@ -164,12 +164,6 @@ class WPoly:
     def items(self) -> Tuple[Tuple[int, WElem], ...]:
         return self.coeffs
 
-    def coeff(self, exp_half: int) -> WElem:
-        for e, c in self.coeffs:
-            if e == exp_half:
-                return c
-        return W_ZERO
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -193,21 +187,6 @@ class WPoly:
 
     def __rmul__(self, other: Union[WElem, int]) -> "WPoly":
         return self * other
-
-    def min_exp_half(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no support")
-        return self.coeffs[0][0]
-
-    def max_exp_half(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no support")
-        return self.coeffs[-1][0]
-
-    def is_q_polynomial(self) -> bool:
-        """True when every exponent is an even count of half units and
-        nonnegative, i.e. the element lies in $\\mathbb{W}[q]$."""
-        return all(e >= 0 and e % 2 == 0 for e, _ in self.coeffs)
 
     def eval_one(self) -> WElem:
         """Value at $q^{1/2} = 1$: the sum of all coefficients."""

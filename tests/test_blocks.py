@@ -94,6 +94,16 @@ def test_sl2c_singletons():
     assert [len(c.elements) for c in comps] == [1, 1]
 
 
+def test_sl2c_coordinate_order():
+    for x, y in ((F(1, 2), 1), (1, 2), (0, 3), (2, F(7, 2))):
+        one, other = builtin_block("sl2c", (x, y)), builtin_block("sl2c", (y, x))
+        assert list(map(serialize_block, one)) == list(map(serialize_block, other))
+    (b,) = builtin_block("sl2c", (F(1, 2), 1))
+    assert [e.label for e in b.elements] == ["PS(1,1/2)"]
+    p = BlockProvider()
+    assert p.get("sl2c", (1, 2)) is p.get("sl2c", (2, 1))
+
+
 def test_element_label():
     assert element_label("sl2r", sl2r_ds_param(1, 2)) == "DS+(2)"
     assert element_label("sl2r", sl2r_ds_param(-1, 0)) == "LDS-"

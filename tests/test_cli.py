@@ -97,6 +97,28 @@ def test_exit_code_unsupported(capsys):
     assert rc == 4
 
 
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+@pytest.mark.parametrize(
+    "family, at, golden",
+    [
+        # symmetric, a pole at t0 = 1/2, levels -1 .. 2
+        ("sym_pole.json", "1/2", "sym_pole_at_1_2.out.json"),
+        # not symmetric, poles at t0 = -2/3
+        ("gen_pole.json", "-2/3", "gen_pole_at_-2_3.out.json"),
+    ],
+)
+def test_jantzen_json_golden(capsys, family, at, golden):
+    rc, out, _ = run(
+        capsys, "jantzen", os.path.join(FIXTURES, family), "--at=" + at,
+        "--format", "json",
+    )
+    assert rc == 0
+    with open(os.path.join(FIXTURES, golden)) as fh:
+        assert out == fh.read()
+
+
 def test_usage_error_exits_3(capsys):
     with pytest.raises(SystemExit) as e:
         main(["signature"])  # missing required --nu
@@ -263,6 +285,14 @@ def test_block_show_round_trip(capsys):
     assert out1 == out2
     comps = json.loads(out1)
     assert len(comps) == 2
+
+
+def test_block_show_sl2c_coordinate_order(capsys):
+    for a, b in (("1/2", "1"), ("1", "2")):
+        rc, out1, _ = run(capsys, "block", "show", "sl2c:%s,%s" % (a, b), "--format", "json")
+        assert rc == 0
+        rc, out2, _ = run(capsys, "block", "show", "sl2c:%s,%s" % (b, a), "--format", "json")
+        assert rc == 0 and out1 == out2
 
 
 def test_signature_with_ingested_library(capsys, tmp_path):

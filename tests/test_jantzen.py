@@ -330,3 +330,177 @@ def _pow(f, k):
     for _ in range(k):
         out = out * f
     return out
+
+
+# ---------------------------------------------------------------------------
+# the local-ring elimination: poles, non-integer t0, larger families
+
+def _t_minus(t0):
+    """t - t0 as a rational function."""
+    t0 = F(t0)
+    return RatFn((-t0.numerator, t0.denominator), (t0.denominator,))
+
+
+def _unimodular(rng, n, t0, steps):
+    """A product of elementary operations with entries regular at t0."""
+    U = [[RAT_ONE if i == j else RAT_ZERO for j in range(n)] for i in range(n)]
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = RatFn((rng.randint(-2, 2), rng.randint(-1, 1)))
+        if rng.random() < 0.3:
+            den = RatFn((rng.choice([1, 2, 3]), 1))
+            if den.evaluate(t0) != 0:
+                c = c / den
+        for k in range(n):
+            U[i][k] = U[i][k] + c * U[j][k]
+    return U
+
+
+def _matmul(A, B):
+    n = len(A)
+    return [
+        [sum((A[i][k] * B[k][j] for k in range(n)), RAT_ZERO) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _transpose(A):
+    return [list(col) for col in zip(*A)]
+
+
+def _planted_diag(rng, orders, t0):
+    signs = [rng.choice([1, -1, 2, -3]) for _ in orders]
+    n = len(orders)
+    D = [[RAT_ZERO] * n for _ in range(n)]
+    for i, (r, c) in enumerate(zip(orders, signs)):
+        f = _pow(_t_minus(t0), abs(r))
+        D[i][i] = RatFn((c,)) * f if r >= 0 else RatFn((c,)) / f
+    return D, signs
+
+
+@pytest.mark.parametrize("t0", [F(1, 2), F(-2, 3)])
+def test_planted_poles_at_rational_point(t0):
+    rng = random.Random(str(t0))
+    for _ in range(12):
+        n = rng.randint(1, 5)
+        orders = [rng.randint(-2, 3) for _ in range(n)]
+        D, _ = _planted_diag(rng, orders, t0)
+        L = _matmul(
+            _matmul(_unimodular(rng, n, t0, 2 * n), D),
+            _unimodular(rng, n, t0, 2 * n),
+        )
+        ls = jantzen_levels(L, t0)
+        assert sorted(r for r, d, _ in ls for _ in range(d)) == sorted(orders)
+        assert sum(r * d for r, d, _ in ls) == sum(orders)
+
+
+@pytest.mark.parametrize("t0", [F(1, 2), F(-2, 3), 2])
+def test_planted_symmetric_signatures(t0):
+    rng = random.Random("sym %s" % t0)
+    for _ in range(12):
+        n = rng.randint(1, 5)
+        orders = [rng.randint(-1, 3) for _ in range(n)]
+        D, signs = _planted_diag(rng, orders, t0)
+        U = _unimodular(rng, n, t0, 2 * n)
+        L = _matmul(_matmul(_transpose(U), D), U)
+        want = {}
+        for r, c in zip(orders, signs):
+            want[r] = want.get(r, WElem(0, 0)) + (W_ONE if c > 0 else W_S)
+        assert level_signatures(L, t0) == sorted(want.items())
+
+
+def test_singular_symmetric_family_is_degenerate():
+    pole = RAT_ONE / _t_minus(F(1, 2))
+    with pytest.raises(DegenerateResidual):
+        level_signatures([[pole, pole], [pole, pole]], F(1, 2))
+    # rank two of three, with units and a pole: the first pivots exist
+    a, b = T_MINUS_1, RatFn((2,)) / RatFn((3, 1))
+    rows = [[RAT_ONE, a, b], [a, a * a + pole, a * b], [b, a * b, b * b]]
+    with pytest.raises(DegenerateResidual):
+        level_signatures(rows, 1)
+    with pytest.raises(SingularFamily):
+        jantzen_levels(rows, 1)
+
+
+def test_empty_family_has_no_levels():
+    # sl2_ktypes(-1, 0) is empty, so the odd family at cutoff 0 is 0 x 0
+    L = sl2_intertwining(-1, 0)
+    assert L == []
+    assert jantzen_levels(L, 1) == []
+    assert level_signatures(L, 1) == []
+
+
+def test_banded_family_n14_degree_two():
+    # L = A D B, A (B) unit lower (upper) triangular with two bands of
+    # linear entries, D planted with quadratic entries
+    rng = random.Random(14)
+    n, t0 = 14, F(-2, 3)
+    orders = [i % 3 for i in range(n)]
+    D, _ = _planted_diag(rng, orders, t0)
+    A = [[RAT_ONE if i == j else RAT_ZERO for j in range(n)] for i in range(n)]
+    B = [[RAT_ONE if i == j else RAT_ZERO for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for d in (1, 2):
+            if i - d >= 0:
+                A[i][i - d] = RatFn((rng.randint(-2, 2), rng.choice((-1, 1))))
+                B[i - d][i] = RatFn((rng.randint(-2, 2), rng.choice((-1, 1))))
+    L = _matmul(_matmul(A, D), B)
+    assert max(len(f.num) for row in L for f in row) >= 3
+    ls = jantzen_levels(L, t0)
+    assert [(r, d) for r, d, _ in ls] == [(0, 5), (1, 5), (2, 4)]
+
+
+def test_valuation_and_residual_at_rational_point():
+    # 45 (t + 2/3)^2 / (t + 1): order 2 at -2/3, residual 45 / (1/3)
+    f = RatFn((5,)) * RatFn((2, 3)) * RatFn((2, 3)) / RatFn((1, 1))
+    assert f.valuation(F(-2, 3)) == 2
+    assert f.residual(F(-2, 3)) == 135
+    assert (RAT_ONE / f).residual(F(-2, 3)) == F(1, 135)
+    assert f.evaluate(F(1, 2)) == F(245, 6)
+    assert -f == RatFn(tuple(-x for x in f.num), f.den)
+
+
+def _reference_levels(L, t0):
+    """The elimination of jantzen_levels in exact Q(t) arithmetic: pivot on
+    minimal valuation, row-major on ties, basis from the column operations
+    evaluated at t0."""
+    n = len(L)
+    a = [list(row) for row in L]
+    C = [[RAT_ONE if i == j else RAT_ZERO for j in range(n)] for i in range(n)]
+    orders = []
+    for k in range(n):
+        cells = [(a[i][j].valuation(t0), i, j)
+                 for i in range(k, n) for j in range(k, n) if a[i][j]]
+        v, pi, pj = min(cells)
+        a[k], a[pi] = a[pi], a[k]
+        for row in a + C:
+            row[k], row[pj] = row[pj], row[k]
+        p = a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / p
+            for j in range(k, n):
+                a[i][j] = a[i][j] - f * a[k][j]
+        for j in range(k + 1, n):
+            f = a[k][j] / p
+            for row in C:
+                row[j] = row[j] - f * row[k]
+        orders.append(v)
+    layers = {}
+    for k in range(n):
+        layers.setdefault(orders[k], []).append(
+            tuple(C[i][k].evaluate(t0) for i in range(n)))
+    return [(r, len(vs), vs) for r, vs in sorted(layers.items())]
+
+
+@pytest.mark.parametrize("t0", [F(1, 2), F(-2, 3), 1])
+def test_levels_match_reference_elimination(t0):
+    rng = random.Random("reference %s" % t0)
+    for _ in range(15):
+        n = rng.randint(1, 4)
+        orders = [rng.randint(-2, 2) for _ in range(n)]
+        D, _ = _planted_diag(rng, orders, t0)
+        L = _matmul(
+            _matmul(_unimodular(rng, n, t0, 2 * n), D),
+            _unimodular(rng, n, t0, 2 * n),
+        )
+        assert jantzen_levels(L, t0) == _reference_levels(L, t0)
