@@ -37,12 +37,7 @@ from .sigring import (
     W_ONE,
     W_S,
     W_ZERO,
-    poly_eval_one,
-    poly_eval_s,
-    poly_twist_sq,
     s_power,
-    w_forget,
-    w_mul,
 )
 from .rootdata import (
     Involution,
@@ -68,7 +63,6 @@ from .params import (
     hermitian_exists,
     hyperplanes,
     param_from_json,
-    param_key,
     param_to_json,
     parse_frac,
     reduce_to_real,

@@ -1,7 +1,7 @@
 """Block data: parameters at one infinitesimal character, lengths,
 orientation numbers, Bruhat order, and the multiplicity polynomial matrix Q,
-plus built-in closed-form block generators for SL(2,R) and SL(2,C) and JSON
-ingestion for everything else.
+plus the group models SL2R and SL2C, which generate their blocks in closed
+form, and JSON ingestion for everything else.
 
 $Q_{\\Xi,\\Gamma}(q)$ records composition multiplicities of $J(\\Xi)$ in the
 Jantzen layers of $I(\\Gamma)$; it is unitriangular in the length order, its
@@ -26,10 +26,12 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from .errors import (
     InvariantViolation,
     MissingBlock,
+    MissingRewriteTable,
     MissingTau,
     NotUpperTriangular,
     SchemaError,
     UnsupportedGroup,
+    ValidationError,
 )
 from .intpoly import IntPoly, p_add, p_mul, p_neg, p_trim
 from .params import (
@@ -72,6 +74,10 @@ __all__ = [
     "sl2c_param",
     "element_label",
     "group_cartan",
+    "GroupModel",
+    "SL2R",
+    "SL2C",
+    "group_model",
 ]
 
 # ---------------------------------------------------------------------------
@@ -118,34 +124,17 @@ SL2C_CARTAN = CartanClass(
     ),
 )
 
-_CARTANS = {
-    "sl2r": (SL2R_COMPACT, SL2R_SPLIT),
-    "sl2c": (SL2C_CARTAN,),
-}
-
-
-def group_cartan(group: str, name: str) -> CartanClass:
-    for c in _CARTANS.get(group, ()):
-        if c.id == name:
-            return c
-    raise UnsupportedGroup("no Cartan %r in group %r" % (name, group))
-
-
-def _cartan_index(group: str, name: str) -> int:
-    for i, c in enumerate(_CARTANS.get(group, ())):
-        if c.id == name:
-            return i
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # built-in parameters
 
 def sl2r_ps_param(eps: int, nu: Fraction) -> LanglandsParam:
     """Principal series parameter on the split Cartan; eps = 0 spherical
-    (grading +1, final), eps = 1 nonspherical (grading -1, nonfinal)."""
+    (grading +1, final), eps = 1 nonspherical (grading -1, nonfinal), and
+    nu >= 0."""
     if eps not in (0, 1):
         raise ValueError("parity must be 0 or 1")
+    if nu < 0:
+        raise ValueError("principal series needs nu >= 0 (got %s)" % frac_str(nu))
     d = DiscreteParam(
         cartan="split",
         dlambda=(Fraction(0),),
@@ -190,6 +179,8 @@ def sl2c_param(m: Fraction, v: Fraction) -> LanglandsParam:
     m, v = Fraction(m), Fraction(v)
     if m < 0 or m.denominator != 1:
         raise ValueError("sl2c discrete weight must be a nonnegative integer")
+    if v < 0:
+        raise ValueError("sl2c continuous coordinate needs v >= 0 (got %s)" % frac_str(v))
     d = DiscreteParam(
         cartan="complex",
         dlambda=(m / 2, m / 2),
@@ -198,25 +189,6 @@ def sl2c_param(m: Fraction, v: Fraction) -> LanglandsParam:
         ktype_parity=None,
     )
     return LanglandsParam(d, (v / 2, -v / 2))
-
-
-def element_label(group: str, param: LanglandsParam) -> str:
-    """Deterministic display label derived from parameter data alone."""
-    d = param.discrete
-    if group == "sl2r":
-        if d.cartan == "compact":
-            k = d.dlambda[0]
-            sign = "+" if (k > 0 or (k == 0 and d.ktype_parity == 0)) else "-"
-            if k == 0:
-                return "LDS%s" % sign
-            return "DS%s(%s)" % (sign, frac_str(abs(k)))
-        eps = "+" if d.grading.get(0, 1) == 1 else "-"
-        return "PS%s(%s)" % (eps, frac_str(param.nu[0]))
-    if group == "sl2c":
-        m = d.dlambda[0] * 2
-        v = param.nu[0] * 2
-        return "PS(%s,%s)" % (frac_str(m), frac_str(v))
-    return "elt"
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +498,7 @@ def parse_block(data: Union[bytes, str, Mapping]) -> Block:
     group = data["group"]
     if not isinstance(group, str):
         raise SchemaError("group must be a string")
+    model = group_model(group)
     try:
         inf_char = tuple(parse_frac(x) for x in _json_list(data["inf_char"], "inf_char"))
     except ValueError as e:
@@ -548,7 +521,7 @@ def parse_block(data: Union[bytes, str, Mapping]) -> Block:
                 param=param,
                 tau=None if tau is None else frozenset(
                     _int_parse(x) for x in _json_list(tau, "tau")),
-                label=element_label(group, param),
+                label=model.label(param),
             )
         except ValueError as e:
             raise SchemaError(str(e))
@@ -565,71 +538,126 @@ def parse_block(data: Union[bytes, str, Mapping]) -> Block:
 
 
 # ---------------------------------------------------------------------------
-# built-in blocks
+# group models
 
-def _mk_elem(group: str, eid: int, param: LanglandsParam,
-             tau: Optional[frozenset]) -> BlockElement:
-    """Element with length and orientation number computed from the root
-    datum rather than tabulated."""
-    rd = SL2R_DATUM if group == "sl2r" else SL2C_DATUM
-    cart = group_cartan(group, param.discrete.cartan)
-    dgamma = tuple(a + b for a, b in zip(param.discrete.dlambda, param.nu))
-    return BlockElement(
-        id=eid,
-        cartan=_cartan_index(group, param.discrete.cartan),
-        length=length(rd, cart.theta, cart.root_class, dgamma),
-        orient=orientation_number(
-            rd, cart.theta, param.discrete.grading, param.discrete.dlambda,
-            param.nu,
-        ),
-        param=param,
-        tau=tau,
-        label=element_label(group, param),
-    )
+class GroupModel:
+    """Everything the engine knows about one real group.  This base is a
+    group known only through block files: no Cartans, no built-in blocks,
+    the label ``elt``, and a rewriting table for final parameters only.
+    The built-in models ``SL2R`` and ``SL2C`` add root datum, Cartans,
+    closed-form blocks, the block key of a parameter, labels, the
+    Hecht-Schmid table, equal rank, K-type tables and the principal series
+    line the CLI builds; a model is built in exactly when it has Cartans."""
+
+    equal_rank = False
+    datum: RootDatum
+    cartans: Tuple[CartanClass, ...] = ()
+    coords: Optional[int] = None  # infinitesimal-character coordinates
+    ktype_support: Optional[Callable[[LanglandsParam, int], List[int]]] = None
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def cartan(self, cid: str) -> CartanClass:
+        for c in self.cartans:
+            if c.id == cid:
+                return c
+        raise UnsupportedGroup("no Cartan %r in group %r" % (cid, self.name))
+
+    def key(self, inf_char) -> Tuple[Fraction, ...]:
+        """Canonical block key: absolute coordinates, largest first, as many
+        as the group has."""
+        if not isinstance(inf_char, (tuple, list)):
+            inf_char = (inf_char,)
+        if self.coords is not None and len(inf_char) != self.coords:
+            raise ValidationError(
+                "group %r needs %d infinitesimal-character coordinate(s), got %d"
+                % (self.name, self.coords, len(inf_char))
+            )
+        return tuple(sorted((abs(Fraction(x)) for x in inf_char), reverse=True))
+
+    def partition(self, inf_char) -> List[Block]:
+        raise UnsupportedGroup("no built-in model for group %r" % self.name)
+
+    def label(self, param: LanglandsParam) -> str:
+        return "elt"
+
+    def label_text(self, g: LanglandsParam) -> str:
+        return self.label(g)
+
+    def hs_rewrite(self, d: DiscreteParam) -> Tuple[LanglandsParam, ...]:
+        """The final tempered parameters whose sum is $I(\\Lambda, 0)$."""
+        if d.final:
+            return (LanglandsParam(d, tuple(Fraction(0) for _ in d.dlambda)),)
+        raise MissingRewriteTable(
+            "no rewriting table for nonfinal parameter on Cartan %r of group %r"
+            % (d.cartan, self.name)
+        )
+
+    def line(self, parity: int, m: int, nu: Fraction) -> LanglandsParam:
+        """The principal series at nu picked by a parity +-1 or a weight m."""
+        raise UnsupportedGroup("no built-in parameters for group %r" % self.name)
+
+    def element(self, eid: int, param: LanglandsParam,
+                tau: Optional[frozenset]) -> BlockElement:
+        """Element with length and orientation number computed from the root
+        datum rather than tabulated."""
+        cart = self.cartan(param.discrete.cartan)
+        dgamma = tuple(a + b for a, b in zip(param.discrete.dlambda, param.nu))
+        return BlockElement(
+            id=eid,
+            cartan=self.cartans.index(cart),
+            length=length(self.datum, cart.theta, cart.root_class, dgamma),
+            orient=orientation_number(
+                self.datum, cart.theta, param.discrete.grading,
+                param.discrete.dlambda, param.nu,
+            ),
+            param=param,
+            tau=tau,
+            label=self.label(param),
+        )
+
+    def singleton(self, eid: int, param: LanglandsParam, ic) -> Block:
+        return Block(
+            group=self.name,
+            inf_char=ic,
+            elements=(self.element(eid, param, frozenset()),),
+            Q={(eid, eid): (1,)},
+        )
 
 
-def _singleton(group: str, eid: int, param: LanglandsParam, tau, inf_char) -> Block:
-    return Block(
-        group=group,
-        inf_char=inf_char,
-        elements=(_mk_elem(group, eid, param, tau),),
-        Q={(eid, eid): (1,)},
-    )
+class _SL2R(GroupModel):
+    """SL(2,R): compact and split Cartans, blocks keyed by |k|."""
 
+    equal_rank = True
+    datum = SL2R_DATUM
+    cartans = (SL2R_COMPACT, SL2R_SPLIT)
+    coords = 1
 
-def builtin_block(group: str, inf_char) -> List[Block]:
-    """The full partition of B(chi) into blocks at this infinitesimal
-    character, with lengths, orientation numbers, tau-invariants and Q in
-    closed form."""
-    if group == "sl2r":
-        if isinstance(inf_char, (tuple, list)):
-            (k,) = inf_char
-        else:
-            k = inf_char
-        k = abs(Fraction(k))
-        ic = (k,)
+    def block_key(self, g: LanglandsParam) -> Tuple[Fraction, ...]:
+        return (abs(g.discrete.dlambda[0] + g.nu[0]),)
+
+    def partition(self, inf_char) -> List[Block]:
+        (k,) = ic = self.key(inf_char)
         if k == 0:
             # singular point: the spherical principal series and the two
             # limits of discrete series are all irreducible
             return [
-                _singleton("sl2r", 0, sl2r_ps_param(0, Fraction(0)),
-                           frozenset(), ic),
-                _singleton("sl2r", 1, sl2r_ds_param(1, Fraction(0)),
-                           frozenset(), ic),
-                _singleton("sl2r", 2, sl2r_ds_param(-1, Fraction(0)),
-                           frozenset(), ic),
+                self.singleton(0, sl2r_ps_param(0, Fraction(0)), ic),
+                self.singleton(1, sl2r_ds_param(1, Fraction(0)), ic),
+                self.singleton(2, sl2r_ds_param(-1, Fraction(0)), ic),
             ]
         if k.denominator == 1:
             # reducible parity: spherical at odd k, nonspherical at even k
             red_eps = 0 if int(k) % 2 == 1 else 1
             other_eps = 1 - red_eps
             chain = Block(
-                group="sl2r",
+                group=self.name,
                 inf_char=ic,
                 elements=(
-                    _mk_elem("sl2r", 0, sl2r_ds_param(1, k), frozenset({0})),
-                    _mk_elem("sl2r", 1, sl2r_ds_param(-1, k), frozenset({0})),
-                    _mk_elem("sl2r", 2, sl2r_ps_param(red_eps, k), frozenset()),
+                    self.element(0, sl2r_ds_param(1, k), frozenset({0})),
+                    self.element(1, sl2r_ds_param(-1, k), frozenset({0})),
+                    self.element(2, sl2r_ps_param(red_eps, k), frozenset()),
                 ),
                 Q={
                     (0, 0): (1,),
@@ -639,17 +667,88 @@ def builtin_block(group: str, inf_char) -> List[Block]:
                     (1, 2): (1,),
                 },
             )
-            lone = _singleton("sl2r", 3, sl2r_ps_param(other_eps, k),
-                              frozenset(), ic)
-            return [chain, lone]
+            return [chain, self.singleton(3, sl2r_ps_param(other_eps, k), ic)]
         # nonintegral: two irreducible principal series
         return [
-            _singleton("sl2r", 0, sl2r_ps_param(0, k), frozenset(), ic),
-            _singleton("sl2r", 1, sl2r_ps_param(1, k), frozenset(), ic),
+            self.singleton(0, sl2r_ps_param(0, k), ic),
+            self.singleton(1, sl2r_ps_param(1, k), ic),
         ]
 
-    if group == "sl2c":
-        a, b = ic = _canon_key(group, inf_char)
+    def label(self, param: LanglandsParam) -> str:
+        d = param.discrete
+        if d.cartan == "compact":
+            k = d.dlambda[0]
+            sign = "+" if (k > 0 or (k == 0 and d.ktype_parity == 0)) else "-"
+            if k == 0:
+                return "LDS%s" % sign
+            return "DS%s(%s)" % (sign, frac_str(abs(k)))
+        eps = "+" if d.grading.get(0, 1) == 1 else "-"
+        return "PS%s(%s)" % (eps, frac_str(param.nu[0]))
+
+    def label_text(self, g: LanglandsParam) -> str:
+        # the spherical principal series at nu = 0 gets the dedicated
+        # tempered name PS0
+        d = g.discrete
+        if (d.cartan == "split" and d.grading.get(0, 1) == 1
+                and all(x == 0 for x in g.nu)):
+            return "PS0"
+        return self.label(g)
+
+    def hs_rewrite(self, d: DiscreteParam) -> Tuple[LanglandsParam, ...]:
+        if not d.final and d.cartan == "split":
+            # Hecht-Schmid: the nonspherical principal series at nu = 0 is
+            # the sum of the two limits of discrete series
+            return (sl2r_ds_param(1, Fraction(0)), sl2r_ds_param(-1, Fraction(0)))
+        return super().hs_rewrite(d)
+
+    def line(self, parity: int, m: int, nu: Fraction) -> LanglandsParam:
+        if parity not in (1, -1):
+            raise ValidationError("parity must be +1 or -1")
+        return sl2r_ps_param(0 if parity == 1 else 1, nu)
+
+    def lowest_ktype(self, g: LanglandsParam) -> int:
+        """Lowest K-type weight of a final tempered parameter."""
+        d = g.discrete
+        if d.cartan == "compact":
+            k = int(abs(d.dlambda[0]))
+            if d.dlambda[0] > 0 or (d.dlambda[0] == 0 and d.ktype_parity == 0):
+                return k + 1
+            return -(k + 1)
+        if d.grading.get(0, 1) == 1:
+            return 0
+        raise MissingRewriteTable("nonspherical series at nu = 0 is not final")
+
+    def ktype_support(self, g: LanglandsParam, cutoff: int) -> List[int]:
+        """K-type weights up to |weight| <= cutoff of a final tempered
+        parameter: the full even ladder or a half ladder."""
+        if g.discrete.cartan == "split":
+            out = [0]
+            for n in range(2, cutoff + 1, 2):
+                out.extend((n, -n))
+            return sorted(out)
+        low = self.lowest_ktype(g)
+        step = 2 if low > 0 else -2
+        out = []
+        n = low
+        while abs(n) <= cutoff:
+            out.append(n)
+            n += step
+        return out
+
+
+class _SL2C(GroupModel):
+    """SL(2,C): one complex Cartan, not equal rank, blocks keyed by the two
+    coordinates (m, v)."""
+
+    datum = SL2C_DATUM
+    cartans = (SL2C_CARTAN,)
+    coords = 2
+
+    def block_key(self, g: LanglandsParam) -> Tuple[Fraction, ...]:
+        return (2 * g.discrete.dlambda[0], 2 * g.nu[0])
+
+    def partition(self, inf_char) -> List[Block]:
+        a, b = ic = self.key(inf_char)
         if (
             a.denominator == 1
             and b.denominator == 1
@@ -659,38 +758,61 @@ def builtin_block(group: str, inf_char) -> List[Block]:
             # one 2-chain: I(b, a) has the J(a, b) constituent below
             return [
                 Block(
-                    group="sl2c",
+                    group=self.name,
                     inf_char=ic,
                     elements=(
-                        _mk_elem("sl2c", 0, sl2c_param(a, b), frozenset()),
-                        _mk_elem("sl2c", 1, sl2c_param(b, a), frozenset({0})),
+                        self.element(0, sl2c_param(a, b), frozenset()),
+                        self.element(1, sl2c_param(b, a), frozenset({0})),
                     ),
                     Q={(0, 0): (1,), (1, 1): (1,), (0, 1): (1,)},
                 )
             ]
-        out = []
         coords = [(a, b)] if a.denominator == 1 else []
         if b.denominator == 1 and b != a:
             coords.append((b, a))
         if not coords:
             raise ValueError("no sl2c parameter: neither coordinate is an integer")
-        for i, (mm, vv) in enumerate(coords):
-            out.append(
-                _singleton("sl2c", i, sl2c_param(mm, vv), frozenset(), ic)
-            )
-        return out
+        return [
+            self.singleton(i, sl2c_param(mm, vv), ic)
+            for i, (mm, vv) in enumerate(coords)
+        ]
 
-    raise UnsupportedGroup("no built-in model for group %r" % group)
+    def label(self, param: LanglandsParam) -> str:
+        return "PS(%s,%s)" % (
+            frac_str(param.discrete.dlambda[0] * 2), frac_str(param.nu[0] * 2))
+
+    def line(self, parity: int, m: int, nu: Fraction) -> LanglandsParam:
+        return sl2c_param(m, nu)
+
+
+SL2R = _SL2R("sl2r")
+SL2C = _SL2C("sl2c")
+_GROUPS = {model.name: model for model in (SL2R, SL2C)}
+
+
+def group_model(group: str) -> GroupModel:
+    """The built-in model of a group, or the block-file-only model."""
+    return _GROUPS.get(group) or GroupModel(group)
+
+
+def group_cartan(group: str, name: str) -> CartanClass:
+    return group_model(group).cartan(name)
+
+
+def element_label(group: str, param: LanglandsParam) -> str:
+    """Deterministic display label derived from parameter data alone."""
+    return group_model(group).label(param)
+
+
+def builtin_block(group: str, inf_char) -> List[Block]:
+    """The full partition of B(chi) into blocks at this infinitesimal
+    character, with lengths, orientation numbers, tau-invariants and Q in
+    closed form."""
+    return group_model(group).partition(inf_char)
 
 
 # ---------------------------------------------------------------------------
 # provider
-
-def _canon_key(group: str, inf_char) -> Tuple[Fraction, ...]:
-    if not isinstance(inf_char, (tuple, list)):
-        inf_char = (inf_char,)
-    return tuple(sorted((abs(Fraction(x)) for x in inf_char), reverse=True))
-
 
 class BlockProvider:
     """Lookup of the block partition keyed by (group, infinitesimal
@@ -715,7 +837,7 @@ class BlockProvider:
         if not blocks:
             return
         group = blocks[0].group
-        key = (group, _canon_key(group, blocks[0].inf_char))
+        key = (group, group_model(group).key(blocks[0].inf_char))
         if key in self._store:
             raise ValueError(
                 "duplicate block library for %s at %s"
@@ -730,17 +852,18 @@ class BlockProvider:
         return sorted(self._store, key=lambda k: (k[0], k[1]))
 
     def get(self, group: str, inf_char) -> List[Block]:
-        key = (group, _canon_key(group, inf_char))
+        model = group_model(group)
+        key = (group, model.key(inf_char))
         if key in self._store:
             return self._store[key]
-        if group in _CARTANS:
+        if model.cartans:
             blocks = self._builtin.get(key)
             if blocks is None:
                 blocks = self._builtin[key] = builtin_block(group, inf_char)
             return blocks
         raise MissingBlock(
             "no block data for group %r at infinitesimal character %s"
-            % (group, [frac_str(x) for x in _canon_key(group, inf_char)])
+            % (group, [frac_str(x) for x in key[1]])
         )
 
     def inverse(self, b: Block, compute: Callable[[Block], object]):

@@ -30,18 +30,14 @@ from .blocks import (
     Block,
     BlockProvider,
     block_to_json_obj,
-    group_cartan,
+    group_model,
     parse_block,
-    serialize_block,
-    sl2c_param,
-    sl2r_ps_param,
     split_components,
 )
 from .errors import (
     MissingBlock,
     SigzeroError,
     UnsupportedError,
-    UnsupportedGroup,
     ValidationError,
 )
 from .jantzen import jantzen_levels, level_signatures, parse_ratmatrix
@@ -109,19 +105,16 @@ def _print_table(rows: Sequence[Sequence[str]]) -> None:
         print(line.rstrip())
 
 
-def _parity_eps(parity: int) -> int:
-    if parity not in (1, -1):
-        raise ValidationError("parity must be +1 or -1")
-    return 0 if parity == 1 else 1
+def _line(args, nu: Fraction):
+    """The parameter at nu on the principal series line that --group picks
+    with --parity or --m."""
+    return group_model(args.group).line(args.parity, args.m, nu)
 
 
-def _param_from_args(args):
-    nu = parse_frac(args.nu)
-    if args.group == "sl2r":
-        return sl2r_ps_param(_parity_eps(args.parity), nu)
-    if args.group == "sl2c":
-        return sl2c_param(args.m, nu)
-    raise UnsupportedGroup("no built-in parameters for group %r" % args.group)
+def _line_walls(args, radius) -> list:
+    """The wall arrangement of that line up to level radius."""
+    d = _line(args, Fraction(0)).discrete
+    return hyperplanes(d, group_model(args.group).cartan(d.cartan), parse_frac(radius))
 
 
 def _signature_rows(sc: SignatureChar) -> List[List[str]]:
@@ -204,7 +197,7 @@ def _trace_sink(enabled: bool) -> Optional[Callable[[dict], None]]:
 
 def cmd_signature(args) -> int:
     session = Session(args.block or [])
-    g = _param_from_args(args)
+    g = _line(args, parse_frac(args.nu))
     sc = deform_to_zero(
         g, session.provider, group=args.group, trace=_trace_sink(args.trace)
     )
@@ -217,7 +210,7 @@ def cmd_signature(args) -> int:
 
 def cmd_unitary(args) -> int:
     session = Session(args.block or [])
-    g = _param_from_args(args)
+    g = _line(args, parse_frac(args.nu))
     res = unitary_test(g, session.provider, group=args.group)
     if args.format == "json":
         print(
@@ -251,12 +244,10 @@ def cmd_unitary(args) -> int:
     return 0
 
 
-def _scan_walls(eps: int, lo: Fraction, hi: Fraction) -> List[Fraction]:
-    d = sl2r_ps_param(eps, 0).discrete
-    cart = group_cartan("sl2r", "split")
+def _scan_walls(args, lo: Fraction, hi: Fraction) -> List[Fraction]:
     levels = {
         h.level
-        for h in hyperplanes(d, cart, hi + 1)
+        for h in _line_walls(args, hi + 1)
         if h.kind == "reducibility" and lo <= h.level <= hi
     }
     return sorted(levels)
@@ -265,8 +256,8 @@ def _scan_walls(eps: int, lo: Fraction, hi: Fraction) -> List[Fraction]:
 def _facet_verdict(args, session: Session, points: Sequence[Fraction]) -> str:
     verdicts = set()
     for nu in points:
-        g = sl2r_ps_param(_parity_eps(args.parity), nu)
-        verdicts.add(unitary_test(g, session.provider, group="sl2r").verdict)
+        g = _line(args, nu)
+        verdicts.add(unitary_test(g, session.provider, group=args.group).verdict)
     if len(verdicts) != 1:
         raise ValidationError(
             "verdict not constant on a facet: %s" % sorted(verdicts)
@@ -275,8 +266,6 @@ def _facet_verdict(args, session: Session, points: Sequence[Fraction]) -> str:
 
 
 def cmd_scan(args) -> int:
-    if args.group != "sl2r":
-        raise UnsupportedGroup("scan supports the built-in group sl2r")
     session = Session(args.block or [])
     lo, hi = parse_frac(getattr(args, "from")), parse_frac(args.to)
     if lo > hi:
@@ -295,7 +284,7 @@ def cmd_scan(args) -> int:
         )
     else:
         prev = lo
-        for w in _scan_walls(_parity_eps(args.parity), lo, hi) + [hi]:
+        for w in _scan_walls(args, lo, hi) + [hi]:
             if prev < w:
                 interior = [
                     prev + (w - prev) * Fraction(i, steps + 1)
@@ -334,19 +323,11 @@ def cmd_scan(args) -> int:
 
 
 def _is_wall(args, nu: Fraction) -> bool:
-    return nu in _scan_walls(_parity_eps(args.parity), nu, nu)
+    return nu in _scan_walls(args, nu, nu)
 
 
 def cmd_hyperplanes(args) -> int:
-    if args.group == "sl2r":
-        d = sl2r_ps_param(_parity_eps(args.parity), 0).discrete
-        cart = group_cartan("sl2r", "split")
-    elif args.group == "sl2c":
-        d = sl2c_param(args.m, 0).discrete
-        cart = group_cartan("sl2c", "complex")
-    else:
-        raise UnsupportedGroup("no built-in arrangement for %r" % args.group)
-    walls = hyperplanes(d, cart, parse_frac(args.radius))
+    walls = _line_walls(args, args.radius)
     if args.format == "json":
         print(
             _dumps(

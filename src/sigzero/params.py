@@ -43,7 +43,6 @@ __all__ = [
     "crossing_times",
     "frac_str",
     "parse_frac",
-    "param_key",
     "param_to_json",
     "param_from_json",
 ]
@@ -135,6 +134,10 @@ class DiscreteParam:
         if self.ktype_parity not in (None, 0, 1):
             raise ValueError("ktype_parity must be 0, 1, or None")
 
+    def __hash__(self) -> int:
+        return hash((self.cartan, self.dlambda, tuple(sorted(self.grading.items())),
+                     self.final, self.ktype_parity))
+
 
 @dataclass(frozen=True)
 class LanglandsParam:
@@ -149,6 +152,14 @@ class LanglandsParam:
         object.__setattr__(self, "nu", tuple(Fraction(x) for x in self.nu))
         if self.nu_im is not None:
             object.__setattr__(self, "nu_im", tuple(Fraction(x) for x in self.nu_im))
+        # hashed once: parameters key the memo and every signature term
+        object.__setattr__(self, "_hash", hash((self.discrete, self.nu, self.nu_im)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # rebuild when unpickled: string hashes vary by process
+        return LanglandsParam, (self.discrete, self.nu, self.nu_im)
 
     def is_real(self) -> bool:
         return self.nu_im is None or all(x == 0 for x in self.nu_im)
@@ -184,23 +195,6 @@ class Hyperplane:
             raise ValueError("unknown hyperplane kind %r" % self.kind)
         if self.level <= 0:
             raise ValueError("hyperplane level must be strictly positive")
-
-
-def param_key(g: LanglandsParam) -> tuple:
-    """Canonical hashable key (gradings carried as sorted item tuples)."""
-    d = g.discrete
-    return (
-        d.cartan,
-        d.dlambda,
-        tuple(sorted(d.grading.items())),
-        None
-        if d.imaginary_grading is None
-        else tuple(sorted(d.imaginary_grading.items())),
-        d.final,
-        d.ktype_parity,
-        g.nu,
-        g.nu_im,
-    )
 
 
 def hermitian_dual(g: LanglandsParam) -> LanglandsParam:

@@ -28,21 +28,19 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .blocks import (
+    SL2R,
     Block,
     BlockElement,
     BlockProvider,
     _length_order,
-    element_label,
-    group_cartan,
+    group_model,
     invert_multiplicity,
-    sl2r_ds_param,
 )
 from .errors import (
     BoundViolation,
     InvariantViolation,
     MissingBlock,
     MissingParity,
-    MissingRewriteTable,
     OddOrientationDifference,
     UnsupportedGroup,
     UnsupportedUnequalRank,
@@ -52,7 +50,6 @@ from .params import (
     LanglandsParam,
     crossing_times,
     frac_str,
-    param_key,
     param_to_json,
 )
 from .rootdata import norm_sq
@@ -76,21 +73,11 @@ __all__ = [
 
 W_S_MINUS_ONE = WElem(-1, 1)
 
-EQUAL_RANK = {"sl2r": True, "sl2c": False}
-
 
 def label_text(group: str, g: LanglandsParam) -> str:
-    """Display label; the spherical principal series at nu = 0 gets the
-    dedicated tempered name PS0."""
-    d = g.discrete
-    if (
-        group == "sl2r"
-        and d.cartan == "split"
-        and d.grading.get(0, 1) == 1
-        and all(x == 0 for x in g.nu)
-    ):
-        return "PS0"
-    return element_label(group, g)
+    """Display label of a basis parameter; tempered parameters may get a
+    dedicated name (PS0 for the spherical principal series at nu = 0)."""
+    return group_model(group).label_text(g)
 
 
 @dataclass(frozen=True)
@@ -99,15 +86,13 @@ class StdLabel:
 
     group: str
     text: str
-    key: tuple
-    param: LanglandsParam = field(compare=False, repr=False)
+    param: LanglandsParam = field(repr=False)
 
     @staticmethod
     def of(group: str, g: LanglandsParam, text: Optional[str] = None) -> "StdLabel":
         return StdLabel(
             group=group,
             text=text if text is not None else label_text(group, g),
-            key=param_key(g),
             param=g,
         )
 
@@ -344,37 +329,14 @@ def deform_step(b: Block, gamma) -> SignatureChar:
 def hs_rewrite(d: DiscreteParam, group: str) -> SignatureChar:
     """Rewrite the standard $I(\\Lambda, 0)$ as a sum of final tempered
     parameters, one per lowest K-type, each with coefficient 1."""
-    zero = tuple(Fraction(0) for _ in d.dlambda)
-    g0 = LanglandsParam(d, zero)
-    out = SignatureChar(group, "final_tempered")
-    if d.final:
-        out.add(StdLabel.of(group, g0), W_ONE)
-        return out
-    if group == "sl2r" and d.cartan == "split":
-        # Hecht-Schmid: the nonspherical principal series at nu = 0 is the
-        # sum of the two limits of discrete series
-        out.add(StdLabel.of(group, sl2r_ds_param(1, Fraction(0))), W_ONE)
-        out.add(StdLabel.of(group, sl2r_ds_param(-1, Fraction(0))), W_ONE)
-        return out
-    raise MissingRewriteTable(
-        "no rewriting table for nonfinal parameter on Cartan %r of group %r"
-        % (d.cartan, group)
-    )
-
-
-def _block_inf_key(group: str, g: LanglandsParam):
-    """Infinitesimal character coordinates the block provider is keyed by."""
-    if group == "sl2r":
-        return (abs(g.discrete.dlambda[0] + g.nu[0]),)
-    if group == "sl2c":
-        return (2 * g.discrete.dlambda[0], 2 * g.nu[0])
-    dgamma = tuple(a + b for a, b in zip(g.discrete.dlambda, g.nu))
-    return dgamma
+    tempered = group_model(group).hs_rewrite(d)
+    return SignatureChar(group, "final_tempered",
+                         {StdLabel.of(group, g): W_ONE for g in tempered})
 
 
 def _block_containing(provider: BlockProvider, group: str,
                       g: LanglandsParam) -> Tuple[Block, BlockElement, int]:
-    key = _block_inf_key(group, g)
+    key = group_model(group).block_key(g)
     blocks = provider.get(group, key)
     for i, blk in enumerate(blocks):
         e = blk.find(g)
@@ -405,7 +367,7 @@ def deform_to_zero(
     Results are remembered by the provider, which forgets them when a
     library is registered; a traced call recomputes so that its stream is
     complete."""
-    key = (group, param_key(g))
+    key = (group, g)
     if trace is None:
         hit = provider.deformation(key)
         if hit is not None:
@@ -414,7 +376,7 @@ def deform_to_zero(
     if all(x == 0 for x in g.nu):
         out = hs_rewrite(g.discrete, group)
     else:
-        cart = group_cartan(group, g.discrete.cartan)
+        cart = group_model(group).cartan(g.discrete.cartan)
         dl2 = norm_sq(g.discrete.dlambda)
         cap = dl2 + norm_sq(g.nu)
         out = SignatureChar(group, "final_tempered")
@@ -508,13 +470,14 @@ def unitary_test(
     matches the parity bit $\\epsilon(\\Lambda')$ globally, or anti-matches
     globally.  The test is invariant under flipping every parity bit, which
     absorbs the global square-root choice behind $\\epsilon$."""
-    if group == "sl2c":
+    model = group_model(group)
+    if not model.cartans:
+        raise UnsupportedGroup("unitarity test needs a built-in group (got %r)" % group)
+    if not model.equal_rank:
         raise UnsupportedUnequalRank(
-            "sl2c is not equal rank; the c-form to invariant-form "
-            "comparison is out of scope"
+            "%s is not equal rank; the c-form to invariant-form "
+            "comparison is out of scope" % group
         )
-    if not EQUAL_RANK.get(group, False):
-        raise UnsupportedGroup("unitarity test supports built-in group sl2r")
 
     if all(x == 0 for x in g.nu):
         B = hs_rewrite(g.discrete, group)
@@ -564,50 +527,24 @@ def unitary_test(
 
 
 # ---------------------------------------------------------------------------
-# K-type expansion (built-in SL(2,R) tables)
+# K-type expansion (built-in tables)
 
 def sl2r_lowest_ktype(g: LanglandsParam) -> int:
     """Lowest K-type weight of a final tempered SL(2,R) parameter."""
-    d = g.discrete
-    if d.cartan == "compact":
-        k = int(abs(d.dlambda[0]))
-        if d.dlambda[0] > 0 or (d.dlambda[0] == 0 and d.ktype_parity == 0):
-            return k + 1
-        return -(k + 1)
-    if d.grading.get(0, 1) == 1:
-        return 0
-    raise MissingRewriteTable("nonspherical series at nu = 0 is not final")
-
-
-def _sl2r_support(g: LanglandsParam, cutoff: int) -> List[int]:
-    d = g.discrete
-    if d.cartan == "split":
-        out = [0]
-        for n in range(2, cutoff + 1, 2):
-            out.extend((n, -n))
-        return sorted(out)
-    low = sl2r_lowest_ktype(g)
-    step = 2 if low > 0 else -2
-    out = []
-    n = low
-    while abs(n) <= cutoff:
-        out.append(n)
-        n += step
-    return out
+    return SL2R.lowest_ktype(g)
 
 
 def ktype_signature(sc: SignatureChar, cutoff: int) -> SignatureChar:
     """Expand a final tempered signature character into K-type weights up to
     |weight| <= cutoff; each tempered parameter contributes its coefficient
     on every K-type of its half or full ladder."""
-    if sc.group != "sl2r":
-        raise UnsupportedGroup(
-            "K-type tables are built in for sl2r only (got %r)" % sc.group
-        )
+    support = group_model(sc.group).ktype_support
+    if support is None:
+        raise UnsupportedGroup("no built-in K-type table for group %r" % sc.group)
     if sc.basis != "final_tempered":
         raise ValueError("ktype_signature needs a final_tempered character")
     out = SignatureChar(sc.group, "ktype")
     for label, coef in sc.items():
-        for n in _sl2r_support(label.param, cutoff):
+        for n in support(label.param, cutoff):
             out.add(n, coef)
     return out

@@ -34,11 +34,6 @@ __all__ = [
     "W_ONE",
     "W_S",
     "s_power",
-    "w_mul",
-    "w_forget",
-    "poly_eval_one",
-    "poly_eval_s",
-    "poly_twist_sq",
 ]
 
 
@@ -119,16 +114,6 @@ W_S = WElem(0, 1)
 def s_power(k: int) -> WElem:
     """$s^k$, which only depends on $k \\bmod 2$."""
     return W_ONE if k % 2 == 0 else W_S
-
-
-def w_mul(a: WElem, b: WElem) -> WElem:
-    """Product in $\\mathbb{W}$."""
-    return a * b
-
-
-def w_forget(a: WElem) -> int:
-    """Forgetful ring homomorphism $\\mathbb{W} \\to \\mathbb{Z}$."""
-    return a.forget()
 
 
 _Items = Iterable[Tuple[int, WElem]]
@@ -241,18 +226,3 @@ class WPoly:
     def from_json(data: Iterable[Sequence[int]]) -> "WPoly":
         return WPoly.from_items((int(e), WElem(int(p), int(q))) for e, p, q in data)
 
-
-def poly_eval_one(P: WPoly) -> WElem:
-    """Value of P at $q^{1/2} = 1$."""
-    return P.eval_one()
-
-
-def poly_eval_s(P: WPoly) -> WElem:
-    """P(s), the substitution $q := s$; raises HalfPowerPresent on genuine
-    half powers."""
-    return P.eval_s()
-
-
-def poly_twist_sq(P: WPoly, delta: int) -> WPoly:
-    """$s^{\\delta/2} P(sq)$; raises OddOrientationDifference for odd delta."""
-    return P.twist_sq(delta)

@@ -7,6 +7,9 @@ from fractions import Fraction
 import pytest
 
 from sigzero.blocks import (
+    SL2C,
+    SL2R,
+    SL2R_SPLIT,
     Block,
     BlockElement,
     BlockProvider,
@@ -14,6 +17,7 @@ from sigzero.blocks import (
     bruhat_leq,
     builtin_block,
     element_label,
+    group_model,
     invert_multiplicity,
     multiplicity_inverse,
     parse_block,
@@ -29,6 +33,8 @@ from sigzero.errors import (
     MissingBlock,
     MissingTau,
     SchemaError,
+    UnsupportedGroup,
+    ValidationError,
 )
 
 F = Fraction
@@ -317,3 +323,48 @@ def test_reject_malformed_schema():
     )
     with pytest.raises(SchemaError):
         parse_block(obj)
+
+
+def test_provider_key_arity_is_a_validation_error():
+    p = BlockProvider()
+    with pytest.raises(ValidationError, match="'sl2r' needs 1"):
+        p.get("sl2r", (1, 2))
+    with pytest.raises(ValidationError, match="'sl2c' needs 2"):
+        p.get("sl2c", (1,))
+    with pytest.raises(ValidationError, match="'sl2c' needs 2"):
+        builtin_block("sl2c", 3)
+    # a scalar is a one-coordinate key
+    assert p.get("sl2r", 2) is p.get("sl2r", (2,))
+
+
+def test_negative_continuous_coordinate_rejected():
+    with pytest.raises(ValueError):
+        sl2r_ps_param(0, F(-3, 2))
+    with pytest.raises(ValueError):
+        sl2r_ps_param(1, -1)
+    with pytest.raises(ValueError):
+        sl2c_param(1, -3)
+    assert sl2c_param(1, 0).nu == (0, 0)
+
+
+def test_group_models():
+    assert group_model("sl2r") is SL2R and group_model("sl2c") is SL2C
+    assert SL2R.equal_rank and not SL2C.equal_rank
+    assert [c.id for c in SL2R.cartans] == ["compact", "split"]
+    assert SL2R.cartan("split") is SL2R_SPLIT
+    assert SL2R.block_key(sl2r_ds_param(-1, 2)) == (2,)
+    assert SL2C.block_key(sl2c_param(3, 1)) == (3, 1)
+    assert SL2R.label_text(sl2r_ps_param(0, 0)) == "PS0"
+    assert SL2R.label(sl2r_ps_param(0, 0)) == "PS+(0)"
+    assert [SL2R.lowest_ktype(g) for g in SL2R.hs_rewrite(sl2r_ps_param(1, 0).discrete)] == [1, -1]
+    assert SL2R.line(-1, 0, F(1, 2)) == sl2r_ps_param(1, F(1, 2))
+    assert SL2C.line(1, 3, 2) == sl2c_param(3, 2)
+    # any other group is known only through block files
+    other = group_model("g2")
+    assert not other.cartans and not other.equal_rank and other.ktype_support is None
+    assert other.label(sl2r_ps_param(0, 1)) == "elt"
+    assert other.key((1, -3, F(1, 2))) == (3, 1, F(1, 2))
+    with pytest.raises(UnsupportedGroup):
+        builtin_block("g2", (1,))
+    with pytest.raises(UnsupportedGroup):
+        other.cartan("split")

@@ -310,3 +310,34 @@ def test_signature_with_ingested_library(capsys, tmp_path):
     assert rc == 0
     labels = [l.split()[0] for l in out.strip().splitlines()]
     assert "PS0" in labels and "DS+(1)" in labels
+
+
+# ---------------------------------------------------------------------------
+# negative continuous parameters and block-key arity
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["signature", "--nu=-3/2"],
+        ["signature", "--parity", "-1", "--nu=-1/2"],
+        ["unitary", "--nu=-3/2"],
+        ["signature", "--group", "sl2c", "--m", "1", "--nu", "-3"],
+        ["unitary", "--group", "sl2c", "--m", "1", "--nu", "-3"],
+        ["scan", "--from=-1", "--to", "1"],
+    ],
+)
+def test_negative_nu_exits_3(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3 and not out
+    assert ">= 0" in err
+
+
+@pytest.mark.parametrize(
+    "key, group, coords",
+    [("sl2c:1", "sl2c", "2"), ("sl2c:1,2,3", "sl2c", "2"), ("sl2r:1,2", "sl2r", "1")],
+)
+def test_block_show_key_arity_exits_3(capsys, key, group, coords):
+    rc, out, err = run(capsys, "block", "show", key)
+    assert rc == 3 and not out
+    assert repr(group) in err and "needs %s" % coords in err
+    assert "unpack" not in err

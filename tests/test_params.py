@@ -22,7 +22,6 @@ from sigzero.params import (
     hermitian_exists,
     hyperplanes,
     param_from_json,
-    param_key,
     param_to_json,
     parse_frac,
     reduce_to_real,
@@ -72,9 +71,9 @@ def test_duals_on_real_parameters():
 def test_param_key_hashable_and_stable():
     g = sl2r_ps_param(0, F(3, 2))
     h = sl2r_ps_param(0, F(3, 2))
-    assert param_key(g) == param_key(h)
-    assert hash(param_key(g)) == hash(param_key(h))
-    assert param_key(g) != param_key(sl2r_ps_param(1, F(3, 2)))
+    assert g == h
+    assert hash(g) == hash(h)
+    assert g != sl2r_ps_param(1, F(3, 2))
 
 
 def test_hermitian_exists_sl2r():
