@@ -11,7 +11,6 @@ ingested as block-library JSON files.  All arithmetic is exact.
 from .errors import (
     BoundViolation,
     DegenerateResidual,
-    GroupTooLarge,
     HalfPowerPresent,
     InvalidInvolution,
     InvariantViolation,
@@ -19,7 +18,6 @@ from .errors import (
     MissingParity,
     MissingRewriteTable,
     MissingRootData,
-    MissingTau,
     NotUpperTriangular,
     OddOrientationDifference,
     SchemaError,
@@ -45,7 +43,6 @@ from .rootdata import (
     RootDatum,
     classify_roots,
     dot,
-    integral_system,
     length,
     norm_sq,
     orientation_number,
@@ -56,23 +53,18 @@ from .params import (
     Hyperplane,
     LanglandsParam,
     RestrictedRoot,
-    c_hermitian_dual,
     crossing_times,
     frac_str,
-    hermitian_dual,
-    hermitian_exists,
     hyperplanes,
     param_from_json,
     param_to_json,
     parse_frac,
-    reduce_to_real,
 )
 from .blocks import (
     Block,
     BlockElement,
     BlockProvider,
     block_to_json_obj,
-    bruhat_leq,
     builtin_block,
     element_label,
     group_cartan,
@@ -80,7 +72,6 @@ from .blocks import (
     multiplicity_inverse,
     parse_block,
     serialize_block,
-    singular_restrict,
     sl2c_param,
     sl2r_ds_param,
     sl2r_ps_param,

@@ -1,7 +1,7 @@
 """Block data: parameters at one infinitesimal character, lengths,
-orientation numbers, Bruhat order, and the multiplicity polynomial matrix Q,
-plus the group models SL2R and SL2C, which generate their blocks in closed
-form, and JSON ingestion for everything else.
+orientation numbers and the multiplicity polynomial matrix Q, plus the group
+models SL2R and SL2C, which generate their blocks in closed form, and JSON
+ingestion for everything else.
 
 $Q_{\\Xi,\\Gamma}(q)$ records composition multiplicities of $J(\\Xi)$ in the
 Jantzen layers of $I(\\Gamma)$; it is unitriangular in the length order, its
@@ -27,7 +27,6 @@ from .errors import (
     InvariantViolation,
     MissingBlock,
     MissingRewriteTable,
-    MissingTau,
     NotUpperTriangular,
     SchemaError,
     UnsupportedGroup,
@@ -57,10 +56,9 @@ __all__ = [
     "Block",
     "invert_multiplicity",
     "multiplicity_inverse",
-    "bruhat_leq",
-    "singular_restrict",
     "parse_block",
     "serialize_block",
+    "block_to_json_obj",
     "split_components",
     "builtin_block",
     "BlockProvider",
@@ -348,36 +346,6 @@ def multiplicity_inverse(b: Block) -> Dict[Tuple[int, int], int]:
         if val:
             out[(r, c)] = val
     return out
-
-
-def bruhat_leq(b: Block, x: int, y: int) -> bool:
-    """Reflexive-transitive closure of the relation {x < y : Q[x,y] != 0}."""
-    if x == y:
-        return True
-    frontier = [x]
-    seen = {x}
-    while frontier:
-        cur = frontier.pop()
-        for (r, c) in b.Q:
-            if r == cur and c not in seen:
-                if c == y:
-                    return True
-                seen.add(c)
-                frontier.append(c)
-    return False
-
-
-def singular_restrict(b: Block, singular_simples: Sequence[int]) -> Block:
-    """Sub-block of elements whose tau-invariant avoids the singular simple
-    roots; the Bruhat order and Q restrict from the regular block."""
-    singular = frozenset(int(x) for x in singular_simples)
-    for e in b.elements:
-        if e.tau is None:
-            raise MissingTau("element %d has no tau-invariant" % e.id)
-    keep = [e for e in b.elements if not (e.tau & singular)]
-    ids = {e.id for e in keep}
-    Q = {k: v for k, v in b.Q.items() if k[0] in ids and k[1] in ids}
-    return Block(group=b.group, inf_char=b.inf_char, elements=tuple(keep), Q=Q)
 
 
 def split_components(b: Block) -> List[Block]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -54,7 +55,6 @@ class Session:
 
     def __init__(self, block_files: Sequence[str] = ()):
         self.provider = BlockProvider()
-        self.loaded: List[Tuple[str, List[Block]]] = []
         for path in block_files:
             self.load_file(path)
 
@@ -70,7 +70,6 @@ class Session:
             blk.group,
             ",".join(frac_str(Fraction(x)) for x in blk.inf_char),
         )
-        self.loaded.append((key, comps))
         return key, comps
 
 
@@ -405,6 +404,11 @@ def cmd_jantzen(args) -> int:
 # parser
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative fraction such as -3/2 is a value, not an option
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
     # usage problems are validation failures: exit 3, message on stderr
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -36,10 +36,6 @@ class UnsupportedRealSystem(UnsupportedError):
 
 
 # params
-class GroupTooLarge(SigzeroError):
-    """Generated Weyl subgroup exceeded the configured closure bound."""
-
-
 class MissingRootData(ValidationError):
     """CartanClass lacks the restricted-root data needed for hyperplanes."""
 
@@ -47,10 +43,6 @@ class MissingRootData(ValidationError):
 # blocks
 class NotUpperTriangular(ValidationError):
     """Multiplicity matrix is not unitriangular in the length order."""
-
-
-class MissingTau(ValidationError):
-    """tau-invariants absent but required for singular restriction."""
 
 
 class SchemaError(ValidationError):

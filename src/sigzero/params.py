@@ -1,13 +1,13 @@
-"""Langlands parameters, their duals, deformation data, and the hyperplane
-arrangement.
+"""Langlands parameters, deformation data, and the hyperplane arrangement.
 
 A parameter $\\Gamma = (\\Lambda, \\nu)$ is carried abstractly: a discrete
 part (Cartan class, differential $d\\lambda$, $\\mathbb{Z}/2$ grading on real
 coroots, finality flag, optional K-type parity bit) plus an exact rational
-continuous part $\\nu$ (with an optional imaginary component used only for
-the reduction to real infinitesimal character).  No representation is ever
-realized; everything downstream consumes pairings, gradings, lengths and
-block data.
+continuous part $\\nu$.  An imaginary component nu_im can be written down
+and round-trips through JSON, but the engine takes real parameters only:
+an all-zero nu_im is stored as None, and deform_to_zero and unitary_test
+reject a nonzero one.  No representation is ever realized; everything
+downstream consumes pairings, gradings, lengths and block data.
 
 The deformation path is the straight line $t\\nu$, $t \\in [0,1]$.  Its
 combinatorial skeleton is the arrangement of potential reducibility and
@@ -21,12 +21,13 @@ through the origin, so signatures are constant near $\\nu = 0$.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import GroupTooLarge, MissingRootData
+from .errors import MissingRootData
 from .rootdata import Involution, RootClass, dot
 
 __all__ = [
@@ -35,10 +36,6 @@ __all__ = [
     "DiscreteParam",
     "LanglandsParam",
     "Hyperplane",
-    "hermitian_dual",
-    "c_hermitian_dual",
-    "hermitian_exists",
-    "reduce_to_real",
     "hyperplanes",
     "crossing_times",
     "frac_str",
@@ -142,7 +139,8 @@ class DiscreteParam:
 @dataclass(frozen=True)
 class LanglandsParam:
     """Full parameter (Lambda, nu), nu exact rational, optionally with an
-    imaginary part nu_im kept only for the reduction step."""
+    imaginary part nu_im; an all-zero nu_im is stored as None, so a real
+    parameter has one representation."""
 
     discrete: DiscreteParam
     nu: Tuple[Fraction, ...]
@@ -151,7 +149,8 @@ class LanglandsParam:
     def __post_init__(self):
         object.__setattr__(self, "nu", tuple(Fraction(x) for x in self.nu))
         if self.nu_im is not None:
-            object.__setattr__(self, "nu_im", tuple(Fraction(x) for x in self.nu_im))
+            nu_im = tuple(Fraction(x) for x in self.nu_im)
+            object.__setattr__(self, "nu_im", nu_im if any(nu_im) else None)
         # hashed once: parameters key the memo and every signature term
         object.__setattr__(self, "_hash", hash((self.discrete, self.nu, self.nu_im)))
 
@@ -162,7 +161,7 @@ class LanglandsParam:
         return LanglandsParam, (self.discrete, self.nu, self.nu_im)
 
     def is_real(self) -> bool:
-        return self.nu_im is None or all(x == 0 for x in self.nu_im)
+        return self.nu_im is None
 
     def validate_continuous(self, cartan: CartanClass) -> None:
         """nu must avoid the kernel walls of odd real coroots; in particular
@@ -197,129 +196,48 @@ class Hyperplane:
             raise ValueError("hyperplane level must be strictly positive")
 
 
-def hermitian_dual(g: LanglandsParam) -> LanglandsParam:
-    """$(\\Lambda, -\\bar\\nu)$: negate the real part, keep the imaginary."""
-    return LanglandsParam(g.discrete, tuple(-x for x in g.nu), g.nu_im)
+def _walls(rr: RestrictedRoot, d: DiscreteParam,
+           bound) -> Iterator[Tuple[Fraction, str]]:
+    """The walls (level, kind) of one restricted root with
+    0 < level <= bound, in increasing level.
+
+    A real root has every integer level: parity opposite to the grading
+    gives reducibility, the same parity a positively reorienting wall.  A
+    complex root has reducibility levels q = n - ell_alpha for the integers
+    n > |ell_alpha|."""
+    if rr.kind == "real":
+        # grading +1 pairs with even integer parts, so reducibility sits at
+        # odd levels; grading -1 swaps the parities.
+        red_parity = 1 if d.grading.get(rr.root_index, 1) == 1 else 0
+        for n in range(1, math.floor(bound) + 1):
+            yield (Fraction(n),
+                   "reducibility" if n % 2 == red_parity else "reorient_positive")
+    else:
+        la = rr.ell_alpha(d.dlambda)
+        q = int(abs(la)) + 1 - la
+        while q <= bound:
+            yield q, "reducibility"
+            q += 1
 
 
-def c_hermitian_dual(g: LanglandsParam) -> LanglandsParam:
-    """$(\\Lambda, \\bar\\nu)$: identity on real continuous parameters."""
-    nu_im = None if g.nu_im is None else tuple(-x for x in g.nu_im)
-    return LanglandsParam(g.discrete, g.nu, nu_im)
-
-
-Matrix = Tuple[Tuple[Fraction, ...], ...]
-
-
-def _mat(m: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in m)
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _mat_apply(a: Matrix, v: Sequence) -> Tuple[Fraction, ...]:
-    return tuple(
-        sum((a[i][j] * Fraction(v[j]) for j in range(len(v))), Fraction(0))
-        for i in range(len(a))
-    )
-
-
-def hermitian_exists(
-    g: LanglandsParam,
-    weyl_gens: Sequence[Sequence[Sequence]],
-    bound: int = 20000,
-) -> bool:
-    """Whether some w in the group generated by weyl_gens sends nu to
-    $-\\bar\\nu$, i.e. w nu_re = -nu_re and w nu_im = nu_im.
-
-    The group is enumerated by closure; desk-scale orders only."""
-    n = len(g.nu)
-    identity = _mat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-    gens = [_mat(m) for m in weyl_gens]
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        new: List[Matrix] = []
-        for w in frontier:
-            for s in gens:
-                ws = _mat_mul(w, s)
-                if ws not in group:
-                    group.add(ws)
-                    new.append(ws)
-                    if len(group) > bound:
-                        raise GroupTooLarge("closure exceeded %d elements" % bound)
-        frontier = new
-
-    nu_re = g.nu
-    nu_im = g.nu_im if g.nu_im is not None else tuple(Fraction(0) for _ in range(n))
-    target_re = tuple(-x for x in nu_re)
-    for w in group:
-        if _mat_apply(w, nu_re) == target_re and _mat_apply(w, nu_im) == nu_im:
-            return True
-    return False
-
-
-def reduce_to_real(
-    g: LanglandsParam, coroots: Sequence[Sequence] = ()
-) -> Tuple[Tuple[int, ...], LanglandsParam]:
-    """Reduction to real infinitesimal character.
-
-    Returns the indices of coroots vanishing on nu_im (they cut out the Levi
-    L_im) together with the parameter (Lambda, nu_re) for that Levi;
-    unitarity of g is equivalent to unitarity of the reduced parameter."""
-    reduced = LanglandsParam(g.discrete, g.nu, None)
-    if g.is_real():
-        return tuple(range(len(coroots))), reduced
-    levi = tuple(
-        i for i, av in enumerate(coroots) if dot(g.nu_im, av) == 0
-    )
-    return levi, reduced
+def _restricted(cartan: CartanClass) -> Tuple[RestrictedRoot, ...]:
+    if cartan.restricted is None:
+        raise MissingRootData("CartanClass %r carries no restricted-root data"
+                              % cartan.id)
+    return cartan.restricted
 
 
 def hyperplanes(
     d: DiscreteParam, cartan: CartanClass, radius
 ) -> List[Hyperplane]:
-    """All potential reducibility and reorienting walls with level bounded
-    by radius.
-
-    Real restricted roots contribute integer levels n <= radius: parity
-    opposite to the grading gives reducibility, the same parity gives
-    positively reorienting walls.  Complex restricted roots contribute
-    reducibility levels q = n - ell_alpha < radius for integers
-    n > |ell_alpha|."""
-    if cartan.restricted is None:
-        raise MissingRootData("CartanClass %r carries no restricted-root data"
-                              % cartan.id)
+    """All potential reducibility and reorienting walls with
+    0 < level <= radius, sorted by level."""
     radius = Fraction(radius)
-    walls: List[Hyperplane] = []
-    for rr in cartan.restricted:
-        if rr.kind == "real":
-            g = d.grading.get(rr.root_index, 1)
-            # grading +1 pairs with even integer parts, so reducibility
-            # sits at odd levels; grading -1 swaps the parities.
-            red_parity = 1 if g == 1 else 0
-            n = 1
-            while Fraction(n) <= radius:
-                kind = "reducibility" if n % 2 == red_parity else "reorient_positive"
-                walls.append(Hyperplane(rr.covector, Fraction(n), kind))
-                n += 1
-        else:
-            la = rr.ell_alpha(d.dlambda)
-            # integers n with n > |ell_alpha|
-            n = int(abs(la)) + 1
-            while True:
-                q = Fraction(n) - la
-                if q >= radius:
-                    break
-                if q > 0:
-                    walls.append(Hyperplane(rr.covector, q, "reducibility"))
-                n += 1
+    walls = [
+        Hyperplane(rr.covector, level, kind)
+        for rr in _restricted(cartan)
+        for level, kind in _walls(rr, d, radius)
+    ]
     walls.sort(key=lambda h: (h.level, h.kind, h.phi_covector))
     return walls
 
@@ -328,36 +246,13 @@ def crossing_times(g: LanglandsParam, cartan: CartanClass) -> List[Fraction]:
     """Times 0 < t <= 1 at which the line t nu meets a reducibility wall,
     deduplicated and sorted descending.
 
-    nu = 0 yields the empty list by convention (no walls pass through the
-    origin, so the statement is consistent)."""
-    if cartan.restricted is None:
-        raise MissingRootData("CartanClass %r carries no restricted-root data"
-                              % cartan.id)
-    if all(x == 0 for x in g.nu):
-        return []
+    A root meets its walls at t = level / <nu, phi^vee>, so only the walls
+    with level <= <nu, phi^vee> count; nu = 0 meets none."""
     times = set()
-    for rr in cartan.restricted:
+    for rr in _restricted(cartan):
         x = dot(g.nu, rr.covector)
-        if x <= 0:
-            continue
-        if rr.kind == "real":
-            gr = g.discrete.grading.get(rr.root_index, 1)
-            red_parity = 1 if gr == 1 else 0
-            n = 1
-            while Fraction(n) <= x:
-                if n % 2 == red_parity:
-                    times.add(Fraction(n) / x)
-                n += 1
-        else:
-            la = rr.ell_alpha(g.discrete.dlambda)
-            n = int(abs(la)) + 1
-            while True:
-                q = Fraction(n) - la
-                if q > x:
-                    break
-                if q > 0:
-                    times.add(q / x)
-                n += 1
+        times.update(level / x for level, kind in _walls(rr, g.discrete, x)
+                     if kind == "reducibility")
     return sorted(times, reverse=True)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InvalidInvolution, UnsupportedRealSystem
 
@@ -35,7 +35,6 @@ __all__ = [
     "Involution",
     "RootClass",
     "classify_roots",
-    "integral_system",
     "length",
     "orientation_number",
     "dot",
@@ -101,9 +100,6 @@ class RootDatum:
     def root_index(self, root: Sequence) -> int:
         return self.roots.index(_vec(root))
 
-    def negation_index(self, i: int) -> int:
-        return self.roots.index(tuple(-x for x in self.roots[i]))
-
     def to_json(self) -> dict:
         return {
             "rank": self.rank,
@@ -168,9 +164,6 @@ class RootClass:
     def real_indices(self) -> Tuple[int, ...]:
         return tuple(i for i, t in enumerate(self.tags) if t == "real")
 
-    def imaginary_indices(self) -> Tuple[int, ...]:
-        return tuple(i for i, t in enumerate(self.tags) if t == "imaginary")
-
     def complex_indices(self) -> Tuple[int, ...]:
         return tuple(i for i, t in enumerate(self.tags) if t == "complex")
 
@@ -188,16 +181,6 @@ def classify_roots(rd: RootDatum, inv: Involution) -> RootClass:
         else:
             tags.append("complex")
     return RootClass(tuple(tags))
-
-
-def integral_system(rd: RootDatum, xi: Sequence) -> Tuple[int, ...]:
-    """Indices of roots alpha with <xi, alpha^vee> an integer."""
-    xi = _vec(xi)
-    out = []
-    for i, av in enumerate(rd.coroots):
-        if rd.pair(xi, av).denominator == 1:
-            out.append(i)
-    return tuple(out)
 
 
 def _positive_for(rd: RootDatum, dgamma: Vector, i: int) -> bool:

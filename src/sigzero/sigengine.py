@@ -44,6 +44,7 @@ from .errors import (
     OddOrientationDifference,
     UnsupportedGroup,
     UnsupportedUnequalRank,
+    ValidationError,
 )
 from .params import (
     DiscreteParam,
@@ -348,6 +349,14 @@ def _block_containing(provider: BlockProvider, group: str,
     )
 
 
+def _require_real(g: LanglandsParam) -> None:
+    if not g.is_real():
+        raise ValidationError(
+            "nu_im = (%s) is nonzero; the engine takes real parameters only"
+            % ", ".join(frac_str(x) for x in g.nu_im)
+        )
+
+
 def deform_to_zero(
     g: LanglandsParam,
     provider: BlockProvider,
@@ -366,7 +375,8 @@ def deform_to_zero(
 
     Results are remembered by the provider, which forgets them when a
     library is registered; a traced call recomputes so that its stream is
-    complete."""
+    complete.  A nonzero nu_im raises ValidationError."""
+    _require_real(g)
     key = (group, g)
     if trace is None:
         hit = provider.deformation(key)
@@ -469,7 +479,9 @@ def unitary_test(
     every nonzero coefficient is a pure W-monomial $\\pm s^e$ whose exponent
     matches the parity bit $\\epsilon(\\Lambda')$ globally, or anti-matches
     globally.  The test is invariant under flipping every parity bit, which
-    absorbs the global square-root choice behind $\\epsilon$."""
+    absorbs the global square-root choice behind $\\epsilon$.  A nonzero
+    nu_im raises ValidationError."""
+    _require_real(g)
     model = group_model(group)
     if not model.cartans:
         raise UnsupportedGroup("unitarity test needs a built-in group (got %r)" % group)

@@ -1,5 +1,5 @@
-"""Block containers: built-in models, inversion, Bruhat order, component
-splitting, serialization and invariant enforcement."""
+"""Block containers: built-in models, inversion, component splitting,
+serialization and invariant enforcement."""
 
 import json
 from fractions import Fraction
@@ -11,10 +11,8 @@ from sigzero.blocks import (
     SL2R,
     SL2R_SPLIT,
     Block,
-    BlockElement,
     BlockProvider,
     block_to_json_obj,
-    bruhat_leq,
     builtin_block,
     element_label,
     group_model,
@@ -22,7 +20,6 @@ from sigzero.blocks import (
     multiplicity_inverse,
     parse_block,
     serialize_block,
-    singular_restrict,
     sl2c_param,
     sl2r_ds_param,
     sl2r_ps_param,
@@ -31,7 +28,6 @@ from sigzero.blocks import (
 from sigzero.errors import (
     InvariantViolation,
     MissingBlock,
-    MissingTau,
     SchemaError,
     UnsupportedGroup,
     ValidationError,
@@ -140,37 +136,6 @@ def test_invert_multiplicity_signs():
     assert P[(0, 2)] == (1,)
     assert P[(1, 2)] == (1,)
     assert P[(0, 0)] == (1,)
-
-
-def test_bruhat_order():
-    (b, _) = builtin_block("sl2r", (2,))
-    assert bruhat_leq(b, 0, 2) and bruhat_leq(b, 1, 2)
-    assert bruhat_leq(b, 0, 0)
-    assert not bruhat_leq(b, 0, 1)
-    assert not bruhat_leq(b, 2, 0)
-
-
-def test_singular_restrict():
-    (b, _) = builtin_block("sl2r", (2,))
-    r = singular_restrict(b, [0])
-    assert labels(r) == ["PS-(2)"]
-    free = singular_restrict(b, [])
-    assert labels(free) == labels(b)
-
-
-def test_singular_restrict_needs_tau():
-    (b, _) = builtin_block("sl2r", (2,))
-    stripped = Block(
-        b.group,
-        b.inf_char,
-        tuple(
-            BlockElement(e.id, e.cartan, e.length, e.orient, e.param, None, e.label)
-            for e in b.elements
-        ),
-        dict(b.Q),
-    )
-    with pytest.raises(MissingTau):
-        singular_restrict(stripped, [0])
 
 
 def test_split_components():

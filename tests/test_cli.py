@@ -175,6 +175,13 @@ def test_hyperplanes_table(capsys):
     ]
 
 
+def test_hyperplanes_radius_is_inclusive(capsys):
+    rc, out, _ = run(capsys, "hyperplanes", "--group", "sl2c", "--m", "0", "--radius", "6")
+    assert rc == 0
+    levels = [l.split()[0] for l in out.strip().splitlines()[1:]]
+    assert levels == ["1", "2", "3", "4", "5", "6"]
+
+
 def test_hyperplanes_json_deterministic(capsys):
     rc1, out1, _ = run(capsys, "hyperplanes", "--group", "sl2c", "--m", "3", "--format", "json")
     rc2, out2, _ = run(capsys, "hyperplanes", "--group", "sl2c", "--m", "3", "--format", "json")
@@ -330,6 +337,21 @@ def test_negative_nu_exits_3(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 3 and not out
     assert ">= 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["signature", "--nu", "-3/2"],
+        ["unitary", "--nu", "-3/2"],
+        ["scan", "--from", "-1/2", "--to", "2"],
+    ],
+)
+def test_negative_fraction_argument_exits_3(capsys, argv):
+    # a separate "-p/q" is a value, so it reaches the nu >= 0 check
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3 and not out
+    assert err.startswith("error:") and ">= 0" in err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Langlands parameters, duals, arrangements and crossing times."""
+"""Langlands parameters, arrangements and crossing times."""
 
 from fractions import Fraction
 
@@ -11,20 +11,15 @@ from sigzero.blocks import (
     sl2r_ds_param,
     sl2r_ps_param,
 )
-from sigzero.errors import GroupTooLarge
 from sigzero.params import (
     DiscreteParam,
     LanglandsParam,
-    c_hermitian_dual,
     crossing_times,
     frac_str,
-    hermitian_dual,
-    hermitian_exists,
     hyperplanes,
     param_from_json,
     param_to_json,
     parse_frac,
-    reduce_to_real,
 )
 
 F = Fraction
@@ -62,12 +57,6 @@ def test_nonspherical_zero_nu_is_the_formal_limit():
         ).validate_continuous(SL2R_SPLIT)
 
 
-def test_duals_on_real_parameters():
-    g = sl2r_ps_param(0, F(3, 2))
-    assert hermitian_dual(g).nu == (F(-3, 2),)
-    assert c_hermitian_dual(g) == g
-
-
 def test_param_key_hashable_and_stable():
     g = sl2r_ps_param(0, F(3, 2))
     h = sl2r_ps_param(0, F(3, 2))
@@ -76,26 +65,23 @@ def test_param_key_hashable_and_stable():
     assert g != sl2r_ps_param(1, F(3, 2))
 
 
-def test_hermitian_exists_sl2r():
-    # W = {1, -1} acting on the one-dimensional a*; -1 sends nu to -nu
+def test_zero_nu_im_is_stored_as_none():
     g = sl2r_ps_param(0, F(3, 2))
-    assert hermitian_exists(g, [((-1,),)])
-    # without the reflection there is no Weyl element negating nu
-    assert not hermitian_exists(g, [((1,),)])
+    z = LanglandsParam(g.discrete, g.nu, (F(0),))
+    assert z.nu_im is None and z.is_real()
+    assert z == g and hash(z) == hash(g)
+    assert param_from_json(dict(param_to_json(g), nu_im=["0"])) == g
+    assert not LanglandsParam(g.discrete, g.nu, (F(1, 2),)).is_real()
 
 
-def test_hermitian_exists_group_bound():
-    # a non-terminating generator set of infinite order trips the bound
-    g = sl2c_param(0, 1)
-    with pytest.raises(GroupTooLarge):
-        hermitian_exists(g, [((1, 1), (0, 1))], bound=50)
-
-
-def test_reduce_to_real_is_identity_on_real_parameters():
-    g = sl2r_ps_param(0, F(3, 2))
-    levi, reduced = reduce_to_real(g, coroots=((1,),))
-    assert reduced == g
-    assert levi == (0,)
+def test_hyperplanes_radius_is_inclusive():
+    # complex walls at level == radius count, as real walls always did
+    walls = hyperplanes(sl2c_param(0, 1).discrete, SL2C_CARTAN, 6)
+    assert [h.level for h in walls] == [F(n) for n in range(1, 7)]
+    walls = hyperplanes(sl2c_param(3, 1).discrete, SL2C_CARTAN, F(7, 2))
+    assert walls[-1].level == F(7, 2)
+    walls = hyperplanes(sl2r_ps_param(0, 1).discrete, SL2R_SPLIT, 6)
+    assert walls[-1].level == 6
 
 
 def test_hyperplane_levels_positive():

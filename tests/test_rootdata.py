@@ -18,7 +18,6 @@ from sigzero.rootdata import (
     RootDatum,
     classify_roots,
     dot,
-    integral_system,
     length,
     norm_sq,
     orientation_number,
@@ -51,16 +50,6 @@ def test_classify_roots_kinds():
     assert rc.real_indices() == (0, 1)
     rc = classify_roots(SL2C_DATUM, SL2C_CARTAN.theta)
     assert len(rc.complex_indices()) == 4
-
-
-def test_integral_system():
-    # <(3/2), alpha^vee> = 3/2 is not an integer
-    assert integral_system(SL2R_DATUM, (F(3, 2),)) == ()
-    assert len(integral_system(SL2R_DATUM, (2,))) == 2
-    # sl2c at (2,1): both coroot pairings integral
-    assert len(integral_system(SL2C_DATUM, (2, 1))) == 4
-    # half-integer coordinates miss both coroots
-    assert integral_system(SL2C_DATUM, (F(3, 2), F(1, 2))) == ()
 
 
 def test_length_sl2r():

@@ -19,7 +19,9 @@ from sigzero.errors import (
     MissingRewriteTable,
     UnsupportedGroup,
     UnsupportedUnequalRank,
+    ValidationError,
 )
+from sigzero.params import LanglandsParam
 from sigzero.sigring import WElem, WPoly, W_ONE, W_S
 from sigzero.sigengine import (
     SignatureChar,
@@ -281,6 +283,25 @@ def test_tempered_is_unitary(provider):
     assert res.is_unitary
     res = unitary_test(sl2r_ps_param(0, 0), provider)
     assert res.is_unitary
+
+
+@pytest.mark.parametrize("eps,nu", [(0, F(3, 2)), (0, F(1)), (1, F(1, 2)), (0, F(0))])
+def test_zero_nu_im_is_a_real_parameter(provider, eps, nu):
+    g = sl2r_ps_param(eps, nu)
+    z = LanglandsParam(g.discrete, g.nu, (F(0),))
+    # a fresh provider per side, so that neither answer is a memo hit
+    assert unitary_test(z, provider) == unitary_test(g, BlockProvider())
+    assert deform_to_zero(z, provider) == deform_to_zero(g, BlockProvider())
+
+
+@pytest.mark.parametrize("nu", [F(3, 2), F(0)])
+def test_nonzero_nu_im_is_rejected(provider, nu):
+    g = sl2r_ps_param(0, nu)
+    h = LanglandsParam(g.discrete, g.nu, (F(1, 2),))
+    with pytest.raises(ValidationError, match="real parameters"):
+        unitary_test(h, provider)
+    with pytest.raises(ValidationError, match="real parameters"):
+        deform_to_zero(h, provider)
 
 
 # ---------------------------------------------------------------------------
