@@ -410,9 +410,12 @@ def _parse_param(raw) -> LanglandsParam:
     if not dlambda or len(dlambda) != len(nu):
         raise SchemaError("param dlambda and nu need one equal, nonzero length")
     try:
-        return param_from_json(raw)
+        param = param_from_json(raw)
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError("bad param: %s" % e)
+    if not param.is_real():
+        raise SchemaError("param nu_im must be zero: block elements are real parameters")
+    return param
 
 
 def block_to_json_obj(b: Block) -> dict:
@@ -575,9 +578,9 @@ class GroupModel:
         return BlockElement(
             id=eid,
             cartan=self.cartans.index(cart),
-            length=length(self.datum, cart.theta, cart.root_class, dgamma),
+            length=length(self.datum, cart.root_class, dgamma),
             orient=orientation_number(
-                self.datum, cart.theta, param.discrete.grading,
+                self.datum, cart.root_class, param.discrete.grading,
                 param.discrete.dlambda, param.nu,
             ),
             param=param,

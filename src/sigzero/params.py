@@ -150,6 +150,8 @@ class LanglandsParam:
         object.__setattr__(self, "nu", tuple(Fraction(x) for x in self.nu))
         if self.nu_im is not None:
             nu_im = tuple(Fraction(x) for x in self.nu_im)
+            if len(nu_im) != len(self.nu):
+                raise ValueError("nu_im and nu need one length")
             object.__setattr__(self, "nu_im", nu_im if any(nu_im) else None)
         # hashed once: parameters key the memo and every signature term
         object.__setattr__(self, "_hash", hash((self.discrete, self.nu, self.nu_im)))

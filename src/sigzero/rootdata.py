@@ -19,11 +19,15 @@ and real roots whose pairing has integer part of the parity selected by the
 $\\mathbb{Z}/2$ grading on real coroots.  Orientation numbers are locally
 constant in $\\nu$ and jump by 1 across single reorienting hyperplanes.
 
-All comparisons are exact over Fraction coordinates.
+Both take the Cartan's RootClass, whose -theta permutation of the roots is
+fixed when the Cartan is classified; neither applies theta itself.  All
+comparisons are exact: the pairings $\\langle\\gamma, \\alpha^\\vee\\rangle$
+are integer numerators over one common denominator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple
@@ -87,6 +91,17 @@ class RootDatum:
         for a in self.roots:
             if tuple(-x for x in a) not in self.roots:
                 raise ValueError("root set not closed under negation")
+        # <x, alpha_i^vee> = sum_j x_j F[i][j] / den with integer F and den > 0
+        funcs = [
+            c if self.pairing is None
+            else tuple(dot(row, c) for row in self.pairing)
+            for c in self.coroots
+        ]
+        den = math.lcm(*(x.denominator for f in funcs for x in f))
+        object.__setattr__(self, "_coroot_den", den)
+        object.__setattr__(
+            self, "_coroot_num", tuple(tuple(int(x * den) for x in f) for f in funcs)
+        )
 
     def pair(self, x: Sequence, y: Sequence) -> Fraction:
         if self.pairing is None:
@@ -97,8 +112,13 @@ class RootDatum:
                 out += Fraction(xi) * self.pairing[i][j] * Fraction(yj)
         return out
 
-    def root_index(self, root: Sequence) -> int:
-        return self.roots.index(_vec(root))
+    def pairings(self, v: Sequence) -> Tuple[List[int], int]:
+        """<v, alpha_i^vee> for every root i, as integer numerators N_i over
+        one common denominator q > 0; v has int or Fraction coordinates."""
+        dv = math.lcm(*(x.denominator for x in v))
+        ints = [x.numerator * (dv // x.denominator) for x in v]
+        nums = [sum(a * b for a, b in zip(ints, f)) for f in self._coroot_num]
+        return nums, dv * self._coroot_den
 
     def to_json(self) -> dict:
         return {
@@ -155,11 +175,11 @@ class Involution:
 
 @dataclass(frozen=True)
 class RootClass:
-    """Per-root classification; noncompact flags for imaginary roots are
-    supplied per Cartan by the params layer and stay None here."""
+    """Per-root classification for one involution theta: tags[i] is real,
+    imaginary or complex, and neg_theta[i] is the index of -theta(alpha_i)."""
 
     tags: Tuple[str, ...]
-    noncompact: Optional[frozenset] = None
+    neg_theta: Tuple[int, ...]
 
     def real_indices(self) -> Tuple[int, ...]:
         return tuple(i for i, t in enumerate(self.tags) if t == "real")
@@ -169,61 +189,51 @@ class RootClass:
 
 
 def classify_roots(rd: RootDatum, inv: Involution) -> RootClass:
-    """Tag every root real / imaginary / complex for the involution."""
+    """Tag every root real / imaginary / complex for the involution and
+    record the index of -theta(alpha) for each root alpha."""
     inv.validate(rd)
     tags: List[str] = []
+    neg_theta: List[int] = []
     for a in rd.roots:
         ta = inv.apply(a)
-        if ta == tuple(-x for x in a):
+        mta = tuple(-x for x in ta)
+        if mta == a:
             tags.append("real")
         elif ta == a:
             tags.append("imaginary")
         else:
             tags.append("complex")
-    return RootClass(tuple(tags))
-
-
-def _positive_for(rd: RootDatum, dgamma: Vector, i: int) -> bool:
-    # R^+(d gamma): strictly positive pairing wins; singular roots fall back
-    # to lexicographic positivity of their coordinates.
-    v = rd.pair(dgamma, rd.coroots[i])
-    if v != 0:
-        return v > 0
-    return _lex_positive(rd.roots[i])
+        neg_theta.append(rd.roots.index(mta))
+    return RootClass(tuple(tags), tuple(neg_theta))
 
 
 def length(
     rd: RootDatum,
-    inv: Involution,
     rc: RootClass,
     dgamma: Sequence,
     c_real: Optional[int] = None,
 ) -> int:
-    """Length of a parameter at infinitesimal character dgamma.
+    """Length of a parameter at infinitesimal character dgamma, for the
+    Cartan whose root classification is rc.
 
     Counts complex pairs (alpha, -theta alpha) inside R^+(dgamma) and adds
-    c_real.  Natively c_real is the number of A_1 factors of the real
-    integral system; anything larger must be supplied by the caller.
+    c_real.  R^+(dgamma) holds the roots with positive pairing; a singular
+    root is positive when its coordinates are lexicographically positive.
+    Natively c_real is the number of A_1 factors of the real integral
+    system; anything larger must be supplied by the caller.
     """
-    dgamma = _vec(dgamma)
-    pos = [i for i in range(len(rd.roots)) if _positive_for(rd, dgamma, i)]
+    nums, q = rd.pairings(dgamma)
+    pos = [
+        i for i, n in enumerate(nums)
+        if n > 0 or (n == 0 and _lex_positive(rd.roots[i]))
+    ]
     pos_set = set(pos)
-    pairs = set()
-    for i in pos:
-        if rc.tags[i] != "complex":
-            continue
-        mta = tuple(-x for x in inv.apply(rd.roots[i]))
-        j = rd.root_index(mta)
-        if j in pos_set:
-            pairs.add(frozenset((i, j)))
-    n_pairs = len(pairs)
+    n_pairs = len({frozenset((i, rc.neg_theta[i])) for i in pos
+                   if rc.tags[i] == "complex" and rc.neg_theta[i] in pos_set})
 
     if c_real is None:
         real_int_pos = [
-            i
-            for i in pos
-            if rc.tags[i] == "real"
-            and rd.pair(dgamma, rd.coroots[i]).denominator == 1
+            i for i in pos if rc.tags[i] == "real" and nums[i] % q == 0
         ]
         for a in real_int_pos:
             for b in real_int_pos:
@@ -238,41 +248,29 @@ def length(
 
 def orientation_number(
     rd: RootDatum,
-    inv: Involution,
+    rc: RootClass,
     grading: Mapping[int, int],
     dlambda: Sequence,
     nu: Sequence,
 ) -> int:
-    """Orientation number of the parameter with gamma = dlambda + nu.
+    """Orientation number of the parameter with gamma = dlambda + nu, for
+    the Cartan whose root classification is rc.
 
     Rule (a): complex pairs {alpha, -theta alpha}, nonintegral, with both
     pairings strictly positive.  Rule (b): real roots beta with
     <gamma, beta^vee> positive and nonintegral whose integer part is even
-    when the grading on beta is +1 and odd when it is -1.
+    when the grading on beta is +1 and odd when it is -1.  With the
+    pairings N_i / q, the sign is that of N_i, integrality is N_i % q == 0
+    and the integer part is N_i // q.
     """
-    gamma = tuple(Fraction(a) + Fraction(b) for a, b in zip(_vec(dlambda), _vec(nu)))
-    rc = classify_roots(rd, inv)
-    count = 0
-
-    seen = set()
-    for i in rc.complex_indices():
-        v1 = rd.pair(gamma, rd.coroots[i])
-        if v1 <= 0 or v1.denominator == 1:
-            continue
-        j = rd.root_index(tuple(-x for x in inv.apply(rd.roots[i])))
-        key = frozenset((i, j))
-        if key in seen:
-            continue
-        v2 = rd.pair(gamma, rd.coroots[j])
-        if v2 > 0:
-            seen.add(key)
-            count += 1
-
+    nums, q = rd.pairings(tuple(a + b for a, b in zip(dlambda, nu)))
+    count = len({frozenset((i, rc.neg_theta[i])) for i in rc.complex_indices()
+                 if nums[i] > 0 and nums[i] % q and nums[rc.neg_theta[i]] > 0})
     for i in rc.real_indices():
-        v = rd.pair(gamma, rd.coroots[i])
-        if v <= 0 or v.denominator == 1:
+        n = nums[i]
+        if n <= 0 or n % q == 0:
             continue
-        floor_parity = (v.numerator // v.denominator) % 2
+        floor_parity = (n // q) % 2
         g = grading.get(i, 1)
         if (g == 1 and floor_parity == 0) or (g == -1 and floor_parity == 1):
             count += 1

@@ -391,7 +391,7 @@ def deform_to_zero(
         cap = dl2 + norm_sq(g.nu)
         out = SignatureChar(group, "final_tempered")
         times = crossing_times(g, cart)
-        for t in times:
+        for pos, t in enumerate(times):
             if t == 1:
                 # the value at a reducible point is the limit from below;
                 # the delta at the point itself is not accumulated
@@ -399,7 +399,9 @@ def deform_to_zero(
             gt = LanglandsParam(g.discrete, tuple(t * x for x in g.nu))
             blk, _, blk_idx = _block_containing(provider, group, gt)
             delta = deform_step(blk, gt)
-            walls_below = sum(1 for u in times if u < t)
+            # times is deduplicated and descending: the walls below t are
+            # the ones after it
+            walls_below = len(times) - 1 - pos
             if walls_below % 2:
                 delta = delta.scaled(s_power(1))
             if trace is not None:

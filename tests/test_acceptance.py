@@ -250,7 +250,7 @@ def test_criterion_6_arrangement_properties():
 
         def ell_o(nu):
             return orientation_number(
-                SL2R_DATUM, SL2R_SPLIT.theta, {0: grading}, (F(0),), (nu,)
+                SL2R_DATUM, SL2R_SPLIT.root_class, {0: grading}, (F(0),), (nu,)
             )
 
         for w in reorient:

@@ -290,6 +290,19 @@ def test_reject_malformed_schema():
         parse_block(obj)
 
 
+def test_reject_imaginary_nu():
+    # block elements are real parameters: a nonzero nu_im, or one whose
+    # length differs from nu, is a schema error
+    for nu_im in (["1/2", "3"], ["1/2"], ["0", "0"]):
+        obj = _tampered(lambda o: o["elements"][0]["param"].update(nu_im=nu_im))
+        with pytest.raises(SchemaError, match="nu_im"):
+            parse_block(obj)
+    obj = _tampered(lambda o: o["elements"][0]["param"].update(nu_im=["0"]))
+    b = parse_block(obj)
+    assert all(e.param.nu_im is None for e in b.elements)
+    assert serialize_block(b) == serialize_block(builtin_block("sl2r", (2,))[0])
+
+
 def test_provider_key_arity_is_a_validation_error():
     p = BlockProvider()
     with pytest.raises(ValidationError, match="'sl2r' needs 1"):

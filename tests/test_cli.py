@@ -275,6 +275,16 @@ def test_block_load_malformed_exits_3(tmp_path, capsys, path, value):
     assert rc == 3 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("nu_im", [["1/2", "3"], ["1/2"]])
+def test_block_load_imaginary_nu_exits_3(tmp_path, capsys, nu_im):
+    obj = json.loads(_library_file(tmp_path).read_text())
+    obj["elements"][0]["param"]["nu_im"] = nu_im
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    rc, _, err = run(capsys, "block", "load", str(bad))
+    assert rc == 3 and err.startswith("error:") and "nu_im" in err
+
+
 def test_block_search_path(tmp_path, capsys, monkeypatch):
     _library_file(tmp_path)
     monkeypatch.setenv("SIGZERO_BLOCK_PATH", str(tmp_path))

@@ -74,6 +74,13 @@ def test_zero_nu_im_is_stored_as_none():
     assert not LanglandsParam(g.discrete, g.nu, (F(1, 2),)).is_real()
 
 
+def test_nu_im_length_must_match_nu():
+    g = sl2r_ps_param(0, F(3, 2))
+    for nu_im in ((F(1, 2), F(3)), (F(0), F(0)), ()):
+        with pytest.raises(ValueError, match="one length"):
+            LanglandsParam(g.discrete, g.nu, nu_im)
+
+
 def test_hyperplanes_radius_is_inclusive():
     # complex walls at level == radius count, as real walls always did
     walls = hyperplanes(sl2c_param(0, 1).discrete, SL2C_CARTAN, 6)

@@ -1,5 +1,5 @@
 """Root datum, involution, length and orientation-number tests on the two
-built-in models."""
+built-in models, against a Fraction reference that applies theta itself."""
 
 from fractions import Fraction
 
@@ -11,6 +11,8 @@ from sigzero.blocks import (
     SL2R_COMPACT,
     SL2R_DATUM,
     SL2R_SPLIT,
+    builtin_block,
+    group_model,
 )
 from sigzero.errors import InvalidInvolution
 from sigzero.rootdata import (
@@ -56,31 +58,31 @@ def test_length_sl2r():
     rc_c = classify_roots(SL2R_DATUM, SL2R_COMPACT.theta)
     rc_s = classify_roots(SL2R_DATUM, SL2R_SPLIT.theta)
     # discrete series: compact Cartan, no complex pairs, no real roots
-    assert length(SL2R_DATUM, SL2R_COMPACT.theta, rc_c, (2,)) == 0
+    assert length(SL2R_DATUM, rc_c, (2,)) == 0
     # split principal series at integral dgamma: one real integral A1
-    assert length(SL2R_DATUM, SL2R_SPLIT.theta, rc_s, (2,)) == 1
+    assert length(SL2R_DATUM, rc_s, (2,)) == 1
     # nonintegral dgamma: empty integral system
-    assert length(SL2R_DATUM, SL2R_SPLIT.theta, rc_s, (F(3, 2),)) == 0
+    assert length(SL2R_DATUM, rc_s, (F(3, 2),)) == 0
 
 
 def test_length_sl2c_chain():
     rc = classify_roots(SL2C_DATUM, SL2C_CARTAN.theta)
     # parameter (m,v) = (3,1): lower element dgamma = (2,1), upper (2,-1)
     # after the (1,3) swap; the built-in chain has lengths 0 and 1
-    lo = length(SL2C_DATUM, SL2C_CARTAN.theta, rc, (2, 1))
-    hi = length(SL2C_DATUM, SL2C_CARTAN.theta, rc, (2, -1))
+    lo = length(SL2C_DATUM, rc, (2, 1))
+    hi = length(SL2C_DATUM, rc, (2, -1))
     assert (lo, hi) == (0, 1)
 
 
 def _orient_sph(nu):
     return orientation_number(
-        SL2R_DATUM, SL2R_SPLIT.theta, {0: 1}, (F(0),), (F(nu),)
+        SL2R_DATUM, SL2R_SPLIT.root_class, {0: 1}, (F(0),), (F(nu),)
     )
 
 
 def _orient_ns(nu):
     return orientation_number(
-        SL2R_DATUM, SL2R_SPLIT.theta, {0: -1}, (F(0),), (F(nu),)
+        SL2R_DATUM, SL2R_SPLIT.root_class, {0: -1}, (F(0),), (F(nu),)
     )
 
 
@@ -111,11 +113,124 @@ def test_orientation_number_complex_pair():
     # sl2c parameter (0,3): dlambda = 0, nu = (3/2,-3/2); the (2,0)/(0,2)
     # theta-pair is nonintegral on one side and contributes once
     n = orientation_number(
-        SL2C_DATUM, SL2C_CARTAN.theta, {}, (F(0), F(0)), (F(3, 2), F(-3, 2))
+        SL2C_DATUM, SL2C_CARTAN.root_class, {}, (F(0), F(0)), (F(3, 2), F(-3, 2))
     )
     assert n == 1
     # integral continuous parameter: no contribution
     n = orientation_number(
-        SL2C_DATUM, SL2C_CARTAN.theta, {}, (F(3, 2), F(3, 2)), (F(1, 2), F(-1, 2))
+        SL2C_DATUM, SL2C_CARTAN.root_class, {}, (F(3, 2), F(3, 2)), (F(1, 2), F(-1, 2))
     )
     assert n == 0
+
+
+# ---------------------------------------------------------------------------
+# reference: Fraction pairings through rd.pair, theta applied root by root
+
+def _ref_neg_theta(rd, inv, i):
+    return rd.roots.index(tuple(-x for x in inv.apply(rd.roots[i])))
+
+
+def _ref_length(rd, inv, rc, dgamma):
+    pos = set()
+    for i, root in enumerate(rd.roots):
+        v = rd.pair(dgamma, rd.coroots[i])
+        if v > 0 or (v == 0 and next(x for x in root if x != 0) > 0):
+            pos.add(i)
+    pairs = {
+        frozenset((i, _ref_neg_theta(rd, inv, i)))
+        for i in pos
+        if rc.tags[i] == "complex" and _ref_neg_theta(rd, inv, i) in pos
+    }
+    real_integral = [
+        i for i in pos
+        if rc.tags[i] == "real" and rd.pair(dgamma, rd.coroots[i]).denominator == 1
+    ]
+    return len(pairs) + len(real_integral)
+
+
+def _ref_orient(rd, inv, rc, grading, gamma):
+    count = 0
+    seen = set()
+    for i, tag in enumerate(rc.tags):
+        v = rd.pair(gamma, rd.coroots[i])
+        if v <= 0 or v.denominator == 1:
+            continue
+        if tag == "complex":
+            j = _ref_neg_theta(rd, inv, i)
+            if frozenset((i, j)) not in seen and rd.pair(gamma, rd.coroots[j]) > 0:
+                seen.add(frozenset((i, j)))
+                count += 1
+        elif tag == "real":
+            parity = (v.numerator // v.denominator) % 2
+            if parity == (0 if grading.get(i, 1) == 1 else 1):
+                count += 1
+    return count
+
+
+def _grid(top):
+    return sorted({F(p, q) for q in (1, 2, 3, 4) for p in range(top * q + 1)})
+
+
+def test_builtin_elements_match_reference():
+    queries = [("sl2r", (k,)) for k in _grid(12)]
+    queries += [("sl2c", (m, v)) for m in range(5) for v in _grid(12)]
+    ref_rc = {
+        cart: classify_roots(group_model(group).datum, cart.theta)
+        for group in ("sl2r", "sl2c")
+        for cart in group_model(group).cartans
+    }
+    assert all(cart.root_class == rc for cart, rc in ref_rc.items())
+    n = 0
+    for group, ic in queries:
+        model = group_model(group)
+        for blk in builtin_block(group, ic):
+            for e in blk.elements:
+                cart = model.cartans[e.cartan]
+                args = (model.datum, cart.theta, ref_rc[cart])
+                d = e.param.discrete
+                gamma = tuple(a + b for a, b in zip(d.dlambda, e.param.nu))
+                assert e.length == _ref_length(*args, gamma), (group, ic, e)
+                assert e.orient == _ref_orient(*args, d.grading, gamma), (group, ic, e)
+                n += 1
+    assert n > 500
+
+
+# rank 1 with <x, y> = 2xy, and rank 2 with twice the dot product: the
+# integer pairings must apply the matrix, not assume the dot product
+PAIRED_1 = RootDatum(rank=1, roots=((1,), (-1,)), coroots=((1,), (-1,)), pairing=((2,),))
+PAIRED_2 = RootDatum(
+    rank=2,
+    roots=((1, 0), (-1, 0), (0, 1), (0, -1)),
+    coroots=((1, 0), (-1, 0), (0, 1), (0, -1)),
+    pairing=((2, 0), (0, 2)),
+)
+
+
+@pytest.mark.parametrize(
+    "rd,theta,gammas",
+    [
+        (PAIRED_1, ((-1,),), [(F(p, 4),) for p in range(-9, 10)]),
+        (PAIRED_1, ((1,),), [(F(p, 4),) for p in range(-9, 10)]),
+        (PAIRED_2, ((0, 1), (1, 0)),
+         [(F(a, 4), F(b, 3)) for a in range(-5, 6) for b in range(-4, 5)]),
+    ],
+)
+def test_pairing_matrix(rd, theta, gammas):
+    inv = Involution(theta)
+    rc = classify_roots(rd, inv)
+    for gamma in gammas:
+        nums, q = rd.pairings(gamma)
+        assert [F(n, q) for n in nums] == [rd.pair(gamma, c) for c in rd.coroots]
+        assert length(rd, rc, gamma) == _ref_length(rd, inv, rc, gamma), gamma
+        for grading in ({0: 1, 1: 1}, {0: -1, 1: -1}):
+            zero = tuple(F(0) for _ in gamma)
+            assert orientation_number(rd, rc, grading, zero, gamma) == _ref_orient(
+                rd, inv, rc, grading, gamma), (gamma, grading)
+
+
+def test_pairing_matrix_is_not_the_dot_product():
+    rc = classify_roots(PAIRED_1, Involution(((-1,),)))
+    # <(3/4), alpha^vee> = 3/2: integer part 1, not counted for grading +1
+    assert orientation_number(PAIRED_1, rc, {0: 1}, (F(0),), (F(3, 4),)) == 0
+    # <(1/2), alpha^vee> = 1: a real integral root
+    assert length(PAIRED_1, rc, (F(1, 2),)) == 1
