@@ -11,7 +11,6 @@ ingested as block-library JSON files.  All arithmetic is exact.
 from .errors import (
     BoundViolation,
     DegenerateResidual,
-    HalfPowerPresent,
     InvalidInvolution,
     InvariantViolation,
     MissingBlock,

@@ -819,9 +819,6 @@ class BlockProvider:
         self._inverses.clear()
         self._deformations.clear()
 
-    def keys(self):
-        return sorted(self._store, key=lambda k: (k[0], k[1]))
-
     def get(self, group: str, inf_char) -> List[Block]:
         model = group_model(group)
         key = (group, model.key(inf_char))

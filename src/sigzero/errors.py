@@ -18,10 +18,6 @@ class UnsupportedError(SigzeroError):
 
 
 # sigring
-class HalfPowerPresent(SigzeroError):
-    """A genuine q^{1/2} power where an integral q-polynomial is required."""
-
-
 class OddOrientationDifference(SigzeroError):
     """Orientation numbers differ by an odd amount; s^{delta/2} undefined."""
 

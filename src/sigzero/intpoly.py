@@ -1,10 +1,11 @@
 """Integer polynomials, the one exact polynomial kernel: tuples of ints,
 coefficients ascending in t, trailing zeros trimmed (zero is ``()``).
 
-Block Q-matrices use the ring operations.  The rational functions and the
-Jantzen filtrations of ``jantzen`` also use exact division, a primitive gcd,
-and the order, value and Taylor expansion at a rational point
-$t_0 = a/b$ ($b > 0$, $\\gcd(a, b) = 1$), all in integer arithmetic.
+Block Q-matrices and both components of a ``sigring.WPoly`` in $W[q]$ use
+the ring operations.  The rational functions and the Jantzen filtrations of
+``jantzen`` also use exact division, a primitive gcd, and the order, value
+and Taylor expansion at a rational point $t_0 = a/b$ ($b > 0$,
+$\\gcd(a, b) = 1$), all in integer arithmetic.
 """
 
 from __future__ import annotations

@@ -415,7 +415,8 @@ def jantzen_levels(
 
 def level_signatures(L: RatMatrix, t0) -> List[Tuple[int, WElem]]:
     """Signatures of the residual forms on the Jantzen layers of a symmetric
-    family, via congruence diagonalization over the local ring at t0."""
+    family, via congruence diagonalization over the local ring at t0,
+    certified by D = ord det = sum r dim."""
     t0 = Fraction(t0)
     n = len(L)
     if any(L[i][j] != L[j][i] for i in range(n) for j in range(i)):
@@ -458,6 +459,12 @@ def level_signatures(L: RatMatrix, t0) -> List[Tuple[int, WElem]]:
                         a[i][j] = a[j][i] = _sub_mul(a[i][j], a[i][k], q[j], W)
         w = W_ONE if a[k][k][v] > 0 else W_S
         levels[v + m] = levels.get(v + m, WElem(0, 0)) + w
+    total = sum(r * w.forget() for r, w in levels.items())
+    if D != total:
+        raise DegenerateResidual(
+            "valuation bookkeeping failed: ord det = %d, sum of layer "
+            "orders = %d" % (D, total)
+        )
     return sorted(levels.items())
 
 

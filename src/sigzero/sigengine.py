@@ -138,11 +138,6 @@ class SignatureChar:
             out.add(k, w * v)
         return out
 
-    def __add__(self, other: "SignatureChar") -> "SignatureChar":
-        out = SignatureChar(self.group, self.basis, dict(self.terms))
-        out.add_char(other)
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SignatureChar)
@@ -223,7 +218,7 @@ def _invert_unitriangular(b: Block, mat: WPolyMatrix) -> WPolyMatrix:
     for j in range(n):
         inv[(order[j], order[j])] = one
         for i in range(j - 1, -1, -1):
-            acc = WPoly.from_items(())
+            acc = WPoly()
             for k in range(i + 1, j + 1):
                 a = mat.get((order[i], order[k]))
                 x = inv.get((order[k], order[j]))
@@ -255,7 +250,7 @@ def signature_P(b: Block) -> WPolyMatrix:
     P = invert_multiplicity(b)
     for (r, c), coeffs in P.items():
         twisted = WPoly.from_int_coeffs(coeffs).twist_sq(orient[c] - orient[r])
-        if twisted != out.get((r, c), WPoly.from_items(())):
+        if twisted != out.get((r, c), WPoly()):
             raise InvariantViolation(
                 "signature-P: inverse route and twist route disagree at "
                 "(%d,%d)" % (r, c)

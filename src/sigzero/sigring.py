@@ -1,5 +1,5 @@
 """Exact arithmetic in the signature ring $\\mathbb{W} = \\mathbb{Z}[s]/(s^2-1)$
-and in $\\mathbb{W}$-valued Laurent polynomials in $q^{1/2}$.
+and in the polynomial ring $\\mathbb{W}[q]$.
 
 A nondegenerate Hermitian form with $p$ positive and $q$ negative eigenvalues
 is recorded as $p + qs \\in \\mathbb{W}$; the generator $s$ stands for a
@@ -9,12 +9,11 @@ $\\mathrm{for}(p+qs) = p+q$ remembers only dimensions and is a ring
 homomorphism onto $\\mathbb{Z}$.  The identity $(s-1)s = -(s-1) = 1-s$ drives
 every signature-change computation downstream.
 
-Signature multiplicity polynomials live in
-$\\mathbb{W}[q^{1/2}, q^{-1/2}]$.  Exponents are stored as integer counts of
-$q^{1/2}$ units, so the monomial $q^k$ has stored exponent $2k$.  Genuine half
-powers are legal in the container (they arise transiently) but are rejected by
-the substitution $q := s$ and by the twist $P \\mapsto s^{\\delta/2} P(sq)$,
-which only make sense for integral $q$-powers.
+Signature multiplicity polynomials live in $\\mathbb{W}[q]$: every one the
+engine handles is $Q^c(q) = s^{\\delta/2} Q(sq)$ or its unitriangular
+inverse, an ordinary polynomial in $q$ with no half or negative powers.  A
+``WPoly`` stores it as $a(q) + b(q)s$ with $a, b$ integer polynomials, and
+all of its arithmetic is the ``intpoly`` kernel's.
 
 All coefficients are arbitrary-precision integers; nothing here floats.
 Values are immutable and safe to share between workers.
@@ -23,9 +22,10 @@ Values are immutable and safe to share between workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
-from .errors import HalfPowerPresent, OddOrientationDifference
+from .errors import OddOrientationDifference
+from .intpoly import IntPoly, p_add, p_mul, p_neg, p_trim
 
 __all__ = [
     "WElem",
@@ -46,9 +46,6 @@ class WElem:
 
     def __add__(self, other: "WElem") -> "WElem":
         return WElem(self.p + other.p, self.q + other.q)
-
-    def __sub__(self, other: "WElem") -> "WElem":
-        return WElem(self.p - other.p, self.q - other.q)
 
     def __neg__(self) -> "WElem":
         return WElem(-self.p, -self.q)
@@ -116,113 +113,81 @@ def s_power(k: int) -> WElem:
     return W_ONE if k % 2 == 0 else W_S
 
 
-_Items = Iterable[Tuple[int, WElem]]
-
-
 @dataclass(frozen=True)
 class WPoly:
-    """Laurent polynomial over $\\mathbb{W}$ in $q^{1/2}$.
+    """Polynomial $a(q) + b(q)s$ in $q$ over $\\mathbb{W}$.
 
-    coeffs is a sorted tuple of (exponent in half units, nonzero WElem); the
-    normalization (no zero coefficients, strictly increasing exponents) is
-    restored by every constructor and operation.
+    a and b are trimmed ``intpoly`` coefficient tuples, so the coefficient of
+    $q^k$ is $a_k + b_k s$ and structural equality is equality of values.
     """
 
-    coeffs: Tuple[Tuple[int, WElem], ...] = ()
-
-    @staticmethod
-    def from_items(items: _Items) -> "WPoly":
-        acc: Dict[int, WElem] = {}
-        for e, c in items:
-            acc[e] = acc.get(e, W_ZERO) + c
-        return WPoly(tuple(sorted((e, c) for e, c in acc.items() if c)))
+    a: IntPoly = ()
+    b: IntPoly = ()
 
     @staticmethod
     def from_int_coeffs(coeffs: Sequence[int]) -> "WPoly":
         """Plain integer polynomial sum coeffs[k] q^k embedded via p-parts."""
-        return WPoly.from_items((2 * k, WElem(c, 0)) for k, c in enumerate(coeffs))
-
-    @staticmethod
-    def constant(c: WElem) -> "WPoly":
-        return WPoly.from_items([(0, c)])
+        return WPoly(p_trim(coeffs))
 
     def items(self) -> Tuple[Tuple[int, WElem], ...]:
-        return self.coeffs
+        """(exponent in half units of q, nonzero WElem), exponents ascending:
+        the monomial $q^k$ has exponent $2k$."""
+        a, b = _pad(self.a, self.b)
+        return tuple(
+            (2 * k, WElem(x, y)) for k, (x, y) in enumerate(zip(a, b)) if x or y
+        )
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.a or self.b)
 
     def __add__(self, other: "WPoly") -> "WPoly":
-        return WPoly.from_items(list(self.coeffs) + list(other.coeffs))
-
-    def __sub__(self, other: "WPoly") -> "WPoly":
-        return self + (-other)
+        return WPoly(p_add(self.a, other.a), p_add(self.b, other.b))
 
     def __neg__(self) -> "WPoly":
-        return WPoly(tuple((e, -c) for e, c in self.coeffs))
+        return WPoly(p_neg(self.a), p_neg(self.b))
 
     def __mul__(self, other: Union["WPoly", WElem, int]) -> "WPoly":
         if isinstance(other, int):
             other = WElem(other, 0)
         if isinstance(other, WElem):
-            return WPoly.from_items((e, c * other) for e, c in self.coeffs)
-        return WPoly.from_items(
-            (e1 + e2, c1 * c2) for e1, c1 in self.coeffs for e2, c2 in other.coeffs
+            other = WPoly(p_trim((other.p,)), p_trim((other.q,)))
+        # (a + bs)(c + ds) = (ac + bd) + (ad + bc)s
+        a, b, c, d = self.a, self.b, other.a, other.b
+        return WPoly(
+            p_add(p_mul(a, c), p_mul(b, d)), p_add(p_mul(a, d), p_mul(b, c))
         )
 
     def __rmul__(self, other: Union[WElem, int]) -> "WPoly":
         return self * other
 
     def eval_one(self) -> WElem:
-        """Value at $q^{1/2} = 1$: the sum of all coefficients."""
-        total = W_ZERO
-        for _, c in self.coeffs:
-            total = total + c
-        return total
+        """Value at $q = 1$: the sum of all coefficients."""
+        return WElem(sum(self.a), sum(self.b))
 
     def eval_s(self) -> WElem:
-        """Substitute $q := s$; requires integral $q$-powers."""
-        total = W_ZERO
-        for e, c in self.coeffs:
-            if e % 2 != 0:
-                raise HalfPowerPresent(
-                    "cannot substitute q := s with q^{%d/2} present" % e
-                )
-            total = total + c * s_power(e // 2)
-        return total
+        """Substitute $q := s$: odd powers of q swap the two components."""
+        a, b = self.a, self.b
+        return WElem(sum(a[0::2]) + sum(b[1::2]), sum(b[0::2]) + sum(a[1::2]))
 
     def twist_sq(self, delta: int) -> "WPoly":
-        """$s^{\\delta/2} P(sq)$: coefficient of $q^k$ gains $s^{k+\\delta/2}$."""
+        """$s^{\\delta/2} P(sq)$: coefficient of $q^k$ gains $s^{k+\\delta/2}$,
+        so $a_k$ and $b_k$ swap where $k + \\delta/2$ is odd."""
         if delta % 2 != 0:
-            raise OddOrientationDifference(
-                "orientation numbers differ by %d" % delta
-            )
-        out = []
-        for e, c in self.coeffs:
-            if e % 2 != 0:
-                raise HalfPowerPresent(
-                    "cannot substitute q := sq with q^{%d/2} present" % e
-                )
-            out.append((e, c * s_power(e // 2 + delta // 2)))
-        return WPoly(tuple(out))
+            raise OddOrientationDifference("orientation numbers differ by %d" % delta)
+        a, b = _pad(self.a, self.b)
+        odd = slice((delta // 2 + 1) % 2, None, 2)
+        a[odd], b[odd] = b[odd], a[odd]
+        return WPoly(p_trim(a), p_trim(b))
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for e, c in self.coeffs:
-            if e == 0:
-                terms.append("(%s)" % c)
-            elif e % 2 == 0:
-                terms.append("(%s)q^%d" % (c, e // 2))
-            else:
-                terms.append("(%s)q^{%d/2}" % (c, e))
-        return " + ".join(terms)
+        terms = [
+            "(%s)" % c if e == 0 else "(%s)q^%d" % (c, e // 2)
+            for e, c in self.items()
+        ]
+        return " + ".join(terms) or "0"
 
-    def to_json(self) -> List[List[int]]:
-        return [[e, c.p, c.q] for e, c in self.coeffs]
 
-    @staticmethod
-    def from_json(data: Iterable[Sequence[int]]) -> "WPoly":
-        return WPoly.from_items((int(e), WElem(int(p), int(q))) for e, p, q in data)
-
+def _pad(a: IntPoly, b: IntPoly) -> Tuple[List[int], List[int]]:
+    """a and b as lists of one common length."""
+    n = max(len(a), len(b))
+    return list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sigzero import jantzen
 from sigzero.blocks import SL2R_SPLIT, sl2r_ps_param
 from sigzero.errors import DegenerateResidual, SchemaError, SingularFamily
 from sigzero.jantzen import (
@@ -176,6 +177,18 @@ def test_level_signatures_total_for_image():
 def test_level_signatures_requires_symmetry():
     with pytest.raises(ValueError):
         level_signatures([[RAT_ONE, T], [RAT_ZERO, RAT_ONE]], 1)
+
+
+def test_level_signatures_checks_the_determinant_order(monkeypatch):
+    # with ord det misreported, both eliminations must notice that the
+    # layer orders no longer add up to it
+    det_order = jantzen._det_order
+    monkeypatch.setattr(jantzen, "_det_order", lambda L, t0: det_order(L, t0) + 1)
+    L = [[RAT_ONE, RAT_ZERO], [RAT_ZERO, T_MINUS_1]]
+    with pytest.raises(SingularFamily, match="ord det = 2"):
+        jantzen_levels(L, 1)
+    with pytest.raises(DegenerateResidual, match="ord det = 2"):
+        level_signatures(L, 1)
 
 
 def test_degenerate_residual():

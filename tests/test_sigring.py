@@ -1,10 +1,11 @@
-"""Unit and property tests for the signature ring W = Z[s]/(s^2-1) and its
-half-integer Laurent polynomials."""
+"""Unit and property tests for the signature ring W = Z[s]/(s^2-1) and the
+polynomial ring W[q]."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigzero.errors import HalfPowerPresent, OddOrientationDifference
+from sigzero.errors import OddOrientationDifference
+from sigzero.intpoly import p_trim
 from sigzero.sigring import (
     WElem,
     WPoly,
@@ -17,20 +18,14 @@ from sigzero.sigring import (
 welems = st.builds(WElem, st.integers(-9, 9), st.integers(-9, 9))
 
 
-def wpoly_items(min_size=0, max_size=5):
-    return st.lists(
-        st.tuples(st.integers(-6, 6), welems),
-        min_size=min_size,
-        max_size=max_size,
-    )
+def small_wpolys(max_len):
+    """a(q) + b(q)s with at most max_len small coefficients in a and in b."""
+    coeffs = st.lists(st.integers(-9, 9), max_size=max_len).map(p_trim)
+    return st.builds(WPoly, coeffs, coeffs)
 
 
-wpolys = wpoly_items().map(WPoly.from_items)
-# even exp_half only, so q-powers are integral
-int_wpolys = (
-    st.lists(st.tuples(st.integers(-3, 3).map(lambda k: 2 * k), welems), max_size=5)
-    .map(WPoly.from_items)
-)
+wpolys = small_wpolys(7)
+int_wpolys = small_wpolys(4)
 
 
 def test_s_squared_is_one():
@@ -87,32 +82,19 @@ def test_eval_s_even_odd_split():
     assert p.eval_s() == WElem(3 + 7, 5)
 
 
-def test_eval_s_rejects_half_powers():
-    p = WPoly.from_items([(1, W_ONE)])  # q^{1/2}
-    with pytest.raises(HalfPowerPresent):
-        p.eval_s()
-    # eval at q=1 is insensitive to the half power
-    assert p.eval_one() == W_ONE
-
-
 def test_twist_sq_examples():
     q = WPoly.from_int_coeffs([0, 1])
     # s^{delta/2} P(sq) with delta = 2: coefficient of q gains s^{1+1} = 1
     assert q.twist_sq(2) == q
     assert q.twist_sq(-2) == q
-    assert q.twist_sq(0) == WPoly.from_items([(2, W_S)])
+    assert q.twist_sq(0) == WPoly((), (0, 1))
     const = WPoly.from_int_coeffs([1])
-    assert const.twist_sq(2) == WPoly.constant(W_S)
+    assert const.twist_sq(2) == WPoly((), (1,))
 
 
 def test_twist_sq_rejects_odd_delta():
     with pytest.raises(OddOrientationDifference):
         WPoly.from_int_coeffs([1]).twist_sq(1)
-
-
-def test_twist_sq_rejects_half_powers():
-    with pytest.raises(HalfPowerPresent):
-        WPoly.from_items([(1, W_ONE)]).twist_sq(2)
 
 
 @given(int_wpolys, st.integers(-3, 3).map(lambda k: 2 * k))
@@ -143,17 +125,27 @@ def test_wpoly_ring_axioms(p, r, t):
     assert p * (r + t) == p * r + p * t
 
 
-@given(wpolys)
-def test_wpoly_json_round_trip(p):
-    assert WPoly.from_json(p.to_json()) == p
-
-
 @given(int_wpolys, int_wpolys, st.integers(-2, 2).map(lambda k: 2 * k))
 def test_twist_sq_is_multiplicative_in_the_twist(p, r, delta):
     # twist(P R, d) = twist(P, d) twist(R, 0) times s^{-d/2} bookkeeping:
     # the clean identity is twist(PR, a+b) = twist(P, a) twist(R, b)
     a, b = delta, -delta
     assert (p * r).twist_sq(a + b) == p.twist_sq(a) * r.twist_sq(b)
+
+
+def test_items_format_and_trimmed_equality():
+    # exponents count half units of q; zero coefficients are skipped
+    assert WPoly.from_int_coeffs([1, 2]).items() == (
+        (0, WElem(1, 0)),
+        (2, WElem(2, 0)),
+    )
+    assert WPoly((0, 3), (1,)).items() == ((0, W_S), (2, WElem(3, 0)))
+    assert WPoly.from_int_coeffs([1, 0, 0]) == WPoly.from_int_coeffs([1])
+    assert WPoly.from_int_coeffs([0, 0]) == WPoly() and not WPoly()
+    p = WPoly((1, 2), (0, 5))
+    assert p + (-p) == WPoly()
+    assert (p + WPoly((0, -2), (0, -5))) == WPoly.from_int_coeffs([1])
+    assert p * 0 == WPoly() and p * W_ZERO == WPoly()
 
 
 def test_str_renderings():
