@@ -315,19 +315,22 @@ def invert_multiplicity(b: Block) -> Dict[Tuple[int, int], IntPoly]:
     for (r, c) in b.Q:
         if r != c and lengths[r] >= lengths[c]:
             raise NotUpperTriangular("Q[%d,%d] breaks the length order" % (r, c))
-    n = len(order)
+    # back substitution over the nonzero entries of each row only
+    rows: Dict[int, List[Tuple[int, IntPoly]]] = {}
+    for (r, c), q in b.Q.items():
+        if r != c:
+            rows.setdefault(r, []).append((c, q))
     X: Dict[Tuple[int, int], IntPoly] = {}
-    for j in range(n):
-        X[(order[j], order[j])] = (1,)
-        for i in range(j - 1, -1, -1):
+    for j, c in enumerate(order):
+        X[(c, c)] = (1,)
+        for r in reversed(order[:j]):
             acc: IntPoly = ()
-            for k in range(i + 1, j + 1):
-                q = b.q_poly(order[i], order[k])
-                x = X.get((order[k], order[j]), ())
-                if q and x:
+            for k, q in rows.get(r, ()):
+                x = X.get((k, c))
+                if x is not None:
                     acc = p_add(acc, p_mul(q, x))
             if acc:
-                X[(order[i], order[j])] = p_neg(acc)
+                X[(r, c)] = p_neg(acc)
     P: Dict[Tuple[int, int], IntPoly] = {}
     for (r, c), v in X.items():
         sign = -1 if (lengths[c] - lengths[r]) % 2 else 1

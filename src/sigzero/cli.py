@@ -271,7 +271,8 @@ def cmd_scan(args) -> int:
         raise ValidationError("empty segment: %s > %s" % (lo, hi))
     if lo < 0:
         raise ValidationError("scan segment must lie in nu >= 0")
-    steps = max(2, args.steps)
+    if args.steps < 2:
+        raise ValidationError("--steps must be >= 2 (got %d)" % args.steps)
     facets: List[dict] = []
     if lo == hi:
         facets.append(
@@ -286,8 +287,8 @@ def cmd_scan(args) -> int:
         for w in _scan_walls(args, lo, hi) + [hi]:
             if prev < w:
                 interior = [
-                    prev + (w - prev) * Fraction(i, steps + 1)
-                    for i in range(1, steps + 1)
+                    prev + (w - prev) * Fraction(i, args.steps + 1)
+                    for i in range(1, args.steps + 1)
                 ]
                 facets.append(
                     {
@@ -326,7 +327,10 @@ def _is_wall(args, nu: Fraction) -> bool:
 
 
 def cmd_hyperplanes(args) -> int:
-    walls = _line_walls(args, args.radius)
+    radius = parse_frac(args.radius)
+    if radius < 0:
+        raise ValidationError("--radius must be >= 0 (got %s)" % frac_str(radius))
+    walls = _line_walls(args, radius)
     if args.format == "json":
         print(
             _dumps(

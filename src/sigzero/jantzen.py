@@ -11,11 +11,14 @@ computation.  For symmetric families the same elimination done by congruence
 preserves the residual forms, whose signs give the layer signatures.
 
 No rational-function arithmetic runs in the filtration.  $\\det L$ is
-exact: Bareiss elimination over $\\mathbb{Z}[t]$ on $L$ with each row
-scaled by the product of its distinct denominators, orders read by integer
-synthetic division by $bt - a$ ($t_0 = a/b$); $\\det L \\equiv 0$ means a
-singular family.  Each entry is then expanded as $U^e$ times a unit power
-series in $U = bt - a$ modulo $U^N$, $N = D - (n-1)m + 1$ with
+exact and computed apart from the elimination: Bareiss over $\\mathbb{Z}[t]$
+on each connected component of the support of $L$ (row $i$ is linked to
+column $j$ when $L_{ij} \\neq 0$), each row scaled by the product of its
+distinct denominators, orders read by integer synthetic division by $bt - a$
+($t_0 = a/b$) and added up.  A component with more rows than columns, or
+fewer, or $\\det L \\equiv 0$ means a singular family.  Each entry is then
+expanded as $U^e$ times a unit power series in $U = bt - a$ modulo $U^N$,
+$N = D - (n-1)m + 1$ with
 $m = \\min(0, \\text{least entry valuation})$: the elementary divisors are
 $\\geq m$ and sum to $D$, so each is $< N$.  The elimination pivots on
 minimal valuation, row-major on ties.  Division by a pivot of valuation
@@ -258,12 +261,36 @@ def ratmatrix_to_json_obj(m: RatMatrix) -> list:
 # U^(N-1), U = b (t - t0), or None for zero (to that precision).
 
 def _det_order(L: RatMatrix, t0: Fraction) -> Optional[int]:
-    """ord_{t0} det L, or None when det L vanishes identically: Bareiss over
-    Z[t], with first-nonzero pivoting, on L with each row scaled by the
-    product of its distinct denominators."""
+    """ord_{t0} det L, or None when det L vanishes identically: the sum of
+    the Bareiss orders of the connected components of the support of L, and
+    None for a component that is not square."""
     n = len(L)
-    if not n:
-        return 0
+    # rows are 0..n-1 and columns n..2n-1, each labelled by its component
+    comp = list(range(2 * n))
+    for i, row in enumerate(L):
+        for j, f in enumerate(row):
+            if f and comp[i] != comp[n + j]:
+                old = comp[n + j]
+                comp = [comp[i] if c == old else c for c in comp]
+    parts: Dict[int, Tuple[List[int], List[int]]] = {}
+    for x, c in enumerate(comp):
+        parts.setdefault(c, ([], []))[x >= n].append(x % n)
+    D = 0
+    for rows, cols in parts.values():
+        if len(rows) != len(cols):
+            return None
+        d = _bareiss_order([[L[i][j] for j in cols] for i in rows], t0)
+        if d is None:
+            return None
+        D += d
+    return D
+
+
+def _bareiss_order(L: RatMatrix, t0: Fraction) -> Optional[int]:
+    """ord_{t0} det L, or None when det L vanishes identically, for a
+    nonempty L: Bareiss over Z[t], with first-nonzero pivoting, on L with
+    each row scaled by the product of its distinct denominators."""
+    n = len(L)
     M = []
     scaling = 0
     for row in L:

@@ -180,6 +180,7 @@ class SignatureChar:
 # W[q] block matrices
 
 WPolyMatrix = Dict[Tuple[int, int], WPoly]
+SparseRows = Dict[int, List[Tuple[int, WPoly]]]
 
 
 def signature_Q(b: Block) -> WPolyMatrix:
@@ -209,24 +210,35 @@ def signature_Q(b: Block) -> WPolyMatrix:
     return out
 
 
+def _sparse_rows(mat: WPolyMatrix) -> SparseRows:
+    """The nonzero off-diagonal entries of each row, as (column, entry)."""
+    rows: SparseRows = {}
+    for (r, c), v in mat.items():
+        if r != c and v:
+            rows.setdefault(r, []).append((c, v))
+    return rows
+
+
+def _solve_column(order: List[int], rows: SparseRows, col: int) -> Dict[int, WPoly]:
+    """Column col of the inverse of a matrix unitriangular in the length order,
+    as {row: nonzero entry}, by one back substitution over its sparse rows."""
+    x = {col: WPoly.from_int_coeffs((1,))}
+    for r in reversed(order[:order.index(col)]):
+        acc = WPoly()
+        for k, a in rows.get(r, ()):
+            xk = x.get(k)
+            if xk is not None:
+                acc = acc + a * xk
+        if acc:
+            x[r] = -acc
+    return x
+
+
 def _invert_unitriangular(b: Block, mat: WPolyMatrix) -> WPolyMatrix:
-    """Inverse of a matrix that is unitriangular in the length order."""
-    order = _length_order(b)
-    n = len(order)
-    inv: WPolyMatrix = {}
-    one = WPoly.from_int_coeffs((1,))
-    for j in range(n):
-        inv[(order[j], order[j])] = one
-        for i in range(j - 1, -1, -1):
-            acc = WPoly()
-            for k in range(i + 1, j + 1):
-                a = mat.get((order[i], order[k]))
-                x = inv.get((order[k], order[j]))
-                if a is not None and x is not None and a and x:
-                    acc = acc + a * x
-            if acc:
-                inv[(order[i], order[j])] = -acc
-    return inv
+    """Inverse of a matrix that is unitriangular in the length order, one
+    sparse back substitution per column."""
+    order, rows = _length_order(b), _sparse_rows(mat)
+    return {(r, c): v for c in order for r, v in _solve_column(order, rows, c).items()}
 
 
 def _qc_inverse(b: Block) -> WPolyMatrix:
@@ -272,8 +284,11 @@ def _resolve_element(b: Block, psi) -> BlockElement:
 def irreducible_in_standards(b: Block, psi) -> SignatureChar:
     """Expansion $sig^c_{J(\\Psi)} = \\sum_\\Gamma W^c_{\\Gamma,\\Psi}
     \\, sig^c_{I(\\Gamma)}$ with $W^c = (Q^c)^{-1}$ at $q = 1$; forgetting
-    $s$ recovers the character-formula row $M_{\\cdot,\\Psi}$."""
-    return _column_in_standards(b, _qc_inverse(b), psi)
+    $s$ recovers the character-formula row $M_{\\cdot,\\Psi}$.  Only the
+    column of $\\Psi$ is solved, by one back substitution."""
+    e_psi = _resolve_element(b, psi)
+    column = _solve_column(_length_order(b), _sparse_rows(signature_Q(b)), e_psi.id)
+    return _column_in_standards(b, {(r, e_psi.id): v for r, v in column.items()}, e_psi)
 
 
 def _column_in_standards(b: Block, qc_inv: WPolyMatrix, psi) -> SignatureChar:

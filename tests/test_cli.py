@@ -159,6 +159,13 @@ def test_scan_endpoint_wall(capsys):
     assert rows[1].startswith("(1, 2)")
 
 
+@pytest.mark.parametrize("steps", ["0", "1", "-1"])
+def test_scan_steps_below_two_exits_3(capsys, steps):
+    rc, out, err = run(capsys, "scan", "--from", "0", "--to", "3", "--steps", steps)
+    assert rc == 3 and out == ""
+    assert "--steps must be >= 2" in err
+
+
 # ---------------------------------------------------------------------------
 # hyperplanes
 
@@ -180,6 +187,13 @@ def test_hyperplanes_radius_is_inclusive(capsys):
     assert rc == 0
     levels = [l.split()[0] for l in out.strip().splitlines()[1:]]
     assert levels == ["1", "2", "3", "4", "5", "6"]
+
+
+@pytest.mark.parametrize("radius", ["-1", "-1/2"])
+def test_hyperplanes_negative_radius_exits_3(capsys, radius):
+    rc, out, err = run(capsys, "hyperplanes", "--radius", radius)
+    assert rc == 3 and out == ""
+    assert "--radius must be >= 0" in err
 
 
 def test_hyperplanes_json_deterministic(capsys):

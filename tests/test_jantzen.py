@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sigzero import jantzen
 from sigzero.blocks import SL2R_SPLIT, sl2r_ps_param
 from sigzero.errors import DegenerateResidual, SchemaError, SingularFamily
+from sigzero.intpoly import p_add, p_divexact, p_mul, p_neg, p_ord
 from sigzero.jantzen import (
     RAT_ONE,
     RAT_ZERO,
@@ -517,3 +518,94 @@ def test_levels_match_reference_elimination(t0):
             _unimodular(rng, n, t0, 2 * n),
         )
         assert jantzen_levels(L, t0) == _reference_levels(L, t0)
+
+
+# ---------------------------------------------------------------------------
+# the determinant order, one connected component of the support at a time
+
+def _dense_det_order(L, t0):
+    """Bareiss over Z[t] on the whole of L, first-nonzero pivoting, each row
+    scaled by the product of its distinct denominators: the reference for
+    the order that _det_order sums over components."""
+    n = len(L)
+    if not n:
+        return 0
+    M, scaling = [], 0
+    for row in L:
+        P = (1,)
+        for d in {f.den for f in row}:
+            P = p_mul(P, d)
+        scaling += p_ord(P, t0)[0]
+        M.append([p_divexact(p_mul(f.num, P), f.den) for f in row])
+    prev = (1,)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if M[i][k]), None)
+        if piv is None:
+            return None
+        M[k], M[piv] = M[piv], M[k]
+        rk, p = M[k], M[k][k]
+        for ri in M[k + 1:]:
+            c = ri[k]
+            for j in range(k + 1, n):
+                x = p_add(p_mul(p, ri[j]), p_neg(p_mul(c, rk[j])))
+                ri[j] = p_divexact(x, prev) if x else x
+        prev = p
+    return p_ord(M[-1][-1], t0)[0] - scaling
+
+
+def _permuted_block_diagonal(rng, parts):
+    """The parts placed along the diagonal, then rows and columns permuted
+    independently."""
+    n = sum(len(B) for B in parts)
+    L = [[RAT_ZERO] * n for _ in range(n)]
+    at = 0
+    for B in parts:
+        for i, row in enumerate(B):
+            L[at + i][at:at + len(row)] = row
+        at += len(B)
+    rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+    return [[L[r][c] for c in cols] for r in rows]
+
+
+@pytest.mark.parametrize("t0", [F(1, 2), F(-2, 3)])
+def test_det_order_sums_the_components(t0):
+    rng = random.Random("components %s" % t0)
+    for _ in range(10):
+        parts, planted = [], 0
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randint(1, 4)
+            orders = [rng.randint(-2, 3) for _ in range(k)]
+            D, _ = _planted_diag(rng, orders, t0)
+            parts.append(_matmul(
+                _matmul(_unimodular(rng, k, t0, 2 * k), D),
+                _unimodular(rng, k, t0, 2 * k),
+            ))
+            planted += sum(orders)
+        L = _permuted_block_diagonal(rng, parts)
+        want = _dense_det_order(L, t0)
+        assert want == sum(_dense_det_order(B, t0) for B in parts) == planted
+        assert jantzen._det_order(L, t0) == want
+
+
+def test_support_that_is_not_square_is_singular():
+    a, b, z = T_MINUS_1, RatFn((2,)) / RatFn((3, 1)), RAT_ZERO
+    # row 1 and column 1 are zero; rows 0 and 1 are supported on column 2
+    # alone (and, by symmetry, row 2 on columns 0 and 1)
+    zero_row = [[RAT_ONE, z], [z, z]]
+    two_on_one = [[z, z, a], [z, z, b], [a, b, z]]
+    for L in (zero_row, two_on_one):
+        assert jantzen._det_order(L, F(1)) is None
+        with pytest.raises(SingularFamily):
+            jantzen_levels(L, 1)
+        with pytest.raises(DegenerateResidual):
+            level_signatures(L, 1)
+
+
+@pytest.mark.parametrize("cutoff", range(6, 15))
+def test_intertwining_order_counts_ktypes_above_the_wall(cutoff):
+    # c_n vanishes to order one at nu = k exactly when |n| > k
+    for parity, walls in ((1, range(1, cutoff, 2)), (-1, range(2, cutoff, 2))):
+        L = sl2_intertwining(parity, cutoff)
+        kt = sl2_ktypes(parity, cutoff)
+        for k in walls:
+            assert jantzen._det_order(L, F(k)) == sum(1 for n in kt if abs(n) > k)
