@@ -16,8 +16,6 @@ from .errors import (
     MissingBlock,
     MissingParity,
     MissingRewriteTable,
-    MissingRootData,
-    NotUpperTriangular,
     OddOrientationDifference,
     SchemaError,
     SigzeroError,
@@ -65,7 +63,6 @@ from .blocks import (
     BlockProvider,
     block_to_json_obj,
     builtin_block,
-    element_label,
     group_cartan,
     invert_multiplicity,
     multiplicity_inverse,
@@ -87,7 +84,6 @@ from .sigengine import (
     ktype_signature,
     signature_P,
     signature_Q,
-    sl2r_lowest_ktype,
     unitary_test,
 )
 from .jantzen import (

@@ -27,7 +27,6 @@ from .errors import (
     InvariantViolation,
     MissingBlock,
     MissingRewriteTable,
-    NotUpperTriangular,
     SchemaError,
     UnsupportedGroup,
     ValidationError,
@@ -70,7 +69,6 @@ __all__ = [
     "sl2r_ps_param",
     "sl2r_ds_param",
     "sl2c_param",
-    "element_label",
     "group_cartan",
     "GroupModel",
     "SL2R",
@@ -217,7 +215,10 @@ class Block:
     """Immutable block at one infinitesimal character.
 
     Q maps (row id, col id) to ascending integer coefficient tuples;
-    absent entries are zero, diagonal entries are the constant 1."""
+    absent entries are zero, diagonal entries are the constant 1.  The
+    block is validated once, in ``__post_init__``, against every named
+    invariant of ``_validate_block``; the engine relies on that and checks
+    none of them again, so Q must not be mutated afterwards."""
 
     group: str
     inf_char: Tuple[Fraction, ...]
@@ -312,9 +313,6 @@ def invert_multiplicity(b: Block) -> Dict[Tuple[int, int], IntPoly]:
     $\\sum_\\Gamma m_{\\Xi,\\Gamma} M_{\\Gamma,\\Psi} = \\delta_{\\Xi,\\Psi}$."""
     order = _length_order(b)
     lengths = {e.id: e.length for e in b.elements}
-    for (r, c) in b.Q:
-        if r != c and lengths[r] >= lengths[c]:
-            raise NotUpperTriangular("Q[%d,%d] breaks the length order" % (r, c))
     # back substitution over the nonzero entries of each row only
     rows: Dict[int, List[Tuple[int, IntPoly]]] = {}
     for (r, c), q in b.Q.items():
@@ -771,11 +769,6 @@ def group_model(group: str) -> GroupModel:
 
 def group_cartan(group: str, name: str) -> CartanClass:
     return group_model(group).cartan(name)
-
-
-def element_label(group: str, param: LanglandsParam) -> str:
-    """Deterministic display label derived from parameter data alone."""
-    return group_model(group).label(param)
 
 
 def builtin_block(group: str, inf_char) -> List[Block]:

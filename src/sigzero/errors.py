@@ -28,19 +28,10 @@ class InvalidInvolution(ValidationError):
 
 
 class UnsupportedRealSystem(UnsupportedError):
-    """c_real not derivable (real integral system is not a product of A1's)."""
-
-
-# params
-class MissingRootData(ValidationError):
-    """CartanClass lacks the restricted-root data needed for hyperplanes."""
+    """Real integral system is not a product of A1's; no length is given."""
 
 
 # blocks
-class NotUpperTriangular(ValidationError):
-    """Multiplicity matrix is not unitriangular in the length order."""
-
-
 class SchemaError(ValidationError):
     """Block file does not conform to the JSON schema."""
 

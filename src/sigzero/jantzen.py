@@ -111,19 +111,6 @@ class RatFn:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    @staticmethod
-    def const(x) -> "RatFn":
-        x = Fraction(x)
-        return RatFn((x.numerator,), (x.denominator,))
-
-    @staticmethod
-    def linear(a0: int, a1: int) -> "RatFn":
-        """a0 + a1 t."""
-        return RatFn((a0, a1))
-
-    def is_zero(self) -> bool:
-        return not self.num
-
     def __bool__(self) -> bool:
         return bool(self.num)
 
@@ -145,20 +132,20 @@ class RatFn:
         return RatFn(p_mul(self.num, other.num), p_mul(self.den, other.den))
 
     def __truediv__(self, other: "RatFn") -> "RatFn":
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("division by the zero function")
         return RatFn(p_mul(self.num, other.den), p_mul(self.den, other.num))
 
     def valuation(self, t0: Fraction) -> Optional[int]:
         """Order of vanishing at t0 (negative at a pole, None for 0)."""
-        if self.is_zero():
+        if not self:
             return None
         t0 = Fraction(t0)
         return p_ord(self.num, t0)[0] - p_ord(self.den, t0)[0]
 
     def residual(self, t0: Fraction) -> Fraction:
         """Value of (t-t0)^{-val} f at t0; nonzero for nonzero f."""
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("zero function has no residual")
         t0 = Fraction(t0)
         vn, n = p_ord(self.num, t0)

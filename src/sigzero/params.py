@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import MissingRootData
 from .rootdata import Involution, RootClass, dot
 
 __all__ = [
@@ -48,8 +47,9 @@ _FRAC_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
 def parse_frac(text) -> Fraction:
-    """Parse an exact rational from 'p', 'p/q', or an int; floats rejected."""
-    if isinstance(text, int):
+    """Parse an exact rational from 'p', 'p/q', or an int; floats and
+    booleans rejected."""
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, Fraction):
         return text
@@ -99,12 +99,13 @@ class RestrictedRoot:
 @dataclass(frozen=True)
 class CartanClass:
     """theta-stable Cartan data: the involution, the root classification,
-    and the restricted roots of the split part (None when unavailable)."""
+    and the restricted roots of the split part (empty for a compact
+    Cartan)."""
 
     id: str
     theta: Involution
     root_class: RootClass
-    restricted: Optional[Tuple[RestrictedRoot, ...]] = None
+    restricted: Tuple[RestrictedRoot, ...]
 
 
 @dataclass(frozen=True)
@@ -168,8 +169,6 @@ class LanglandsParam:
     def validate_continuous(self, cartan: CartanClass) -> None:
         """nu must avoid the kernel walls of odd real coroots; in particular
         nu = 0 is admissible exactly for final Lambda."""
-        if cartan.restricted is None:
-            return
         for rr in cartan.restricted:
             if rr.kind != "real":
                 continue
@@ -188,14 +187,6 @@ class Hyperplane:
     phi_covector: Tuple[Fraction, ...]
     level: Fraction
     kind: str  # "reducibility" | "reorient_positive" | "reorient_negative"
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi_covector", tuple(Fraction(x) for x in self.phi_covector))
-        object.__setattr__(self, "level", Fraction(self.level))
-        if self.kind not in ("reducibility", "reorient_positive", "reorient_negative"):
-            raise ValueError("unknown hyperplane kind %r" % self.kind)
-        if self.level <= 0:
-            raise ValueError("hyperplane level must be strictly positive")
 
 
 def _walls(rr: RestrictedRoot, d: DiscreteParam,
@@ -222,13 +213,6 @@ def _walls(rr: RestrictedRoot, d: DiscreteParam,
             q += 1
 
 
-def _restricted(cartan: CartanClass) -> Tuple[RestrictedRoot, ...]:
-    if cartan.restricted is None:
-        raise MissingRootData("CartanClass %r carries no restricted-root data"
-                              % cartan.id)
-    return cartan.restricted
-
-
 def hyperplanes(
     d: DiscreteParam, cartan: CartanClass, radius
 ) -> List[Hyperplane]:
@@ -237,7 +221,7 @@ def hyperplanes(
     radius = Fraction(radius)
     walls = [
         Hyperplane(rr.covector, level, kind)
-        for rr in _restricted(cartan)
+        for rr in cartan.restricted
         for level, kind in _walls(rr, d, radius)
     ]
     walls.sort(key=lambda h: (h.level, h.kind, h.phi_covector))
@@ -251,7 +235,7 @@ def crossing_times(g: LanglandsParam, cartan: CartanClass) -> List[Fraction]:
     A root meets its walls at t = level / <nu, phi^vee>, so only the walls
     with level <= <nu, phi^vee> count; nu = 0 meets none."""
     times = set()
-    for rr in _restricted(cartan):
+    for rr in cartan.restricted:
         x = dot(g.nu, rr.covector)
         times.update(level / x for level, kind in _walls(rr, g.discrete, x)
                      if kind == "reducibility")
@@ -275,16 +259,30 @@ def param_to_json(g: LanglandsParam) -> dict:
 
 
 def param_from_json(data: Mapping) -> LanglandsParam:
-    ig = data.get("imaginary_grading")
+    """Inverse of param_to_json.  JSON types are taken as they are, never
+    coerced; DiscreteParam then checks the values."""
+    cartan, ig = data["cartan"], data.get("imaginary_grading")
+    grading = data.get("grading", {})
+    final, parity = data.get("final", True), data.get("ktype_parity")
+    if not isinstance(cartan, str):
+        raise ValueError("cartan must be a JSON string (got %r)" % (cartan,))
+    if not (isinstance(grading, Mapping)
+            and all(type(v) is int for v in grading.values())):
+        raise ValueError("grading must be an object with the JSON integers 1 or -1")
+    if ig is not None and not (isinstance(ig, Mapping)
+                               and all(isinstance(v, str) for v in ig.values())):
+        raise ValueError("imaginary_grading must be null or an object of strings")
+    if type(final) is not bool:
+        raise ValueError("final must be a JSON boolean (got %r)" % (final,))
+    if parity is not None and type(parity) is not int:
+        raise ValueError("ktype_parity must be 0, 1 or null (got %r)" % (parity,))
     d = DiscreteParam(
-        cartan=str(data["cartan"]),
+        cartan=cartan,
         dlambda=tuple(parse_frac(x) for x in data["dlambda"]),
-        grading={int(i): int(v) for i, v in dict(data.get("grading", {})).items()},
-        imaginary_grading=None
-        if ig is None
-        else {int(i): str(v) for i, v in dict(ig).items()},
-        final=bool(data.get("final", True)),
-        ktype_parity=data.get("ktype_parity"),
+        grading={int(i): v for i, v in grading.items()},
+        imaginary_grading=None if ig is None else {int(i): v for i, v in ig.items()},
+        final=final,
+        ktype_parity=parity,
     )
     nu_im = data.get("nu_im")
     return LanglandsParam(

@@ -11,13 +11,14 @@ permuting the roots.  Roots fall into three classes:
 Two integer invariants of a parameter with infinitesimal character
 $d\\gamma = d\\lambda + \\nu$ are computed here.  The length counts pairs
 $(\\alpha, -\\theta\\alpha)$ of complex roots lying in the positive system
-$R^+(d\\gamma)$, plus a contribution c_real of the real integral subsystem
-(computed natively only for products of $A_1$'s, where it equals the number
-of factors).  The orientation number counts nonintegral roots that are
-positively oriented for $\\gamma$: complex pairs with both pairings positive,
-and real roots whose pairing has integer part of the parity selected by the
-$\\mathbb{Z}/2$ grading on real coroots.  Orientation numbers are locally
-constant in $\\nu$ and jump by 1 across single reorienting hyperplanes.
+$R^+(d\\gamma)$, plus the contribution of the real integral subsystem,
+which is supported only when that subsystem is a product of $A_1$'s, where
+it is the number of factors.  The orientation number counts nonintegral
+roots that are positively oriented for $\\gamma$: complex pairs with both
+pairings positive, and real roots whose pairing has integer part of the
+parity selected by the $\\mathbb{Z}/2$ grading on real coroots.  Orientation
+numbers are locally constant in $\\nu$ and jump by 1 across single
+reorienting hyperplanes.
 
 Both take the Cartan's RootClass, whose -theta permutation of the roots is
 fixed when the Cartan is classified; neither applies theta itself.  All
@@ -207,20 +208,16 @@ def classify_roots(rd: RootDatum, inv: Involution) -> RootClass:
     return RootClass(tuple(tags), tuple(neg_theta))
 
 
-def length(
-    rd: RootDatum,
-    rc: RootClass,
-    dgamma: Sequence,
-    c_real: Optional[int] = None,
-) -> int:
+def length(rd: RootDatum, rc: RootClass, dgamma: Sequence) -> int:
     """Length of a parameter at infinitesimal character dgamma, for the
     Cartan whose root classification is rc.
 
     Counts complex pairs (alpha, -theta alpha) inside R^+(dgamma) and adds
-    c_real.  R^+(dgamma) holds the roots with positive pairing; a singular
-    root is positive when its coordinates are lexicographically positive.
-    Natively c_real is the number of A_1 factors of the real integral
-    system; anything larger must be supplied by the caller.
+    the number of A_1 factors of the real integral system, its positive
+    integral real roots.  R^+(dgamma) holds the roots with positive pairing;
+    a singular root is positive when its coordinates are lexicographically
+    positive.  A real integral system that is not a product of A_1's raises
+    UnsupportedRealSystem.
     """
     nums, q = rd.pairings(dgamma)
     pos = [
@@ -231,19 +228,13 @@ def length(
     n_pairs = len({frozenset((i, rc.neg_theta[i])) for i in pos
                    if rc.tags[i] == "complex" and rc.neg_theta[i] in pos_set})
 
-    if c_real is None:
-        real_int_pos = [
-            i for i in pos if rc.tags[i] == "real" and nums[i] % q == 0
-        ]
-        for a in real_int_pos:
-            for b in real_int_pos:
-                if a != b and rd.pair(rd.roots[a], rd.coroots[b]) != 0:
-                    raise UnsupportedRealSystem(
-                        "real integral system is not a product of A1's; "
-                        "supply c_real"
-                    )
-        c_real = len(real_int_pos)
-    return n_pairs + c_real
+    real_int_pos = [i for i in pos if rc.tags[i] == "real" and nums[i] % q == 0]
+    for a in real_int_pos:
+        for b in real_int_pos:
+            if a != b and rd.pair(rd.roots[a], rd.coroots[b]) != 0:
+                raise UnsupportedRealSystem(
+                    "real integral system is not a product of A1's")
+    return n_pairs + len(real_int_pos)
 
 
 def orientation_number(

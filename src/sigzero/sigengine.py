@@ -28,7 +28,6 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .blocks import (
-    SL2R,
     Block,
     BlockElement,
     BlockProvider,
@@ -41,7 +40,6 @@ from .errors import (
     InvariantViolation,
     MissingBlock,
     MissingParity,
-    OddOrientationDifference,
     UnsupportedGroup,
     UnsupportedUnequalRank,
     ValidationError,
@@ -68,17 +66,9 @@ __all__ = [
     "hs_rewrite",
     "unitary_test",
     "ktype_signature",
-    "label_text",
-    "sl2r_lowest_ktype",
 ]
 
 W_S_MINUS_ONE = WElem(-1, 1)
-
-
-def label_text(group: str, g: LanglandsParam) -> str:
-    """Display label of a basis parameter; tempered parameters may get a
-    dedicated name (PS0 for the spherical principal series at nu = 0)."""
-    return group_model(group).label_text(g)
 
 
 @dataclass(frozen=True)
@@ -93,7 +83,7 @@ class StdLabel:
     def of(group: str, g: LanglandsParam, text: Optional[str] = None) -> "StdLabel":
         return StdLabel(
             group=group,
-            text=text if text is not None else label_text(group, g),
+            text=text if text is not None else group_model(group).label_text(g),
             param=g,
         )
 
@@ -185,28 +175,16 @@ SparseRows = Dict[int, List[Tuple[int, WPoly]]]
 
 def signature_Q(b: Block) -> WPolyMatrix:
     """$Q^c_{\\Xi,\\Gamma} = s^{(\\ell_o(\\Xi)-\\ell_o(\\Gamma))/2}
-    Q_{\\Xi,\\Gamma}(sq)$, including unit diagonal entries."""
+    Q_{\\Xi,\\Gamma}(sq)$, including unit diagonal entries.  The block was
+    validated when it was built: orientation numbers share one parity and
+    Q has no negative coefficient, so neither is checked again here."""
     orient = {e.id: e.orient for e in b.elements}
     out: WPolyMatrix = {}
     for e in b.elements:
         out[(e.id, e.id)] = WPoly.from_int_coeffs((1,))
     for (r, c), coeffs in b.Q.items():
-        if r == c:
-            continue
-        delta = orient[r] - orient[c]
-        if delta % 2 != 0:
-            raise OddOrientationDifference(
-                "orientation difference %d between %d and %d is odd"
-                % (delta, r, c)
-            )
-        pc = WPoly.from_int_coeffs(coeffs).twist_sq(delta)
-        for _, w in pc.items():
-            if w.p < 0 or w.q < 0:
-                raise InvariantViolation(
-                    "nonnegative-coefficients: Q^c[%d,%d] has a negative "
-                    "component" % (r, c)
-                )
-        out[(r, c)] = pc
+        if r != c:
+            out[(r, c)] = WPoly.from_int_coeffs(coeffs).twist_sq(orient[r] - orient[c])
     return out
 
 
@@ -321,14 +299,9 @@ def deform_step(b: Block, gamma) -> SignatureChar:
         coeffs = b.q_poly(e.id, e_gamma.id)
         if not coeffs:
             continue
-        delta = e.orient - e_gamma.orient
-        if delta % 2 != 0:
-            raise OddOrientationDifference(
-                "orientation difference %d between %d and %d is odd"
-                % (delta, e.id, e_gamma.id)
-            )
+        # the block's orientation numbers share one parity
         q_at_s = WPoly.from_int_coeffs(coeffs).eval_s()
-        coef = W_S_MINUS_ONE * s_power(delta // 2) * q_at_s
+        coef = W_S_MINUS_ONE * s_power((e.orient - e_gamma.orient) // 2) * q_at_s
         if coef:
             out.add(StdLabel.of(b.group, e.param, e.label), coef)
     return out
@@ -355,7 +328,7 @@ def _block_containing(provider: BlockProvider, group: str,
             return blk, e, i
     raise MissingBlock(
         "no block at infinitesimal character %s contains the parameter %s"
-        % ([frac_str(Fraction(x)) for x in key], label_text(group, g))
+        % ([frac_str(Fraction(x)) for x in key], group_model(group).label_text(g))
     )
 
 
@@ -552,11 +525,6 @@ def unitary_test(
 
 # ---------------------------------------------------------------------------
 # K-type expansion (built-in tables)
-
-def sl2r_lowest_ktype(g: LanglandsParam) -> int:
-    """Lowest K-type weight of a final tempered SL(2,R) parameter."""
-    return SL2R.lowest_ktype(g)
-
 
 def ktype_signature(sc: SignatureChar, cutoff: int) -> SignatureChar:
     """Expand a final tempered signature character into K-type weights up to

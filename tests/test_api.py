@@ -1,7 +1,9 @@
-"""The public API: every name a module lists in __all__ exists, and the
-package re-exports only names its modules export."""
+"""The public API: every name a module lists in __all__ exists, the
+package re-exports only names its modules export, and every module loads
+only names it binds and uses every name it imports."""
 
 import ast
+import builtins
 import importlib
 import pkgutil
 
@@ -35,3 +37,37 @@ def test_package_reexports_only_exported_names():
         mod = importlib.import_module("sigzero." + node.module)
         stray = [a.name for a in node.names if a.name not in _exported(mod)]
         assert not stray, (node.module, stray)
+
+
+def _names(path):
+    """The names a module binds anywhere, the names it loads, and the names
+    its imports bind (skipping ``from __future__``).  Scopes are merged,
+    which is enough to catch a missing or a stray import."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    bound, loaded, imported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            (loaded if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+    return bound | imported, loaded, imported
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_names_bound_and_imports_used(name):
+    path = importlib.import_module("sigzero." + name).__file__
+    bound, loaded, imported = _names(path)
+    unbound = loaded - bound - set(dir(builtins))
+    assert not unbound, "%s loads unbound names %s" % (name, sorted(unbound))
+    unused = imported - loaded
+    assert not unused, "%s imports unused names %s" % (name, sorted(unused))

@@ -1,10 +1,12 @@
 """Block containers: built-in models, inversion, component splitting,
 serialization and invariant enforcement."""
 
+import copy
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from sigzero.blocks import (
     SL2C,
@@ -14,7 +16,6 @@ from sigzero.blocks import (
     BlockProvider,
     block_to_json_obj,
     builtin_block,
-    element_label,
     group_model,
     invert_multiplicity,
     multiplicity_inverse,
@@ -29,6 +30,7 @@ from sigzero.errors import (
     InvariantViolation,
     MissingBlock,
     SchemaError,
+    SigzeroError,
     UnsupportedGroup,
     ValidationError,
 )
@@ -107,10 +109,10 @@ def test_sl2c_coordinate_order():
 
 
 def test_element_label():
-    assert element_label("sl2r", sl2r_ds_param(1, 2)) == "DS+(2)"
-    assert element_label("sl2r", sl2r_ds_param(-1, 0)) == "LDS-"
-    assert element_label("sl2r", sl2r_ps_param(0, F(5, 2))) == "PS+(5/2)"
-    assert element_label("sl2c", sl2c_param(3, 1)) == "PS(3,1)"
+    assert SL2R.label(sl2r_ds_param(1, 2)) == "DS+(2)"
+    assert SL2R.label(sl2r_ds_param(-1, 0)) == "LDS-"
+    assert SL2R.label(sl2r_ps_param(0, F(5, 2))) == "PS+(5/2)"
+    assert SL2C.label(sl2c_param(3, 1)) == "PS(3,1)"
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +223,40 @@ def _tampered(mutate):
     obj = block_to_json_obj(b)
     mutate(obj)
     return obj
+
+
+def _field_paths(obj, prefix=()):
+    """Every key and list index of a JSON value, as paths from the root."""
+    if isinstance(obj, (dict, list)):
+        for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield prefix + (k,)
+            yield from _field_paths(v, prefix + (k,))
+
+
+_VALID = _tampered(lambda o: None)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["0", "1", "-1", "1/2", "2", "noncompact"]),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+@seed(10)
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(_field_paths(_VALID))), _JSON)
+def test_parse_block_fuzzed_field_raises_only_sigzero_errors(path, value):
+    obj = copy.deepcopy(_VALID)
+    cur = obj
+    for k in path[:-1]:
+        cur = cur[k]
+    cur[path[-1]] = value
+    try:
+        parse_block(json.dumps(obj))
+    except SigzeroError:
+        pass
 
 
 def test_reject_triangularity():

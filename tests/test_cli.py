@@ -275,6 +275,17 @@ def test_block_load(tmp_path, capsys):
         (("Q", 0, "coeffs"), 7),
         (("elements", 0, "tau"), 5),
         (("elements", 0, "param"), 5),
+        # JSON types are not coerced: element 2 is PS+(5), element 3 PS-(5)
+        (("elements", 2, "param", "final"), "false"),
+        (("elements", 2, "param", "grading", "0"), 1.5),
+        (("elements", 2, "param", "grading", "0"), True),
+        (("elements", 3, "param", "grading", "0"), "-1"),
+        (("elements", 2, "param", "ktype_parity"), 0.0),
+        (("elements", 2, "param", "ktype_parity"), True),
+        (("inf_char", 0), True),
+        (("elements", 0, "param", "cartan"), 7),
+        (("elements", 3, "param", "grading"), [["0", -1]]),
+        (("elements", 0, "param", "imaginary_grading"), {"0": 5}),
     ],
 )
 def test_block_load_malformed_exits_3(tmp_path, capsys, path, value):

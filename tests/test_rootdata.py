@@ -14,7 +14,7 @@ from sigzero.blocks import (
     builtin_block,
     group_model,
 )
-from sigzero.errors import InvalidInvolution
+from sigzero.errors import InvalidInvolution, UnsupportedRealSystem
 from sigzero.rootdata import (
     Involution,
     RootDatum,
@@ -84,6 +84,18 @@ def _orient_ns(nu):
     return orientation_number(
         SL2R_DATUM, SL2R_SPLIT.root_class, {0: -1}, (F(0),), (F(nu),)
     )
+
+
+def test_length_rejects_real_system_beyond_a1():
+    # split A2: roots e_i - e_j in Z^3, theta = -I, so every root is real
+    # and at (1, 0, -1) all three positive roots are integral
+    roots = [tuple(int(k == i) - int(k == j) for k in range(3))
+             for i in range(3) for j in range(3) if i != j]
+    rd = RootDatum(rank=3, roots=roots, coroots=roots)
+    rc = classify_roots(rd, Involution(((-1, 0, 0), (0, -1, 0), (0, 0, -1))))
+    assert set(rc.tags) == {"real"}
+    with pytest.raises(UnsupportedRealSystem, match="product of A1"):
+        length(rd, rc, (1, 0, -1))
 
 
 def test_orientation_number_real_rule():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sigzero.blocks import (
+    SL2R,
     Block,
     BlockElement,
     BlockProvider,
@@ -15,7 +16,10 @@ from sigzero.blocks import (
     sl2r_ds_param,
     sl2r_ps_param,
 )
+from sigzero import sigengine
 from sigzero.errors import (
+    BoundViolation,
+    InvariantViolation,
     MissingRewriteTable,
     UnsupportedGroup,
     UnsupportedUnequalRank,
@@ -32,7 +36,6 @@ from sigzero.sigengine import (
     ktype_signature,
     signature_P,
     signature_Q,
-    sl2r_lowest_ktype,
     unitary_test,
 )
 
@@ -82,6 +85,36 @@ def test_signature_p_two_chain_closed_form():
     assert Pc[(0, 1)] == WPoly.from_int_coeffs([0, 1])
     Qc = signature_Q(b)
     assert Qc[(0, 1)] == WPoly.from_int_coeffs([0, 1])
+
+
+def test_signature_P_certificate_fires(monkeypatch):
+    # the twist route disagrees with the inverse route in one entry
+    (b, _) = builtin_block("sl2r", (2,))
+    plain = sigengine.invert_multiplicity(b)
+    assert plain[(0, 2)] == (1,)
+    monkeypatch.setattr(sigengine, "invert_multiplicity",
+                        lambda blk: {**plain, (0, 2): (2,)})
+    with pytest.raises(InvariantViolation, match="signature-P"):
+        signature_P(b)
+
+
+def test_recursion_bound_certificate_fires():
+    # a library that puts PS-(3) below PS+(3): the wall at 3 hands the
+    # deformation of PS+(7/2) a child with |dlambda|^2 = 0, not above 0
+    lower, upper = sl2r_ps_param(1, 3), sl2r_ps_param(0, 3)
+    library = Block(
+        "sl2r",
+        (F(3),),
+        (
+            BlockElement(id=0, cartan=1, length=0, orient=0, param=lower),
+            BlockElement(id=1, cartan=1, length=1, orient=0, param=upper),
+        ),
+        {(0, 0): (1,), (1, 1): (1,), (0, 1): (1,)},
+    )
+    provider = BlockProvider()
+    provider.register([library])
+    with pytest.raises(BoundViolation, match="recursion bound"):
+        deform_to_zero(sl2r_ps_param(0, F(7, 2)), provider)
 
 
 def test_signature_pq_compose_to_signed_identity():
@@ -308,10 +341,10 @@ def test_nonzero_nu_im_is_rejected(provider, nu):
 # K-types
 
 def test_sl2r_lowest_ktype():
-    assert sl2r_lowest_ktype(sl2r_ds_param(1, 1)) == 2
-    assert sl2r_lowest_ktype(sl2r_ds_param(-1, 1)) == -2
-    assert sl2r_lowest_ktype(sl2r_ds_param(1, 0)) == 1
-    assert sl2r_lowest_ktype(sl2r_ps_param(0, 2)) == 0
+    assert SL2R.lowest_ktype(sl2r_ds_param(1, 1)) == 2
+    assert SL2R.lowest_ktype(sl2r_ds_param(-1, 1)) == -2
+    assert SL2R.lowest_ktype(sl2r_ds_param(1, 0)) == 1
+    assert SL2R.lowest_ktype(sl2r_ps_param(0, 2)) == 0
 
 
 def test_ktype_signature_spherical_wall(provider):
