@@ -419,6 +419,21 @@ def _parse_param(raw) -> LanglandsParam:
     return param
 
 
+def _check_cartan(model: GroupModel, e: BlockElement) -> None:
+    """For a built-in group, the element's parameter names one of its
+    Cartans and the integer ``cartan`` is that Cartan's index."""
+    if not model.cartans:
+        return
+    ids = [c.id for c in model.cartans]
+    cid = e.param.discrete.cartan
+    if cid not in ids:
+        raise SchemaError("element %d: param cartan %r is not a Cartan of %s (%s)"
+                          % (e.id, cid, model.name, ", ".join(ids)))
+    if e.cartan != ids.index(cid):
+        raise SchemaError("element %d: cartan index %d, but Cartan %r of %s has index %d"
+                          % (e.id, e.cartan, cid, model.name, ids.index(cid)))
+
+
 def block_to_json_obj(b: Block) -> dict:
     elements = []
     for e in sorted(b.elements, key=lambda e: e.id):
@@ -460,7 +475,7 @@ def parse_block(data: Union[bytes, str, Mapping]) -> Block:
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError, or an over-long integer literal
             raise SchemaError("not valid JSON: %s" % e)
     if not isinstance(data, Mapping):
         raise SchemaError("block file must be a JSON object")
@@ -497,6 +512,7 @@ def parse_block(data: Union[bytes, str, Mapping]) -> Block:
             )
         except ValueError as e:
             raise SchemaError(str(e))
+        _check_cartan(model, elem)
         elements.append(elem)
     Q = {}
     for raw in _json_list(data["Q"], "Q"):
@@ -789,10 +805,16 @@ class BlockProvider:
     The provider owns every cache derived from its blocks, each one empty
     when the provider is created and private to it: the built-in partitions
     it has served, the $(Q^c)^{-1}$ of each block (keyed by the Block
-    object), and the results of ``deform_to_zero``.  ``register`` empties
-    all three, so no answer depends on what was asked before a library
-    arrived.  The caches are plain dicts without a lock: two threads
-    sharing a provider can at worst compute the same value twice."""
+    object), and the results of ``deform_to_zero``.  That memo also holds
+    every wall point $(\\Lambda, t_i\\nu)$ a deformation crossed, under the
+    key a direct call uses: the crossing times of $t_i\\nu$ are exactly
+    $\\{t/t_i : t \\le t_i\\}$, so the partial sum up to that wall is the
+    direct answer, and each child entering at a wall was held to the cap
+    $|d\\lambda|^2 + t_{prev}^2|\\nu|^2$ that the direct call uses.
+    ``register`` empties all three, so no answer depends on what was asked
+    before a library arrived.  The caches are plain dicts without a lock:
+    two threads sharing a provider can at worst compute the same value
+    twice."""
 
     def __init__(self):
         self._store: Dict[Tuple[str, Tuple[Fraction, ...]], List[Block]] = {}

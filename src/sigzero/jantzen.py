@@ -201,7 +201,7 @@ def parse_ratmatrix(data: Union[str, bytes, Sequence]) -> RatMatrix:
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError, or an over-long integer literal
             raise SchemaError("not valid JSON: %s" % e)
     if isinstance(data, Mapping) and "entries" in data:
         data = data["entries"]

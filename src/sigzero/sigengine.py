@@ -18,7 +18,9 @@ limits from below, so the delta at $t = 1$ itself is never accumulated.
 
 Termination of the recursion is certified at runtime: every standard that
 enters through a wall strictly increases $|d\\lambda|^2$ while staying below
-$|d\\lambda|^2 + |\\nu|^2$ of the calling parameter.
+$|d\\lambda|^2 + t^2|\\nu|^2$, where $t\\nu$ is the wall point above that
+wall on the calling parameter's path (or $\\nu$ itself), so below
+$|d\\lambda|^2 + |\\nu|^2$.
 """
 
 from __future__ import annotations
@@ -121,6 +123,11 @@ class SignatureChar:
             )
         for k, w in other.terms.items():
             self.add(k, scale * w)
+
+    def copy(self) -> "SignatureChar":
+        out = SignatureChar(self.group, self.basis)
+        out.terms = dict(self.terms)
+        return out
 
     def scaled(self, w: WElem) -> "SignatureChar":
         out = SignatureChar(self.group, self.basis)
@@ -356,9 +363,23 @@ def deform_to_zero(
     just below the wall is $s^a$ times the positive form, and the jump is
     $s^{a+1}-s^a$ rather than $s-1$.
 
-    Results are remembered by the provider, which forgets them when a
-    library is registered; a traced call recomputes so that its stream is
-    complete.  A nonzero nu_im raises ValidationError."""
+    The result is $hs(0)$ plus one jump per wall below $\\nu$, and each
+    jump depends only on its wall point $g_i = (\\Lambda, t_i\\nu)$: the
+    crossing times of $g_i$ are $\\{t/t_i : t \\le t_i\\}$, exactly, with
+    the same number of walls below each.  So the limit from below at every
+    wall point crossed is a partial sum, equal to ``deform_to_zero(g_i)``
+    on a fresh provider.  The provider remembers the result and every
+    such wall point, and forgets them when a library is registered.  The
+    walk down the walls stops at the first wall point it remembers; a
+    traced call never reads the memo, so that its stream is complete.
+
+    Each standard entering at the wall $t_j$ must have $|d\\lambda'|^2$
+    strictly between $|d\\lambda|^2$ and $|d\\lambda|^2 +
+    t_{prev}^2|\\nu|^2$, where $t_{prev}$ is the next crossing time above
+    $t_j$, or 1 at the top: the cap a direct call on that wall point uses,
+    so a remembered wall point is certified as a direct call would be.
+    The trace prints the caller's cap $|d\\lambda|^2 + |\\nu|^2$.  A
+    nonzero nu_im raises ValidationError."""
     _require_real(g)
     key = (group, g)
     if trace is None:
@@ -366,72 +387,88 @@ def deform_to_zero(
         if hit is not None:
             return hit
 
-    if all(x == 0 for x in g.nu):
+    if not any(g.nu):
         out = hs_rewrite(g.discrete, group)
-    else:
-        cart = group_model(group).cartan(g.discrete.cartan)
-        dl2 = norm_sq(g.discrete.dlambda)
-        cap = dl2 + norm_sq(g.nu)
-        out = SignatureChar(group, "final_tempered")
-        times = crossing_times(g, cart)
-        for pos, t in enumerate(times):
-            if t == 1:
-                # the value at a reducible point is the limit from below;
-                # the delta at the point itself is not accumulated
-                continue
-            gt = LanglandsParam(g.discrete, tuple(t * x for x in g.nu))
-            blk, _, blk_idx = _block_containing(provider, group, gt)
-            delta = deform_step(blk, gt)
-            # times is deduplicated and descending: the walls below t are
-            # the ones after it
-            walls_below = len(times) - 1 - pos
-            if walls_below % 2:
-                delta = delta.scaled(s_power(1))
-            if trace is not None:
-                trace(
-                    {
-                        "event": "crossing",
-                        "t": frac_str(t),
-                        "inf_char": [
-                            frac_str(Fraction(x)) for x in blk.inf_char
-                        ],
-                        "block": blk_idx,
-                        "delta": delta.to_json_obj(),
-                    }
-                )
-            for label, coef in delta.items():
-                expansion = _column_in_standards(
-                    blk, provider.inverse(blk, _qc_inverse), label.param)
-                for slabel, w in expansion.items():
-                    child = slabel.param
-                    cdl2 = norm_sq(child.discrete.dlambda)
-                    if not (dl2 < cdl2 < cap):
-                        raise BoundViolation(
-                            "recursion bound violated: |dlambda'|^2 = %s "
-                            "not in (%s, %s)"
-                            % (frac_str(cdl2), frac_str(dl2), frac_str(cap))
-                        )
-                    if trace is not None:
-                        trace(
-                            {
-                                "event": "recurse",
-                                "param": param_to_json(child),
-                                "dlambda_sq": frac_str(cdl2),
-                                "cap": frac_str(cap),
-                            }
-                        )
-                    sub = deform_to_zero(child, provider, group, trace)
-                    out.add_char(sub, coef * w)
-        out.add_char(
-            deform_to_zero(
-                LanglandsParam(g.discrete, tuple(Fraction(0) for _ in g.nu)),
-                provider,
-                group,
-                trace,
-            )
-        )
+        provider.remember_deformation(key, out)
+        return out
 
-    provider.remember_deformation(key, out)
+    cart = group_model(group).cartan(g.discrete.cartan)
+    dl2, nu2 = norm_sq(g.discrete.dlambda), norm_sq(g.nu)
+    # the value at a reducible point is the limit from below; the delta at
+    # the point itself is not accumulated
+    times = crossing_times(g, cart)
+    if times and times[0] == 1:
+        times = times[1:]
+    # per wall crossed: the point whose limit from below its jump
+    # completes, and the jump as (child deformation, coefficient) pairs
+    crossed: List[Tuple[LanglandsParam, List[Tuple[SignatureChar, WElem]]]] = []
+    below: Optional[SignatureChar] = None
+    above, above_point = Fraction(1), g
+    for pos, t in enumerate(times):
+        gt = LanglandsParam(g.discrete, tuple(t * x for x in g.nu))
+        blk, _, blk_idx = _block_containing(provider, group, gt)
+        delta = deform_step(blk, gt)
+        # times is deduplicated and descending: the walls below t are the
+        # ones after it
+        if (len(times) - 1 - pos) % 2:
+            delta = delta.scaled(s_power(1))
+        if trace is not None:
+            trace(
+                {
+                    "event": "crossing",
+                    "t": frac_str(t),
+                    "inf_char": [frac_str(Fraction(x)) for x in blk.inf_char],
+                    "block": blk_idx,
+                    "delta": delta.to_json_obj(),
+                }
+            )
+        cap = dl2 + above * above * nu2
+        jump = []
+        for label, coef in delta.items():
+            expansion = _column_in_standards(
+                blk, provider.inverse(blk, _qc_inverse), label.param)
+            for slabel, w in expansion.items():
+                child = slabel.param
+                cdl2 = norm_sq(child.discrete.dlambda)
+                if not (dl2 < cdl2 < cap):
+                    raise BoundViolation(
+                        "recursion bound violated: |dlambda'|^2 = %s "
+                        "not in (%s, %s)"
+                        % (frac_str(cdl2), frac_str(dl2), frac_str(cap))
+                    )
+                if trace is not None:
+                    trace(
+                        {
+                            "event": "recurse",
+                            "param": param_to_json(child),
+                            "dlambda_sq": frac_str(cdl2),
+                            "cap": frac_str(dl2 + nu2),
+                        }
+                    )
+                jump.append((deform_to_zero(child, provider, group, trace), coef * w))
+        crossed.append((above_point, jump))
+        if trace is None:
+            below = provider.deformation((group, gt))
+            if below is not None:
+                break
+        above, above_point = t, gt
+
+    out = below if below is not None else deform_to_zero(
+        LanglandsParam(g.discrete, tuple(Fraction(0) for _ in g.nu)),
+        provider,
+        group,
+        trace,
+    )
+    # sum upward, remembering each partial sum under its point; every
+    # entry is an object of its own
+    for point, jump in reversed(crossed):
+        out = out.copy()
+        for sub, coef in jump:
+            out.add_char(sub, coef)
+        provider.remember_deformation((group, point), out)
+    if not crossed:
+        out = out.copy()
+        provider.remember_deformation(key, out)
     return out
 
 

@@ -3,6 +3,7 @@ serialization and invariant enforcement."""
 
 import copy
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -234,10 +235,14 @@ def _field_paths(obj, prefix=()):
 
 
 _VALID = _tampered(lambda o: None)
+# stands for a JSON integer literal of 5,000 digits, which json.dumps cannot
+# write and json.loads rejects with a plain ValueError past Python's
+# int-to-str limit
+_LONG = "<5000-digit integer>"
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text()
     | st.floats(allow_nan=False, allow_infinity=False)
-    | st.sampled_from(["0", "1", "-1", "1/2", "2", "noncompact"]),
+    | st.sampled_from(["0", "1", "-1", "1/2", "2", "noncompact", _LONG]),
     lambda kids: st.lists(kids, max_size=3)
     | st.dictionaries(st.text(max_size=3), kids, max_size=3),
     max_leaves=6,
@@ -254,9 +259,48 @@ def test_parse_block_fuzzed_field_raises_only_sigzero_errors(path, value):
         cur = cur[k]
     cur[path[-1]] = value
     try:
-        parse_block(json.dumps(obj))
+        parse_block(json.dumps(obj).replace(json.dumps(_LONG), "9" * 5000))
     except SigzeroError:
         pass
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit in this Python")
+@pytest.mark.parametrize("path", [("Q", 0, "coeffs", 0), ("elements", 0, "id")])
+def test_reject_integer_literal_past_digit_limit(path):
+    obj = copy.deepcopy(_VALID)
+    cur = obj
+    for k in path[:-1]:
+        cur = cur[k]
+    cur[path[-1]] = _LONG
+    text = json.dumps(obj).replace(json.dumps(_LONG), "9" * 5000)
+    with pytest.raises(SchemaError, match="not valid JSON"):
+        parse_block(text)
+
+
+def test_reject_cartan_not_of_the_group():
+    def rename(o):
+        o["elements"][0]["param"]["cartan"] = "bogus"
+
+    with pytest.raises(SchemaError, match="'bogus' is not a Cartan of sl2r"):
+        parse_block(_tampered(rename))
+
+    def reindex(o):
+        e = o["elements"][0]
+        e["cartan"] = 1 - e["cartan"]
+
+    with pytest.raises(SchemaError, match="cartan index"):
+        parse_block(_tampered(reindex))
+
+
+def test_file_only_group_keeps_its_own_cartan_names():
+    obj = _tampered(lambda o: o.update(group="so5"))
+    for e in obj["elements"]:
+        e["param"]["cartan"] = "fundamental"
+        e["cartan"] = 7
+    b = parse_block(obj)
+    assert b.group == "so5"
+    assert {e.param.discrete.cartan for e in b.elements} == {"fundamental"}
 
 
 def test_reject_triangularity():

@@ -286,6 +286,9 @@ def test_block_load(tmp_path, capsys):
         (("elements", 0, "param", "cartan"), 7),
         (("elements", 3, "param", "grading"), [["0", -1]]),
         (("elements", 0, "param", "imaginary_grading"), {"0": 5}),
+        # element 2 is PS+(5) on the split Cartan, index 1 of sl2r
+        (("elements", 2, "param", "cartan"), "bogus"),
+        (("elements", 2, "cartan"), 0),
     ],
 )
 def test_block_load_malformed_exits_3(tmp_path, capsys, path, value):
@@ -298,6 +301,16 @@ def test_block_load_malformed_exits_3(tmp_path, capsys, path, value):
     bad.write_text(json.dumps(obj))
     rc, _, err = run(capsys, "block", "load", str(bad))
     assert rc == 3 and err.startswith("error:")
+
+
+def test_unitary_with_unknown_cartan_in_block_exits_3(tmp_path, capsys):
+    obj = json.loads(_library_file(tmp_path).read_text())
+    obj["elements"][2]["param"]["cartan"] = "bogus"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    rc, _, err = run(capsys, "unitary", "--parity", "+1", "--nu", "11/2",
+                     "--block", str(bad))
+    assert rc == 3 and "'bogus' is not a Cartan of sl2r" in err
 
 
 @pytest.mark.parametrize("nu_im", [["1/2", "3"], ["1/2"]])

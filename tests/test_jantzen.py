@@ -1,6 +1,7 @@
 """Jantzen filtration machinery and the intertwining oracle."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,17 @@ def test_parse_ratmatrix_rejects_malformed():
         parse_ratmatrix([[{"den": [1]}]])  # missing num
     with pytest.raises(SchemaError):
         parse_ratmatrix([[{"num": [1.5]}]])  # float coefficient
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit in this Python")
+@pytest.mark.parametrize("key", ["num", "den"])
+def test_parse_ratmatrix_rejects_integer_literal_past_digit_limit(key):
+    # json.loads raises a plain ValueError on an integer literal longer than
+    # Python's int-to-str limit
+    text = '[[{"%s": [%s]}]]' % (key, "9" * 5000)
+    with pytest.raises(SchemaError, match="not valid JSON"):
+        parse_ratmatrix(text)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 tempered rewriting and the unitarity test."""
 
 from fractions import Fraction
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from sigzero.blocks import (
     BlockElement,
     BlockProvider,
     builtin_block,
+    group_model,
     sl2c_param,
     split_components,
     sl2r_ds_param,
@@ -25,7 +27,7 @@ from sigzero.errors import (
     UnsupportedUnequalRank,
     ValidationError,
 )
-from sigzero.params import LanglandsParam
+from sigzero.params import LanglandsParam, crossing_times
 from sigzero.sigring import WElem, WPoly, W_ONE, W_S
 from sigzero.sigengine import (
     SignatureChar,
@@ -115,6 +117,31 @@ def test_recursion_bound_certificate_fires():
     provider.register([library])
     with pytest.raises(BoundViolation, match="recursion bound"):
         deform_to_zero(sl2r_ps_param(0, F(7, 2)), provider)
+
+
+def test_recursion_bound_holds_at_every_wall_point():
+    # DS+(6) (length 0) below PS+(3) (length 1): the wall at 3 hands PS+(5)
+    # a child with |dlambda|^2 = 36, above its cap 25.  PS+(15/2) crosses
+    # that wall with PS+(5) the wall point above it, so the same cap holds
+    # there, and the raise leaves no entry that would answer for PS+(5).
+    library = Block(
+        "sl2r",
+        (F(3),),
+        (
+            BlockElement(id=0, cartan=0, length=0, orient=0, param=sl2r_ds_param(1, 6)),
+            BlockElement(id=1, cartan=1, length=1, orient=0, param=sl2r_ps_param(0, 3)),
+        ),
+        {(0, 0): (1,), (1, 1): (1,), (0, 1): (1,)},
+    )
+    provider = BlockProvider()
+    provider.register([library])
+    high = sl2r_ps_param(0, F(15, 2))
+    with pytest.raises(BoundViolation, match=r"not in \(0, 25\)"):
+        deform_to_zero(high, provider)
+    for h in [high] + _wall_points("sl2r", high):
+        assert provider.deformation(("sl2r", h)) is None
+    with pytest.raises(BoundViolation, match=r"not in \(0, 25\)"):
+        deform_to_zero(sl2r_ps_param(0, 5), provider)
 
 
 def test_signature_pq_compose_to_signed_identity():
@@ -264,6 +291,87 @@ def test_register_clears_deformation_memo():
     assert want != before
     assert deform_to_zero(g, used) == want
     assert as_dict(want) == {"DS+(1)": S_MINUS_1, "PS0": W_ONE}
+
+
+# ---------------------------------------------------------------------------
+# wall points in the deformation memo
+
+SL2R_NUS = sorted({F(k, 2) for k in range(1, 61)} | {F(k, 3) for k in range(1, 91, 7)})
+SL2C_VS = sorted({F(k, 2) for k in range(1, 17)} | {F(17, 3)})
+MEMO_QUERIES = (
+    [("sl2r", sl2r_ps_param(eps, nu)) for eps in (0, 1) for nu in SL2R_NUS]
+    + [("sl2c", sl2c_param(m, v)) for m in range(4) for v in SL2C_VS]
+)
+
+
+def _wall_points(group, g):
+    """The wall points (Lambda, t nu) with 0 < t < 1 of a query."""
+    cart = group_model(group).cartan(g.discrete.cartan)
+    return [LanglandsParam(g.discrete, tuple(t * x for x in g.nu))
+            for t in crossing_times(g, cart) if t != 1]
+
+
+@pytest.fixture(scope="module")
+def fresh_deformations():
+    """Each memo query and each of its wall points, deformed on a provider
+    of its own."""
+    out = {}
+    for group, g in MEMO_QUERIES:
+        for h in [g] + _wall_points(group, g):
+            if (group, h) not in out:
+                out[(group, h)] = deform_to_zero(h, BlockProvider(), group)
+    return out
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_shared_provider_matches_fresh_providers(fresh_deformations, order):
+    queries = sorted(MEMO_QUERIES, key=lambda q: (q[1].nu, q[0], q[1].discrete.dlambda),
+                     reverse=(order == "descending"))
+    if order == "shuffled":
+        random.Random(11).shuffle(queries)
+    shared = BlockProvider()
+    for group, g in queries:
+        assert deform_to_zero(g, shared, group) == fresh_deformations[(group, g)], (order, g)
+    # every wall point the queries crossed is remembered, as a fresh
+    # provider deforms it
+    held = 0
+    for group, g in queries:
+        for h in _wall_points(group, g):
+            entry = shared.deformation((group, h))
+            if entry is not None:
+                held += 1
+                assert entry == fresh_deformations[(group, h)], (order, h)
+    assert held > len(queries)
+
+
+def test_traced_stream_ignores_remembered_wall_points():
+    g = sl2r_ps_param(0, F(15, 2))
+    fresh = BlockProvider()
+    fresh_records = []
+    traced = deform_to_zero(g, fresh, trace=fresh_records.append)
+    warm = BlockProvider()
+    untraced = deform_to_zero(sl2r_ps_param(0, F(29, 2)), warm)
+    assert warm.deformation(("sl2r", sl2r_ps_param(0, F(7)))) is not None
+    warm_records = []
+    assert deform_to_zero(g, warm, trace=warm_records.append) == traced
+    assert warm_records == fresh_records
+    assert traced == deform_to_zero(g, BlockProvider())
+    crossings = [r for r in fresh_records if r["event"] == "crossing"]
+    assert [r["t"] for r in crossings] == ["14/15", "2/3", "2/5", "2/15"]
+    assert untraced == deform_to_zero(sl2r_ps_param(0, F(29, 2)), BlockProvider())
+
+
+def test_deform_step_cost_on_warm_provider(monkeypatch):
+    """A warm query crosses only the walls above the highest wall point
+    that the provider remembers."""
+    provider = BlockProvider()
+    deform_to_zero(sl2r_ps_param(0, F(43, 2)), provider)
+    calls = []
+    real_step = sigengine.deform_step
+    monkeypatch.setattr(sigengine, "deform_step",
+                        lambda b, g: calls.append(g.nu) or real_step(b, g))
+    deform_to_zero(sl2r_ps_param(0, F(45, 2)), provider)
+    assert calls == [(F(21),)]
 
 
 # ---------------------------------------------------------------------------
