@@ -45,6 +45,7 @@ from .params import (
 from .rootdata import (
     Involution,
     RootDatum,
+    _vec,
     classify_roots,
     length,
     orientation_number,
@@ -123,6 +124,9 @@ SL2C_CARTAN = CartanClass(
 # ---------------------------------------------------------------------------
 # built-in parameters
 
+_ZERO = Fraction(0)
+
+
 def sl2r_ps_param(eps: int, nu: Fraction) -> LanglandsParam:
     """Principal series parameter on the split Cartan; eps = 0 spherical
     (grading +1, final), eps = 1 nonspherical (grading -1, nonfinal), and
@@ -133,17 +137,15 @@ def sl2r_ps_param(eps: int, nu: Fraction) -> LanglandsParam:
         raise ValueError("principal series needs nu >= 0 (got %s)" % frac_str(nu))
     d = DiscreteParam(
         cartan="split",
-        dlambda=(Fraction(0),),
+        dlambda=(_ZERO,),
         grading={0: 1 if eps == 0 else -1},
         final=(eps == 0),
         ktype_parity=(0 if eps == 0 else None),
     )
-    g = LanglandsParam(d, (Fraction(nu),))
-    if g.nu[0] != 0:
-        g.validate_continuous(SL2R_SPLIT)
-    # eps = 1 at nu = 0 is the formal limit standard I(Lambda_ns, 0); it is
-    # not itself a parameter but rewrites to LDS+ + LDS- downstream
-    return g
+    # nu > 0 avoids the kernel wall of the one real coroot; eps = 1 at
+    # nu = 0 is the formal limit standard I(Lambda_ns, 0), not itself a
+    # parameter, which rewrites to LDS+ + LDS- downstream
+    return LanglandsParam(d, (nu,))
 
 
 def sl2r_ds_param(sign: int, k: Fraction) -> LanglandsParam:
@@ -153,20 +155,20 @@ def sl2r_ds_param(sign: int, k: Fraction) -> LanglandsParam:
     The K-type parity bit distinguishes the two half-ladders in the odd
     sector: lowest K-type sign(k+1) positive gives 0, negative gives 1;
     even-sector lowest K-types always carry 0."""
-    k = Fraction(k)
-    if sign not in (1, -1) or k < 0 or k.denominator != 1:
+    k = k if type(k) is Fraction else Fraction(k)
+    if sign not in (1, -1) or k.numerator < 0 or k.denominator != 1:
         raise ValueError("discrete series needs sign +-1 and integer k >= 0")
-    lowest = sign * (int(k) + 1)
+    lowest = sign * (k.numerator + 1)
     parity = 0 if lowest % 2 == 0 else (0 if lowest > 0 else 1)
     d = DiscreteParam(
         cartan="compact",
-        dlambda=(sign * k,),
+        dlambda=(k if sign == 1 else -k,),
         grading={},
         imaginary_grading={0: "noncompact"},
         final=True,
         ktype_parity=parity,
     )
-    return LanglandsParam(d, (Fraction(0),))
+    return LanglandsParam(d, (_ZERO,))
 
 
 def sl2c_param(m: Fraction, v: Fraction) -> LanglandsParam:
@@ -177,14 +179,15 @@ def sl2c_param(m: Fraction, v: Fraction) -> LanglandsParam:
         raise ValueError("sl2c discrete weight must be a nonnegative integer")
     if v < 0:
         raise ValueError("sl2c continuous coordinate needs v >= 0 (got %s)" % frac_str(v))
+    half_m, half_v = m / 2, v / 2
     d = DiscreteParam(
         cartan="complex",
-        dlambda=(m / 2, m / 2),
+        dlambda=(half_m, half_m),
         grading={},
         final=True,
         ktype_parity=None,
     )
-    return LanglandsParam(d, (v / 2, -v / 2))
+    return LanglandsParam(d, (half_v, -half_v))
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +229,13 @@ class Block:
     Q: Mapping[Tuple[int, int], IntPoly] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "inf_char", tuple(Fraction(x) for x in self.inf_char))
-        object.__setattr__(
-            self,
-            "Q",
-            {
-                (int(r), int(c)): p_trim(v)
-                for (r, c), v in dict(self.Q).items()
-                if p_trim(v)
-            },
-        )
+        object.__setattr__(self, "inf_char", _vec(self.inf_char))
+        Q = {}
+        for (r, c), v in self.Q.items():
+            v = p_trim(v)
+            if v:
+                Q[(int(r), int(c))] = v
+        object.__setattr__(self, "Q", Q)
         _validate_block(self)
 
     def ids(self) -> Tuple[int, ...]:
@@ -470,13 +470,15 @@ def parse_block(data: Union[bytes, str, Mapping]) -> Block:
 
     Raises SchemaError for structural problems and InvariantViolation (with
     the violated invariant named) for mathematical ones."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    if isinstance(data, str):
-        try:
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        if isinstance(data, str):
             data = json.loads(data)
-        except ValueError as e:  # JSONDecodeError, or an over-long integer literal
-            raise SchemaError("not valid JSON: %s" % e)
+    except (ValueError, RecursionError) as e:
+        # bad UTF-8, JSONDecodeError, an over-long integer literal, or
+        # arrays nested deeper than the decoder's recursion limit
+        raise SchemaError("not valid JSON: %s" % e)
     if not isinstance(data, Mapping):
         raise SchemaError("block file must be a JSON object")
     for key in ("group", "inf_char", "elements", "Q"):
@@ -562,7 +564,10 @@ class GroupModel:
                 "group %r needs %d infinitesimal-character coordinate(s), got %d"
                 % (self.name, self.coords, len(inf_char))
             )
-        return tuple(sorted((abs(Fraction(x)) for x in inf_char), reverse=True))
+        coords = [x if x >= 0 else -x for x in _vec(inf_char)]
+        if len(coords) > 1:
+            coords.sort(reverse=True)
+        return tuple(coords)
 
     def partition(self, inf_char) -> List[Block]:
         raise UnsupportedGroup("no built-in model for group %r" % self.name)
@@ -590,16 +595,16 @@ class GroupModel:
                 tau: Optional[frozenset]) -> BlockElement:
         """Element with length and orientation number computed from the root
         datum rather than tabulated."""
-        cart = self.cartan(param.discrete.cartan)
-        dgamma = tuple(a + b for a, b in zip(param.discrete.dlambda, param.nu))
+        d = param.discrete
+        cart = self.cartan(d.cartan)
+        # one pairing with gamma serves both invariants
+        pairings = self.datum.pairings(param.gamma)
         return BlockElement(
             id=eid,
             cartan=self.cartans.index(cart),
-            length=length(self.datum, cart.root_class, dgamma),
-            orient=orientation_number(
-                self.datum, cart.root_class, param.discrete.grading,
-                param.discrete.dlambda, param.nu,
-            ),
+            length=length(self.datum, cart.root_class, param.gamma, pairings),
+            orient=orientation_number(self.datum, cart.root_class, d.grading,
+                                      d.dlambda, param.nu, pairings),
             param=param,
             tau=tau,
             label=self.label(param),
@@ -623,7 +628,7 @@ class _SL2R(GroupModel):
     coords = 1
 
     def block_key(self, g: LanglandsParam) -> Tuple[Fraction, ...]:
-        return (abs(g.discrete.dlambda[0] + g.nu[0]),)
+        return (abs(g.gamma[0]),)
 
     def partition(self, inf_char) -> List[Block]:
         (k,) = ic = self.key(inf_char)
@@ -804,8 +809,11 @@ class BlockProvider:
 
     The provider owns every cache derived from its blocks, each one empty
     when the provider is created and private to it: the built-in partitions
-    it has served, the $(Q^c)^{-1}$ of each block (keyed by the Block
-    object), and the results of ``deform_to_zero``.  That memo also holds
+    it has served, the columns of $(Q^c)^{-1}$ of each block (keyed by the
+    Block object), and the results of ``deform_to_zero``.  A column is
+    solved on demand, the first time it is asked for, and the columns no
+    caller reads are never solved: a wall crossing reads only the columns
+    of the constituents below the wall.  That memo also holds
     every wall point $(\\Lambda, t_i\\nu)$ a deformation crossed, under the
     key a direct call uses: the crossing times of $t_i\\nu$ are exactly
     $\\{t/t_i : t \\le t_i\\}$, so the partial sum up to that wall is the
@@ -819,7 +827,7 @@ class BlockProvider:
     def __init__(self):
         self._store: Dict[Tuple[str, Tuple[Fraction, ...]], List[Block]] = {}
         self._builtin: Dict[Tuple[str, Tuple[Fraction, ...]], List[Block]] = {}
-        self._inverses: Dict[Block, object] = {}
+        self._columns: Dict[Block, Dict[int, object]] = {}
         self._deformations: Dict[tuple, object] = {}
 
     def register(self, blocks: Sequence[Block]) -> None:
@@ -834,7 +842,7 @@ class BlockProvider:
             )
         self._store[key] = list(blocks)
         self._builtin.clear()
-        self._inverses.clear()
+        self._columns.clear()
         self._deformations.clear()
 
     def get(self, group: str, inf_char) -> List[Block]:
@@ -852,13 +860,16 @@ class BlockProvider:
             % (group, [frac_str(x) for x in key[1]])
         )
 
-    def inverse(self, b: Block, compute: Callable[[Block], object]):
-        """The $(Q^c)^{-1}$ of a block this provider served, computed by
-        ``compute`` on first use."""
-        inv = self._inverses.get(b)
-        if inv is None:
-            inv = self._inverses[b] = compute(b)
-        return inv
+    def inverse_column(self, b: Block, eid: int, solve: Callable[[Block, int], object]):
+        """Column ``eid`` of the $(Q^c)^{-1}$ of a block this provider
+        served, solved by ``solve(b, eid)`` on first use."""
+        columns = self._columns.get(b)
+        if columns is None:
+            columns = self._columns[b] = {}
+        column = columns.get(eid)
+        if column is None:
+            column = columns[eid] = solve(b, eid)
+        return column
 
     def deformation(self, key: tuple):
         """A remembered ``deform_to_zero`` result, or None."""

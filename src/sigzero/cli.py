@@ -499,9 +499,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call of main() and reused: it holds no state between
+# calls, since each parse starts from a fresh namespace
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except MissingBlock as e:

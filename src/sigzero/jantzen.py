@@ -196,13 +196,15 @@ RatMatrix = List[List[RatFn]]
 
 def parse_ratmatrix(data: Union[str, bytes, Sequence]) -> RatMatrix:
     """Square array of {"num": [...], "den": [...]} entries."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    if isinstance(data, str):
-        try:
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        if isinstance(data, str):
             data = json.loads(data)
-        except ValueError as e:  # JSONDecodeError, or an over-long integer literal
-            raise SchemaError("not valid JSON: %s" % e)
+    except (ValueError, RecursionError) as e:
+        # bad UTF-8, JSONDecodeError, an over-long integer literal, or
+        # arrays nested deeper than the decoder's recursion limit
+        raise SchemaError("not valid JSON: %s" % e)
     if isinstance(data, Mapping) and "entries" in data:
         data = data["entries"]
     if not isinstance(data, Sequence) or not data:

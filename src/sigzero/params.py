@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .rootdata import Involution, RootClass, dot
+from .rootdata import Involution, RootClass, _norm_sq_parts, _vec, dot
 
 __all__ = [
     "CartanClass",
@@ -61,7 +61,7 @@ def parse_frac(text) -> Fraction:
 def frac_str(x: Fraction) -> str:
     """Canonical rendering: lowest terms, '/' only when the denominator is
     not 1."""
-    return str(Fraction(x))
+    return str(x if type(x) is Fraction else Fraction(x))
 
 
 @dataclass(frozen=True)
@@ -80,11 +80,9 @@ class RestrictedRoot:
     root_index: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "covector", tuple(Fraction(x) for x in self.covector))
+        object.__setattr__(self, "covector", _vec(self.covector))
         if self.t_covector is not None:
-            object.__setattr__(
-                self, "t_covector", tuple(Fraction(x) for x in self.t_covector)
-            )
+            object.__setattr__(self, "t_covector", _vec(self.t_covector))
         if self.kind not in ("real", "complex"):
             raise ValueError("restricted root kind must be real or complex")
         if all(x == 0 for x in self.covector):
@@ -111,7 +109,10 @@ class CartanClass:
 @dataclass(frozen=True)
 class DiscreteParam:
     """Discrete part Lambda: Cartan class id, d lambda, gradings, finality,
-    and the optional K-type parity bit epsilon."""
+    and the optional K-type parity bit epsilon.
+
+    ``dlambda_sq`` is $|d\\lambda|^2$ as (numerator, denominator) integers,
+    computed once, for the recursion bound."""
 
     cartan: str
     dlambda: Tuple[Fraction, ...]
@@ -121,36 +122,47 @@ class DiscreteParam:
     ktype_parity: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "dlambda", tuple(Fraction(x) for x in self.dlambda))
-        object.__setattr__(self, "grading", dict(self.grading))
-        for i, g in self.grading.items():
+        dl, grading = _vec(self.dlambda), dict(self.grading)
+        object.__setattr__(self, "dlambda", dl)
+        object.__setattr__(self, "grading", grading)
+        for i, g in grading.items():
             if g not in (1, -1):
                 raise ValueError("grading values must be +-1 (root %d)" % i)
-        if self.final and any(g == -1 for g in self.grading.values()):
+        if self.final and -1 in grading.values():
             raise ValueError("final discrete parameter must have grading +1 "
                              "on every real root")
         if self.ktype_parity not in (None, 0, 1):
             raise ValueError("ktype_parity must be 0, 1, or None")
+        object.__setattr__(self, "dlambda_sq", _norm_sq_parts(dl))
+        object.__setattr__(self, "_hash", hash((
+            self.cartan, dl, tuple(sorted(grading.items())), self.final, self.ktype_parity)))
 
     def __hash__(self) -> int:
-        return hash((self.cartan, self.dlambda, tuple(sorted(self.grading.items())),
-                     self.final, self.ktype_parity))
+        return self._hash
+
+    def __reduce__(self):  # rebuild when unpickled: string hashes vary by process
+        return DiscreteParam, (self.cartan, self.dlambda, self.grading,
+                               self.imaginary_grading, self.final, self.ktype_parity)
 
 
 @dataclass(frozen=True)
 class LanglandsParam:
     """Full parameter (Lambda, nu), nu exact rational, optionally with an
     imaginary part nu_im; an all-zero nu_im is stored as None, so a real
-    parameter has one representation."""
+    parameter has one representation.  ``gamma`` is the infinitesimal
+    character $d\\lambda + \\nu$, computed once."""
 
     discrete: DiscreteParam
     nu: Tuple[Fraction, ...]
     nu_im: Optional[Tuple[Fraction, ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "nu", tuple(Fraction(x) for x in self.nu))
+        nu, dl = _vec(self.nu), self.discrete.dlambda
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "gamma", nu if not any(dl) else dl if not any(nu)
+                           else tuple(a + b for a, b in zip(dl, nu)))
         if self.nu_im is not None:
-            nu_im = tuple(Fraction(x) for x in self.nu_im)
+            nu_im = _vec(self.nu_im)
             if len(nu_im) != len(self.nu):
                 raise ValueError("nu_im and nu need one length")
             object.__setattr__(self, "nu_im", nu_im if any(nu_im) else None)

@@ -50,15 +50,31 @@ Vector = Tuple[Fraction, ...]
 
 
 def _vec(v: Sequence) -> Vector:
-    return tuple(Fraction(x) for x in v)
+    """v as a tuple of Fractions; a tuple of Fractions is returned as it
+    is, so values already exact are never wrapped again."""
+    for x in v:
+        if type(x) is not Fraction:
+            return tuple(Fraction(x) for x in v)
+    return v if type(v) is tuple else tuple(v)
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+    """The dot product of two vectors of ints or Fractions, as a Fraction."""
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def norm_sq(u: Sequence) -> Fraction:
     return dot(u, u)
+
+
+def _norm_sq_parts(v: Sequence) -> Tuple[int, int]:
+    """|v|^2 of a vector of ints or Fractions as an integer numerator over a
+    positive integer denominator, not necessarily in lowest terms."""
+    num, den = 0, 1
+    for x in v:
+        n, d = x.numerator, x.denominator
+        num, den = num * d * d + n * n * den, den * d * d
+    return num, den
 
 
 def _lex_positive(v: Sequence[Fraction]) -> bool:
@@ -208,7 +224,8 @@ def classify_roots(rd: RootDatum, inv: Involution) -> RootClass:
     return RootClass(tuple(tags), tuple(neg_theta))
 
 
-def length(rd: RootDatum, rc: RootClass, dgamma: Sequence) -> int:
+def length(rd: RootDatum, rc: RootClass, dgamma: Sequence,
+           pairings: Optional[Tuple[List[int], int]] = None) -> int:
     """Length of a parameter at infinitesimal character dgamma, for the
     Cartan whose root classification is rc.
 
@@ -217,9 +234,10 @@ def length(rd: RootDatum, rc: RootClass, dgamma: Sequence) -> int:
     integral real roots.  R^+(dgamma) holds the roots with positive pairing;
     a singular root is positive when its coordinates are lexicographically
     positive.  A real integral system that is not a product of A_1's raises
-    UnsupportedRealSystem.
+    UnsupportedRealSystem.  ``pairings`` is ``rd.pairings(dgamma)`` when
+    the caller has it already.
     """
-    nums, q = rd.pairings(dgamma)
+    nums, q = pairings if pairings is not None else rd.pairings(dgamma)
     pos = [
         i for i, n in enumerate(nums)
         if n > 0 or (n == 0 and _lex_positive(rd.roots[i]))
@@ -243,6 +261,7 @@ def orientation_number(
     grading: Mapping[int, int],
     dlambda: Sequence,
     nu: Sequence,
+    pairings: Optional[Tuple[List[int], int]] = None,
 ) -> int:
     """Orientation number of the parameter with gamma = dlambda + nu, for
     the Cartan whose root classification is rc.
@@ -252,9 +271,11 @@ def orientation_number(
     <gamma, beta^vee> positive and nonintegral whose integer part is even
     when the grading on beta is +1 and odd when it is -1.  With the
     pairings N_i / q, the sign is that of N_i, integrality is N_i % q == 0
-    and the integer part is N_i // q.
+    and the integer part is N_i // q.  ``pairings`` is those of gamma when
+    the caller has them already.
     """
-    nums, q = rd.pairings(tuple(a + b for a, b in zip(dlambda, nu)))
+    nums, q = pairings if pairings is not None else rd.pairings(
+        tuple(a + b for a, b in zip(dlambda, nu)))
     count = len({frozenset((i, rc.neg_theta[i])) for i in rc.complex_indices()
                  if nums[i] > 0 and nums[i] % q and nums[rc.neg_theta[i]] > 0})
     for i in rc.real_indices():

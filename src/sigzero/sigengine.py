@@ -53,7 +53,7 @@ from .params import (
     frac_str,
     param_to_json,
 )
-from .rootdata import norm_sq
+from .rootdata import _norm_sq_parts
 from .sigring import WElem, WPoly, W_ONE, s_power
 
 __all__ = [
@@ -231,6 +231,15 @@ def _qc_inverse(b: Block) -> WPolyMatrix:
     return _invert_unitriangular(b, signature_Q(b))
 
 
+def _qc_column(b: Block, eid: int) -> Dict[int, WPoly]:
+    """Column eid of $(Q^c)^{-1}$ alone, as {row: nonzero entry}.  When
+    Q has no entry above the diagonal in that column, the column is the
+    unit vector, and $Q^c$ is not built."""
+    if all(c != eid or r == c for r, c in b.Q):
+        return {eid: WPoly.from_int_coeffs((1,))}
+    return _solve_column(_length_order(b), _sparse_rows(signature_Q(b)), eid)
+
+
 def signature_P(b: Block) -> WPolyMatrix:
     """$P^c_{\\Gamma,\\Psi} = (-1)^{\\ell(\\Psi)-\\ell(\\Gamma)}$ times the
     $(Q^c)^{-1}$ entry, computed by exact unitriangular inversion and checked
@@ -271,18 +280,15 @@ def irreducible_in_standards(b: Block, psi) -> SignatureChar:
     \\, sig^c_{I(\\Gamma)}$ with $W^c = (Q^c)^{-1}$ at $q = 1$; forgetting
     $s$ recovers the character-formula row $M_{\\cdot,\\Psi}$.  Only the
     column of $\\Psi$ is solved, by one back substitution."""
-    e_psi = _resolve_element(b, psi)
-    column = _solve_column(_length_order(b), _sparse_rows(signature_Q(b)), e_psi.id)
-    return _column_in_standards(b, {(r, e_psi.id): v for r, v in column.items()}, e_psi)
+    return _column_in_standards(b, _qc_column(b, _resolve_element(b, psi).id))
 
 
-def _column_in_standards(b: Block, qc_inv: WPolyMatrix, psi) -> SignatureChar:
-    """The column of $\\Psi$ in $(Q^c)^{-1}$ at $q = 1$, as a signature
+def _column_in_standards(b: Block, column: Dict[int, WPoly]) -> SignatureChar:
+    """A column of $(Q^c)^{-1}$, as {row: entry}, at $q = 1$: a signature
     character in the standard basis."""
-    e_psi = _resolve_element(b, psi)
     out = SignatureChar(b.group, "standard")
     for e in b.elements:
-        v = qc_inv.get((e.id, e_psi.id))
+        v = column.get(e.id)
         if v is None:
             continue
         w = v.eval_one()
@@ -317,10 +323,16 @@ def deform_step(b: Block, gamma) -> SignatureChar:
 # ---------------------------------------------------------------------------
 # deformation to nu = 0
 
-def hs_rewrite(d: DiscreteParam, group: str) -> SignatureChar:
+def hs_rewrite(d: DiscreteParam, group: str,
+               at_zero: Optional[LanglandsParam] = None) -> SignatureChar:
     """Rewrite the standard $I(\\Lambda, 0)$ as a sum of final tempered
-    parameters, one per lowest K-type, each with coefficient 1."""
-    tempered = group_model(group).hs_rewrite(d)
+    parameters, one per lowest K-type, each with coefficient 1.  A caller
+    holding the parameter $(\\Lambda, 0)$ passes it as ``at_zero``: for a
+    final $\\Lambda$ it is its own rewrite, and is reused, not rebuilt."""
+    if at_zero is not None and d.final:
+        tempered = (at_zero,)
+    else:
+        tempered = group_model(group).hs_rewrite(d)
     return SignatureChar(group, "final_tempered",
                          {StdLabel.of(group, g): W_ONE for g in tempered})
 
@@ -337,6 +349,15 @@ def _block_containing(provider: BlockProvider, group: str,
         "no block at infinitesimal character %s contains the parameter %s"
         % ([frac_str(Fraction(x)) for x in key], group_model(group).label_text(g))
     )
+
+
+def _less(x: Tuple[int, int], y: Tuple[int, int]) -> bool:
+    """x < y for fractions given as (numerator, positive denominator)."""
+    return x[0] * y[1] < y[0] * x[1]
+
+
+def _frac_text(x: Tuple[int, int]) -> str:
+    return frac_str(Fraction(*x))
 
 
 def _require_real(g: LanglandsParam) -> None:
@@ -372,28 +393,34 @@ def deform_to_zero(
     such wall point, and forgets them when a library is registered.  The
     walk down the walls stops at the first wall point it remembers; a
     traced call never reads the memo, so that its stream is complete.
+    Every call returns an object of its own, which the caller may change;
+    the provider's entries are never handed out.  The expansion of each
+    constituent below a wall is one column of $(Q^c)^{-1}$, which the
+    provider solves on demand: the other columns of the block are never
+    solved.
 
     Each standard entering at the wall $t_j$ must have $|d\\lambda'|^2$
     strictly between $|d\\lambda|^2$ and $|d\\lambda|^2 +
     t_{prev}^2|\\nu|^2$, where $t_{prev}$ is the next crossing time above
     $t_j$, or 1 at the top: the cap a direct call on that wall point uses,
     so a remembered wall point is certified as a direct call would be.
-    The trace prints the caller's cap $|d\\lambda|^2 + |\\nu|^2$.  A
-    nonzero nu_im raises ValidationError."""
+    The trace prints the caller's cap $|d\\lambda|^2 + |\\nu|^2$.  Both
+    norms are integer fractions (numerator, denominator), so the bound
+    compares integers.  A nonzero nu_im raises ValidationError."""
     _require_real(g)
     key = (group, g)
     if trace is None:
         hit = provider.deformation(key)
         if hit is not None:
-            return hit
+            return hit.copy()
 
     if not any(g.nu):
-        out = hs_rewrite(g.discrete, group)
+        out = hs_rewrite(g.discrete, group, g)
         provider.remember_deformation(key, out)
-        return out
+        return out.copy()
 
     cart = group_model(group).cartan(g.discrete.cartan)
-    dl2, nu2 = norm_sq(g.discrete.dlambda), norm_sq(g.nu)
+    dl2, (nu2_num, nu2_den) = g.discrete.dlambda_sq, _norm_sq_parts(g.nu)
     # the value at a reducible point is the limit from below; the delta at
     # the point itself is not accumulated
     times = crossing_times(g, cart)
@@ -422,27 +449,31 @@ def deform_to_zero(
                     "delta": delta.to_json_obj(),
                 }
             )
-        cap = dl2 + above * above * nu2
+        p, q = above.numerator, above.denominator
+        cap = (dl2[0] * nu2_den * q * q + nu2_num * dl2[1] * p * p,
+               dl2[1] * nu2_den * q * q)
         jump = []
         for label, coef in delta.items():
+            eid = _resolve_element(blk, label.param).id
             expansion = _column_in_standards(
-                blk, provider.inverse(blk, _qc_inverse), label.param)
+                blk, provider.inverse_column(blk, eid, _qc_column))
             for slabel, w in expansion.items():
                 child = slabel.param
-                cdl2 = norm_sq(child.discrete.dlambda)
-                if not (dl2 < cdl2 < cap):
+                cdl2 = child.discrete.dlambda_sq
+                if not (_less(dl2, cdl2) and _less(cdl2, cap)):
                     raise BoundViolation(
                         "recursion bound violated: |dlambda'|^2 = %s "
                         "not in (%s, %s)"
-                        % (frac_str(cdl2), frac_str(dl2), frac_str(cap))
+                        % (_frac_text(cdl2), _frac_text(dl2), _frac_text(cap))
                     )
                 if trace is not None:
                     trace(
                         {
                             "event": "recurse",
                             "param": param_to_json(child),
-                            "dlambda_sq": frac_str(cdl2),
-                            "cap": frac_str(dl2 + nu2),
+                            "dlambda_sq": _frac_text(cdl2),
+                            "cap": _frac_text((dl2[0] * nu2_den + nu2_num * dl2[1],
+                                               dl2[1] * nu2_den)),
                         }
                     )
                 jump.append((deform_to_zero(child, provider, group, trace), coef * w))
@@ -453,22 +484,20 @@ def deform_to_zero(
                 break
         above, above_point = t, gt
 
-    out = below if below is not None else deform_to_zero(
+    out = below.copy() if below is not None else deform_to_zero(
         LanglandsParam(g.discrete, tuple(Fraction(0) for _ in g.nu)),
         provider,
         group,
         trace,
     )
-    # sum upward, remembering each partial sum under its point; every
-    # entry is an object of its own
+    # sum upward, remembering a copy of each partial sum under its point:
+    # every entry is an object of its own, and so is the result
     for point, jump in reversed(crossed):
-        out = out.copy()
         for sub, coef in jump:
             out.add_char(sub, coef)
-        provider.remember_deformation((group, point), out)
+        provider.remember_deformation((group, point), out.copy())
     if not crossed:
-        out = out.copy()
-        provider.remember_deformation(key, out)
+        provider.remember_deformation(key, out.copy())
     return out
 
 
@@ -523,7 +552,7 @@ def unitary_test(
 
     blk, e_psi, _ = _block_containing(provider, group, g)
     expansion = _column_in_standards(
-        blk, provider.inverse(blk, _qc_inverse), e_psi)
+        blk, provider.inverse_column(blk, e_psi.id, _qc_column))
     B = SignatureChar(group, "final_tempered")
     for slabel, w in expansion.items():
         B.add_char(deform_to_zero(slabel.param, provider, group), w)

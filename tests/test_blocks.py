@@ -278,6 +278,12 @@ def test_reject_integer_literal_past_digit_limit(path):
         parse_block(text)
 
 
+def test_reject_bad_utf8_and_deep_nesting():
+    for data in (b"\xff{", "[" * 100000 + "]" * 100000):
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            parse_block(data)
+
+
 def test_reject_cartan_not_of_the_group():
     def rename(o):
         o["elements"][0]["param"]["cartan"] = "bogus"

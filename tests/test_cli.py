@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from sigzero import cli
 from sigzero.blocks import Block, builtin_block, serialize_block
 from sigzero.cli import main
 
@@ -411,3 +412,54 @@ def test_block_show_key_arity_exits_3(capsys, key, group, coords):
     assert rc == 3 and not out
     assert repr(group) in err and "needs %s" % coords in err
     assert "unpack" not in err
+
+
+@pytest.mark.parametrize("content", [b"\xff[", b"[" * 100000 + b"]" * 100000])
+@pytest.mark.parametrize("argv", [["jantzen", "FILE", "--at", "1"], ["block", "load", "FILE"]])
+def test_undecodable_file_exits_3(tmp_path, capsys, content, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    rc, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert rc == 3 and not out and err.startswith("error: not valid JSON")
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+def _outcome(capsys, argv):
+    try:
+        rc = main(list(argv))
+    except SystemExit as e:
+        rc = e.code
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    lib5 = _library_file(tmp_path)
+    (chain7, _) = builtin_block("sl2r", (7,))
+    lib7 = tmp_path / "lib7.json"
+    lib7.write_text(serialize_block(chain7))
+    calls = [
+        ["signature", "--nu", "7/2", "--format", "json"],
+        ["signature"],  # usage error: --nu is required
+        ["unitary", "--parity", "-1", "--nu", "5/2"],
+        ["scan", "--from", "0", "--to", "3", "--format", "json"],
+        ["block", "load", str(lib5), "--format", "json"],
+        ["signature", "--nu", "9", "--block", str(lib5), "--block", str(lib7)],
+        ["block", "show", "sl2r:7", "--block", str(lib7)],
+        ["signature", "--nu", "9", "--block", str(lib7)],
+        ["block", "load", str(lib5), "--block", str(lib5)],  # duplicate: exit 3
+        ["hyperplanes", "--radius", "4"],
+    ]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(_outcome(capsys, argv))
+    assert [rc for rc, _, _ in fresh] == [0, 3, 0, 0, 0, 0, 0, 0, 3, 0]
+    monkeypatch.setattr(cli, "_PARSER", None)
+    reused = [_outcome(capsys, argv) for argv in calls]
+    parser = cli._PARSER
+    reused += [_outcome(capsys, argv) for argv in calls]
+    assert parser is not None and cli._PARSER is parser
+    assert reused == fresh + fresh

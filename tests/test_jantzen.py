@@ -1,15 +1,17 @@
 """Jantzen filtration machinery and the intertwining oracle."""
 
+import copy
+import json
 import random
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from sigzero import jantzen
 from sigzero.blocks import SL2R_SPLIT, sl2r_ps_param
-from sigzero.errors import DegenerateResidual, SchemaError, SingularFamily
+from sigzero.errors import DegenerateResidual, SchemaError, SigzeroError, SingularFamily
 from sigzero.intpoly import p_add, p_divexact, p_mul, p_neg, p_ord
 from sigzero.jantzen import (
     RAT_ONE,
@@ -106,6 +108,66 @@ def test_parse_ratmatrix_rejects_integer_literal_past_digit_limit(key):
     text = '[[{"%s": [%s]}]]' % (key, "9" * 5000)
     with pytest.raises(SchemaError, match="not valid JSON"):
         parse_ratmatrix(text)
+
+
+def _field_paths(obj, prefix=()):
+    """Every key and list index of a JSON value, as paths from the root."""
+    if isinstance(obj, (dict, list)):
+        for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield prefix + (k,)
+            yield from _field_paths(v, prefix + (k,))
+
+
+# a 2x2 family in both accepted layouts: a bare array and {"entries": ...}
+_VALID_MATRIX = {"entries": ratmatrix_to_json_obj([[T_MINUS_1, RAT_ONE], [RAT_ZERO, T]])}
+_VALID_MATRIX["entries"][1][1]["den"] = [2, 0, 1]
+# stands for a JSON integer literal of 5,000 digits, past Python's
+# int-to-str limit
+_LONG = "<5000-digit integer>"
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["num", "den", "entries", 0, 1, -1, _LONG]),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["num", "den", "entries"]) | st.text(max_size=3),
+                      kids, max_size=3),
+    max_leaves=6,
+)
+
+
+@seed(12)
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.sampled_from(list(_field_paths(_VALID_MATRIX))), _JSON)
+def test_parse_ratmatrix_fuzzed_field_raises_only_sigzero_errors(bare, path, value):
+    obj = copy.deepcopy(_VALID_MATRIX)
+    cur = obj
+    for k in path[:-1]:
+        cur = cur[k]
+    cur[path[-1]] = value
+    if bare and isinstance(obj.get("entries"), list):
+        obj = obj["entries"]
+    text = json.dumps(obj).replace(json.dumps(_LONG), "9" * 5000)
+    for data in (text, text.encode("utf-8")):
+        try:
+            parse_ratmatrix(data)
+        except SigzeroError:
+            pass
+
+
+@seed(13)
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=40) | st.text(max_size=40))
+def test_parse_ratmatrix_raw_input_raises_only_sigzero_errors(data):
+    try:
+        parse_ratmatrix(data)
+    except SigzeroError:
+        pass
+
+
+def test_parse_ratmatrix_rejects_bad_utf8_and_deep_nesting():
+    for data in (b"\xff[[", "[" * 100000 + "]" * 100000):
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            parse_ratmatrix(data)
 
 
 # ---------------------------------------------------------------------------

@@ -144,3 +144,43 @@ def test_param_json_round_trip():
         sl2c_param(3, 1),
     ):
         assert param_from_json(param_to_json(g)) == g
+
+
+@pytest.mark.parametrize(
+    "dlambda, nu",
+    [
+        ((3,), (0,)),
+        ((0,), ("7/2",)),
+        (("3/2", "3/2"), ("5/2", "-5/2")),
+        ((-4, "1/3"), (0, "2/9")),
+    ],
+)
+def test_params_from_ints_strings_and_fractions_agree(dlambda, nu):
+    def build(convert):
+        d = DiscreteParam(cartan="c", dlambda=tuple(convert(x) for x in dlambda),
+                          grading={0: 1}, final=True, ktype_parity=0)
+        return LanglandsParam(d, tuple(convert(x) for x in nu))
+
+    exact = build(F)
+    want_gamma = tuple(F(a) + F(b) for a, b in zip(dlambda, nu))
+    want_sq = sum(F(x) ** 2 for x in dlambda)
+    for g in (build(lambda x: x), build(str), exact):
+        assert g == exact and hash(g) == hash(exact)
+        assert g.discrete == exact.discrete and hash(g.discrete) == hash(exact.discrete)
+        assert all(type(x) is F for x in g.nu + g.discrete.dlambda + g.gamma)
+        assert g.gamma == want_gamma
+        num, den = g.discrete.dlambda_sq
+        assert den > 0 and F(num, den) == want_sq
+
+
+def test_fraction_coordinates_are_kept_not_rebuilt():
+    nu = (F(7, 2),)
+    d = DiscreteParam(cartan="c", dlambda=(F(3),))
+    g = LanglandsParam(d, nu)
+    assert g.nu is nu
+    assert g.gamma == (F(13, 2),)
+    # with nu = 0 or d lambda = 0, gamma is the other tuple itself
+    ds, ps = sl2r_ds_param(1, 3), sl2r_ps_param(0, F(7, 2))
+    assert ds.gamma is ds.discrete.dlambda and ds.gamma == (F(3),)
+    assert ps.gamma is ps.nu and ps.gamma == nu
+    assert frac_str(F(-6, 4)) == "-3/2" and frac_str(2) == "2"

@@ -31,6 +31,7 @@ from sigzero.params import LanglandsParam, crossing_times
 from sigzero.sigring import WElem, WPoly, W_ONE, W_S
 from sigzero.sigengine import (
     SignatureChar,
+    StdLabel,
     deform_step,
     deform_to_zero,
     hs_rewrite,
@@ -142,6 +143,50 @@ def test_recursion_bound_holds_at_every_wall_point():
         assert provider.deformation(("sl2r", h)) is None
     with pytest.raises(BoundViolation, match=r"not in \(0, 25\)"):
         deform_to_zero(sl2r_ps_param(0, 5), provider)
+
+
+def _library_below_ps3(child):
+    """The chain at 3 with the given child of length 0 below PS+(3)."""
+    return Block(
+        "sl2r",
+        (F(3),),
+        (
+            BlockElement(id=0, cartan=0, length=0, orient=0, param=child),
+            BlockElement(id=1, cartan=1, length=1, orient=0, param=sl2r_ps_param(0, 3)),
+        ),
+        {(0, 0): (1,), (1, 1): (1,), (0, 1): (1,)},
+    )
+
+
+@pytest.mark.parametrize("nu, cap", [(F(5), "25"), (F(11, 2), "25"), (F(7, 2), "49/4")])
+def test_recursion_bound_is_strict_at_the_cap(nu, cap):
+    # the wall at 3 hands PS+(nu) the child DS+(5), |dlambda|^2 = 25; the
+    # cap is |nu|^2 times the square of the crossing time above that wall
+    provider = BlockProvider()
+    provider.register([_library_below_ps3(sl2r_ds_param(1, 5))])
+    with pytest.raises(BoundViolation, match=r"= 25 not in \(0, %s\)" % cap):
+        deform_to_zero(sl2r_ps_param(0, nu), provider)
+    # DS+(4), |dlambda|^2 = 16, is inside every one of those caps
+    provider = BlockProvider()
+    provider.register([_library_below_ps3(sl2r_ds_param(1, 4))])
+    if nu != F(7, 2):
+        assert "DS+(4)" in as_dict(deform_to_zero(sl2r_ps_param(0, nu), provider))
+
+
+def test_a_caller_may_change_the_deformation_it_was_given():
+    provider = BlockProvider()
+    low, high = sl2r_ps_param(0, F(1, 2)), sl2r_ps_param(0, F(7, 2))
+    extra = StdLabel.of("sl2r", sl2r_ps_param(0, 0))
+    r = deform_to_zero(low, provider)
+    r.add(extra, W_ONE)
+    assert as_dict(deform_to_zero(low, provider)) == {"PS0": W_ONE}
+    # a result that crossed walls, and the wall points it left in the memo
+    r = deform_to_zero(high, provider)
+    r.add(extra, W_ONE)
+    r.add_char(deform_to_zero(sl2r_ps_param(0, 3), provider))
+    for g in (high, sl2r_ps_param(0, 3), sl2r_ps_param(0, 1)):
+        assert deform_to_zero(g, provider) == deform_to_zero(g, BlockProvider())
+    assert deform_to_zero(high, provider) is not deform_to_zero(high, provider)
 
 
 def test_signature_pq_compose_to_signed_identity():

@@ -5,7 +5,8 @@ walk only the nonzero entries of each row, and ``irreducible_in_standards``
 solves one column.  The references below loop over every position of the
 length order, as the solvers once did.  Both are checked on synthetic
 blocks shaped like the benchmark's and on the built-in SL(2,R) and SL(2,C)
-blocks up to 12.
+blocks up to 12, and so are the single columns of $(Q^c)^{-1}$ that a
+provider solves on demand.
 """
 
 import random
@@ -13,9 +14,23 @@ from fractions import Fraction
 
 import pytest
 
-from sigzero.blocks import Block, BlockElement, builtin_block, invert_multiplicity, sl2r_ds_param
+from sigzero import sigengine
+from sigzero.blocks import (
+    Block,
+    BlockElement,
+    BlockProvider,
+    builtin_block,
+    invert_multiplicity,
+    sl2r_ds_param,
+)
 from sigzero.intpoly import p_add, p_mul, p_neg
-from sigzero.sigengine import irreducible_in_standards, signature_P, signature_Q
+from sigzero.sigengine import (
+    _qc_column,
+    _qc_inverse,
+    irreducible_in_standards,
+    signature_P,
+    signature_Q,
+)
 from sigzero.sigring import WPoly
 
 F = Fraction
@@ -128,3 +143,34 @@ def test_sparse_solvers_match_dense_on_builtin_blocks():
     assert sum(len(b.elements) > 1 for b in blocks) > 20
     for b in blocks:
         check_solvers(b)
+
+
+def qc_columns(b):
+    """The columns of the full (Q^c)^-1, as {column: {row: entry}}."""
+    cols = {e.id: {} for e in b.elements}
+    for (r, c), v in _qc_inverse(b).items():
+        cols[c][r] = v
+    return cols
+
+
+def test_on_demand_columns_match_the_full_inverse():
+    blocks = list(builtin_blocks()) + [synthetic_block(s, n) for s in (1, 2, 3)
+                                       for n in (24, 32, 40)]
+    provider = BlockProvider()
+    for b in blocks:
+        want = qc_columns(b)
+        for e in b.elements:
+            assert _qc_column(b, e.id) == want[e.id]
+            col = provider.inverse_column(b, e.id, _qc_column)
+            assert col == want[e.id]
+            # solved once per provider, then served
+            assert provider.inverse_column(b, e.id, None) is col
+
+
+def test_bottom_column_is_a_unit_vector_without_solving(monkeypatch):
+    (chain, _) = builtin_block("sl2r", (F(3),))
+    solved = []
+    monkeypatch.setattr(sigengine, "signature_Q", lambda b: solved.append(b))
+    for e in chain.elements[:2]:  # DS+(3) and DS-(3), the bottom of the chain
+        assert _qc_column(chain, e.id) == {e.id: WPoly.from_int_coeffs((1,))}
+    assert solved == []
