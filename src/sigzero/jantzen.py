@@ -16,18 +16,24 @@ on each connected component of the support of $L$ (row $i$ is linked to
 column $j$ when $L_{ij} \\neq 0$), each row scaled by the product of its
 distinct denominators, orders read by integer synthetic division by $bt - a$
 ($t_0 = a/b$) and added up.  A component with more rows than columns, or
-fewer, or $\\det L \\equiv 0$ means a singular family.  Each entry is then
-expanded as $U^e$ times a unit power series in $U = bt - a$ modulo $U^N$,
-$N = D - (n-1)m + 1$ with
-$m = \\min(0, \\text{least entry valuation})$: the elementary divisors are
-$\\geq m$ and sum to $D$, so each is $< N$.  The elimination pivots on
-minimal valuation, row-major on ties.  Division by a pivot of valuation
-$v$ keeps absolute precision $N - v \\geq 1$ and the Schur complement keeps
-$N$, so every pivot is read exactly and an entry that truncates to zero is
-never one: the truncation is exact.  Orders, residual signs (the factor
-$b > 0$ between $U$ and $t - t_0$ keeps them) and the adapted basis (the
-column operations modulo $U$) are those of the elimination over
-$\\mathbb{Q}(t)$.
+fewer, or $\\det L \\equiv 0$ means a singular family.  Each entry of a
+component $c$ is then expanded as $U^e$ times a unit power series in
+$U = bt - a$ modulo $U^{N_c}$,
+$N_c = D - \\sum_{c'} n_{c'} v_{c'} + v_c + 1$, with $v_c$ the least entry
+valuation in $c$ and $n_c$ its number of rows: the elementary divisors of
+$c$ are $\\geq v_c$ and all of them sum to $D$, so each of $c$ is $< N_c$.
+The elimination pivots on minimal valuation over the whole family,
+row-major on ties.  The Schur complement never leaves the pivot's
+component; division by a pivot of valuation $v$ keeps absolute precision
+$N_c - v \\geq 1$ and the update keeps $N_c$, so every entry that can win
+or tie a pivot is read exactly and an entry that truncates to zero is never
+one: the truncation is exact, and the pivot order is that of any higher
+precision.  Orders, residual signs (the factor $b > 0$ between $U$ and
+$t - t_0$ keeps them) and the adapted basis (the column operations modulo
+$U$, in their order) are those of the elimination over $\\mathbb{Q}(t)$.
+In the symmetric elimination a strictly off-diagonal minimum $(i, j)$ adds
+row and column $j$ to row and column $i$; this joins a component with its
+transpose, which has the same $v_c$ and $n_c$, so the same $N_c$.
 
 The oracle diagonalizes the long intertwining operator of SL(2,R) principal
 series in the K-type basis.  With $K$-weights $n$ of one parity and level
@@ -37,12 +43,13 @@ forces $c_{n+2}/c_n = (n+1-\\nu)/(n+1+\\nu)$, giving the closed forms
     even:  c_{2m} = prod_{j=0}^{m-1} (2j+1-nu)/(2j+1+nu)
     odd:   c_{2m+1} = prod_{j=1}^{m} (2j-nu)/(2j+nu)
 
-normalized to $+1$ on each lowest K-type ($c_{-n} = c_n$).  The raw operator
-is antisymmetric across the two odd half-ladders ($a_{-n} = -a_n$), which is
-the twist applied when reading off invariant-form positivity.  The full
-derivation from the rank-one integral lives in docs/intertwining.md; the
-closed form is gated by the determinant identity above and by matching its
-zero locus against the reducibility hyperplanes.
+normalized to $+1$ on each lowest K-type ($c_{-n} = c_n$) and built up the
+ladder, one product per step.  The raw operator is antisymmetric across the
+two odd half-ladders ($a_{-n} = -a_n$), which is the twist applied when
+reading off invariant-form positivity.  The full derivation from the
+rank-one integral lives in docs/intertwining.md; the closed form is gated by
+the determinant identity above and by matching its zero locus against the
+reducibility hyperplanes.
 """
 
 from __future__ import annotations
@@ -247,12 +254,12 @@ def ratmatrix_to_json_obj(m: RatMatrix) -> list:
 # filtration over the local ring at t0
 #
 # In the elimination an entry is the list of its coefficients at U^m ..
-# U^(N-1), U = b (t - t0), or None for zero (to that precision).
+# U^(N_c - 1), U = b (t - t0) and N_c the precision of its component, or
+# None for zero (to that precision).
 
-def _det_order(L: RatMatrix, t0: Fraction) -> Optional[int]:
-    """ord_{t0} det L, or None when det L vanishes identically: the sum of
-    the Bareiss orders of the connected components of the support of L, and
-    None for a component that is not square."""
+def _components(L: RatMatrix) -> List[Tuple[List[int], List[int]]]:
+    """(rows, columns) of each connected component of the support of L: row
+    i is linked to column j when L_ij != 0."""
     n = len(L)
     # rows are 0..n-1 and columns n..2n-1, each labelled by its component
     comp = list(range(2 * n))
@@ -264,8 +271,15 @@ def _det_order(L: RatMatrix, t0: Fraction) -> Optional[int]:
     parts: Dict[int, Tuple[List[int], List[int]]] = {}
     for x, c in enumerate(comp):
         parts.setdefault(c, ([], []))[x >= n].append(x % n)
+    return list(parts.values())
+
+
+def _det_order(L: RatMatrix, t0: Fraction) -> Optional[int]:
+    """ord_{t0} det L, or None when det L vanishes identically: the sum of
+    the Bareiss orders of the connected components of the support of L, and
+    None for a component that is not square."""
     D = 0
-    for rows, cols in parts.values():
+    for rows, cols in _components(L):
         if len(rows) != len(cols):
             return None
         d = _bareiss_order([[L[i][j] for j in cols] for i in rows], t0)
@@ -324,7 +338,8 @@ def _inverse(c: Sequence, prec: int) -> list:
 
 
 def _sub_mul(x, y: list, q: list, W: int):
-    """x - y q modulo U^N, for x and y over U^m .. and q over U^0 .."""
+    """x - y q modulo U^(m+W), for x and y over U^m .. U^(m+W-1) and q over
+    U^0 ..: W = N - m coefficients for the precision N of a component."""
     out = list(x) if x is not None else [0] * W
     for s, c in enumerate(y):
         if c:
@@ -335,26 +350,35 @@ def _sub_mul(x, y: list, q: list, W: int):
 
 
 def _expand(L: RatMatrix, t0: Fraction, D: int):
-    """(m, W, a): the entries of L expanded at t0 modulo U^N, with m =
-    min(0, least entry valuation), N = D - (n-1) m + 1 and W = N - m."""
-    n = len(L)
-    shifted = {}
-    for i, row in enumerate(L):
-        for j, f in enumerate(row):
-            if f:
-                pn, pd = p_shift(f.num, t0), p_shift(f.den, t0)
-                shifted[i, j] = (pn, _lead(pn), pd, _lead(pd), len(f.den) - len(f.num))
-    m = min([0] + [vn - vd for _, vn, _, vd, _ in shifted.values()])
-    W = D - n * m + 1
-    a: list = [[None] * n for _ in range(n)]
-    for (i, j), (pn, vn, pd, vd, dd) in shifted.items():
-        lo = vn - vd - m
-        if lo < W:
-            # f = b^dd pn / pd as U^(vn - vd) times a unit series
-            scale = -_norm(Fraction(t0.denominator) ** dd)
-            q = [_norm(scale * x) for x in _inverse(pd[vd:], W - lo)]
-            a[i][j] = _sub_mul(None, ([0] * lo + list(pn[vn:]))[:W], q, W)
-    return m, W, a
+    """(m, a): the entries of L expanded at t0, with m = min(0, least entry
+    valuation).  An entry of the component c of the support is kept modulo
+    U^N_c, N_c = D - sum_c' n_c' v_c' + v_c + 1 (v_c its least entry
+    valuation, n_c its number of rows), as its N_c - m coefficients."""
+    parts = []
+    for rows, cols in _components(L):
+        cells = []
+        for i in rows:
+            for j in cols:
+                f = L[i][j]
+                if f:
+                    pn, pd = p_shift(f.num, t0), p_shift(f.den, t0)
+                    cells.append((i, j, pn, _lead(pn), pd, _lead(pd),
+                                  len(f.den) - len(f.num)))
+        v = min(vn - vd for _, _, _, vn, _, vd, _ in cells)
+        parts.append((len(rows), v, cells))
+    m = min([0] + [v for _, v, _ in parts])
+    N0 = D - sum(k * v for k, v, _ in parts) + 1
+    a: list = [[None] * len(L) for _ in L]
+    for _, v, cells in parts:
+        W = N0 + v - m
+        for i, j, pn, vn, pd, vd, dd in cells:
+            lo = vn - vd - m
+            if lo < W:
+                # f = b^dd pn / pd as U^(vn - vd) times a unit series
+                scale = -_norm(Fraction(t0.denominator) ** dd)
+                q = [_norm(scale * x) for x in _inverse(pd[vd:], W - lo)]
+                a[i][j] = _sub_mul(None, ([0] * lo + list(pn[vn:]))[:W], q, W)
+    return m, a
 
 
 def _pivot(a: list, k: int):
@@ -365,11 +389,12 @@ def _pivot(a: list, k: int):
     return min(cells, default=None)
 
 
-def _quotients(a: list, k: int, W: int) -> list:
+def _quotients(a: list, k: int) -> list:
     """a[k][j] / a[k][k] for j > k (None otherwise) over U^0 .. U^(N-v-1):
-    a quotient by a pivot of valuation v has absolute precision N - v."""
+    a quotient by a pivot of valuation v has absolute precision N - v, for
+    the precision N of the pivot's component."""
     p = a[k][k]
-    lo = _lead(p)
+    lo, W = _lead(p), len(p)
     q = [-x for x in _inverse(p[lo:], W - lo)]
     return [
         None if j <= k or x is None else _sub_mul(None, x[lo:], q, W - lo)
@@ -387,7 +412,7 @@ def jantzen_levels(
     D = _det_order(L, t0)
     if D is None:
         raise SingularFamily("determinant vanishes identically")
-    m, W, a = _expand(L, t0, D)
+    m, a = _expand(L, t0, D)
     # C tracks right (domain) column operations modulo U; its columns at the
     # end are the adapted basis, regular at t0 because every quotient has
     # val >= 0
@@ -404,8 +429,10 @@ def jantzen_levels(
             for row in a + C:
                 row[k], row[pj] = row[pj], row[k]
         # clearing the pivot row only changes C; clearing the pivot column
-        # leaves the Schur complement a_ij - a_ik a_kj / a_kk
-        q = _quotients(a, k, W)
+        # leaves the Schur complement a_ij - a_ik a_kj / a_kk, inside the
+        # pivot's component and at its precision
+        q = _quotients(a, k)
+        W = len(a[k][k])
         for j in range(k + 1, n):
             if q[j] is None:
                 continue
@@ -441,7 +468,7 @@ def level_signatures(L: RatMatrix, t0) -> List[Tuple[int, WElem]]:
     D = _det_order(L, t0)
     if D is None:
         raise degenerate
-    m, W, a = _expand(L, t0, D)
+    m, a = _expand(L, t0, D)
     levels: Dict[int, WElem] = {}
     for k in range(n):
         piv = _pivot(a, k)
@@ -455,7 +482,10 @@ def level_signatures(L: RatMatrix, t0) -> List[Tuple[int, WElem]]:
         if pi is None:
             # strictly off-diagonal minimum: row_i0 += row_j0, then
             # col_i0 += col_j0; the cross term 2 a_ij dominates a_ii + a_jj,
-            # so a_ii picks up the minimal valuation regardless of signs
+            # so a_ii picks up the minimal valuation regardless of signs.
+            # Row i0 and row j0 lie in components that are each other's
+            # transpose, so of one precision
+            W = len(a[i0][j0])
             for c in range(k, n):
                 if a[j0][c] is not None:
                     a[i0][c] = _sub_mul(a[i0][c], a[j0][c], [-1], W)
@@ -467,7 +497,8 @@ def level_signatures(L: RatMatrix, t0) -> List[Tuple[int, WElem]]:
             a[k], a[pi] = a[pi], a[k]
             for row in a:
                 row[k], row[pi] = row[pi], row[k]
-        q = _quotients(a, k, W)
+        q = _quotients(a, k)
+        W = len(a[k][k])
         for i in range(k + 1, n):
             if a[i][k] is not None:
                 for j in range(i, n):
@@ -501,40 +532,38 @@ def sl2_ktypes(parity: int, cutoff: int) -> List[int]:
     return sorted(out)
 
 
-def _c_ratio(n_mid: int) -> RatFn:
-    """(n_mid - nu)/(n_mid + nu): the ladder ratio c_{n+2}/c_n at n+1 =
-    n_mid."""
-    return RatFn((n_mid, -1), (n_mid, 1))
+def _c_ladder(parity: int, cutoff: int) -> Dict[int, RatFn]:
+    """{n: c_n(nu)} for the weights 0 <= n <= cutoff of one parity, built up
+    the ladder c_{n+2} = c_n (n+1-nu)/(n+1+nu): one product per step."""
+    start = 0 if parity == 1 else 1
+    out = {start: RAT_ONE}
+    for n in range(start + 2, cutoff + 1, 2):
+        out[n] = out[n - 2] * RatFn((n - 1, -1), (n - 1, 1))
+    return out
 
 
 def sl2_c_function(parity: int, n: int) -> RatFn:
-    """Closed-form c_n(nu); c_{-n} = c_n by the per-half normalization."""
+    """c_n(nu), equal to its closed-form product; c_{-n} = c_n by the
+    per-half normalization."""
     if parity not in (1, -1):
         raise ValueError("parity must be +1 (even) or -1 (odd)")
     n = abs(n)
-    if parity == 1:
-        if n % 2:
-            raise ValueError("even-parity K-types are even")
-        out = RAT_ONE
-        for j in range(n // 2):
-            out = out * _c_ratio(2 * j + 1)
-        return out
-    if n % 2 == 0:
+    if parity == 1 and n % 2:
+        raise ValueError("even-parity K-types are even")
+    if parity == -1 and n % 2 == 0:
         raise ValueError("odd-parity K-types are odd")
-    out = RAT_ONE
-    for j in range(1, (n - 1) // 2 + 1):
-        out = out * _c_ratio(2 * j)
-    return out
+    return _c_ladder(parity, n)[n]
 
 
 def sl2_intertwining(parity: int, cutoff: int) -> RatMatrix:
     """Diagonal intertwining family in the K-type basis of sl2_ktypes,
     normalized to 1 on each lowest K-type."""
     kt = sl2_ktypes(parity, cutoff)
+    c = _c_ladder(parity, cutoff)
     n = len(kt)
     out = [[RAT_ZERO for _ in range(n)] for _ in range(n)]
     for i, w in enumerate(kt):
-        out[i][i] = sl2_c_function(parity, w)
+        out[i][i] = c[abs(w)]
     return out
 
 
@@ -548,9 +577,10 @@ def oracle_signature(parity: int, nu, cutoff: int) -> Dict[int, WElem]:
     off and the below-wall sign is residual times (-1)^r."""
     nu = Fraction(nu)
     out: Dict[int, WElem] = {}
-    for n in sl2_ktypes(parity, cutoff):
-        f = sl2_c_function(parity, n)
-        ((r, sig),) = level_signatures([[f]], nu)
+    kt = sl2_ktypes(parity, cutoff)
+    c = _c_ladder(parity, cutoff)
+    for n in kt:
+        ((r, sig),) = level_signatures([[c[abs(n)]]], nu)
         out[n] = sig if r % 2 == 0 else _flip(sig)
     return out
 
@@ -566,9 +596,10 @@ def oracle_unitary(parity: int, nu, cutoff: int = 8) -> bool:
     if nu == 0:
         return True
     signs = set()
-    for n in sl2_ktypes(parity, cutoff):
-        f = sl2_c_function(parity, n)
-        v = f.evaluate(nu)
+    kt = sl2_ktypes(parity, cutoff)
+    c = _c_ladder(parity, cutoff)
+    for n in kt:
+        v = c[abs(n)].evaluate(nu)
         if v == 0:
             continue
         if parity == -1 and n < 0:

@@ -1,13 +1,19 @@
 """CLI behavior: rendering, exit codes, determinism, tracing, ingestion."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from sigzero import cli
+from sigzero import cli, jantzen
 from sigzero.blocks import Block, builtin_block, serialize_block
 from sigzero.cli import main
+from sigzero.jantzen import RatFn, ratmatrix_to_json_obj
 
 
 def run(capsys, *argv):
@@ -108,6 +114,13 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
         ("sym_pole.json", "1/2", "sym_pole_at_1_2.out.json"),
         # not symmetric, poles at t0 = -2/3
         ("gen_pole.json", "-2/3", "gen_pole_at_-2_3.out.json"),
+        # sl2_intertwining(1, 12) at the wall nu = 5: thirteen 1x1
+        # components
+        ("sl2_intertwining_p+1_12.json", "5", "sl2_intertwining_p+1_12_at_5.out.json"),
+        # symmetric 6x6 at t0 = 1/2: a zero-diagonal mirrored pair of order
+        # 2, a 3x3 block with an off-diagonal pole, and a 1x1 entry of
+        # order 2 that ties the pair
+        ("sym_mirrored.json", "1/2", "sym_mirrored_at_1_2.out.json"),
     ],
 )
 def test_jantzen_json_golden(capsys, family, at, golden):
@@ -421,6 +434,73 @@ def test_undecodable_file_exits_3(tmp_path, capsys, content, argv):
     path.write_bytes(content)
     rc, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
     assert rc == 3 and not out and err.startswith("error: not valid JSON")
+
+
+@st.composite
+def _jantzen_families(draw):
+    """(family, t0) up to 5 x 5 with entries f = (c + d U) U^r / (e + g U),
+    U = bt - a for t0 = a/b and c, e != 0: zero, polynomial (r >= 0, e = 1,
+    g = 0) or rational, with zeros and poles at t0.  A symmetric family may
+    have a zero diagonal, whose off-diagonal entries then come in mirrored
+    pairs."""
+    t0 = draw(st.sampled_from([Fraction(x)
+                               for x in ("0", "1", "-2", "1/2", "-2/3", "5/3")]))
+    n = draw(st.integers(1, 5))
+    U = RatFn((-t0.numerator, t0.denominator))
+    nonzero = st.integers(-3, 3).filter(bool)
+
+    def entry():
+        kind = draw(st.sampled_from(["zero", "poly", "rational"]))
+        if kind == "zero":
+            return RatFn(())
+        r = draw(st.integers(0, 3) if kind == "poly" else st.integers(-2, 3))
+        f = RatFn((draw(nonzero),)) + RatFn((draw(st.integers(-2, 2)),)) * U
+        if kind == "rational":
+            f = f / (RatFn((draw(nonzero),)) + RatFn((draw(st.integers(-2, 2)),)) * U)
+        for _ in range(abs(r)):
+            f = f * U if r > 0 else f / U
+        return f
+
+    if draw(st.booleans()):
+        zero_diagonal = draw(st.booleans())
+        L = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                L[i][j] = L[j][i] = RatFn(()) if i == j and zero_diagonal else entry()
+    else:
+        L = [[entry() for _ in range(n)] for _ in range(n)]
+    return L, t0
+
+
+@seed(13)
+@settings(max_examples=300, deadline=None)
+@given(_jantzen_families())
+def test_jantzen_main_fuzzed_families_exit_0_or_3(family):
+    L, t0 = family
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(ratmatrix_to_json_obj(L), fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["jantzen", path, "--at", str(t0), "--format", "json"])
+    finally:
+        os.unlink(path)
+    assert rc in (0, 3)
+    # every family is well formed, so exit 3 means a singular one
+    D = jantzen._det_order(L, t0)
+    assert (rc == 3) == (D is None)
+    if rc == 3:
+        assert not out.getvalue() and err.getvalue().startswith("error: ")
+        return
+    obj = json.loads(out.getvalue())
+    levels = obj["levels"]
+    assert sum(lv["dim"] for lv in levels) == len(L)
+    assert obj["D"] == sum(lv["r"] * lv["dim"] for lv in levels) == D
+    for lv in levels:
+        assert len(lv["basis"]) == lv["dim"]
+        if obj["symmetric"]:
+            assert sum(lv["signature"]) == lv["dim"]
 
 
 # ---------------------------------------------------------------------------

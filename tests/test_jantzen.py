@@ -12,7 +12,7 @@ from hypothesis import given, seed, settings, strategies as st
 from sigzero import jantzen
 from sigzero.blocks import SL2R_SPLIT, sl2r_ps_param
 from sigzero.errors import DegenerateResidual, SchemaError, SigzeroError, SingularFamily
-from sigzero.intpoly import p_add, p_divexact, p_mul, p_neg, p_ord
+from sigzero.intpoly import p_add, p_divexact, p_mul, p_neg, p_ord, p_shift
 from sigzero.jantzen import (
     RAT_ONE,
     RAT_ZERO,
@@ -683,3 +683,298 @@ def test_intertwining_order_counts_ktypes_above_the_wall(cutoff):
         kt = sl2_ktypes(parity, cutoff)
         for k in walls:
             assert jantzen._det_order(L, F(k)) == sum(1 for n in kt if abs(n) > k)
+
+
+# ---------------------------------------------------------------------------
+# the eliminations at per-component precision against the global-precision
+# ones they replaced
+#
+# The references below expand every entry modulo U^N with the one global
+# N = D - (n-1) m + 1, as jantzen_levels and level_signatures once did.
+# Each component c of the support now keeps only N_c = D - sum n_c' v_c'
+# + v_c + 1; the levels, the bases in their order, the signatures and the
+# errors must not change.
+
+def _ref_inverse(c, prec):
+    inv = [jantzen._norm(F(1, c[0]))]
+    for r in range(1, prec):
+        acc = sum(c[s] * inv[r - s] for s in range(1, min(r, len(c) - 1) + 1))
+        inv.append(jantzen._norm(-acc * inv[0]))
+    return inv
+
+
+def _ref_sub_mul(x, y, q, W):
+    out = list(x) if x is not None else [0] * W
+    for s, c in enumerate(y):
+        if c:
+            for r, d in enumerate(q[: W - s]):
+                if d:
+                    out[s + r] -= c * d
+    return out if any(out) else None
+
+
+def _ref_expand(L, t0, D):
+    n = len(L)
+    shifted = {}
+    for i, row in enumerate(L):
+        for j, f in enumerate(row):
+            if f:
+                pn, pd = p_shift(f.num, t0), p_shift(f.den, t0)
+                shifted[i, j] = (pn, jantzen._lead(pn), pd, jantzen._lead(pd),
+                                 len(f.den) - len(f.num))
+    m = min([0] + [vn - vd for _, vn, _, vd, _ in shifted.values()])
+    W = D - n * m + 1
+    a = [[None] * n for _ in range(n)]
+    for (i, j), (pn, vn, pd, vd, dd) in shifted.items():
+        lo = vn - vd - m
+        if lo < W:
+            scale = -jantzen._norm(F(t0.denominator) ** dd)
+            q = [jantzen._norm(scale * x) for x in _ref_inverse(pd[vd:], W - lo)]
+            a[i][j] = _ref_sub_mul(None, ([0] * lo + list(pn[vn:]))[:W], q, W)
+    return m, W, a
+
+
+def _ref_pivot(a, k):
+    n = len(a)
+    cells = [(jantzen._lead(a[i][j]), i, j)
+             for i in range(k, n) for j in range(k, n) if a[i][j]]
+    return min(cells, default=None)
+
+
+def _ref_quotients(a, k, W):
+    p = a[k][k]
+    lo = jantzen._lead(p)
+    q = [-x for x in _ref_inverse(p[lo:], W - lo)]
+    return [
+        None if j <= k or x is None else _ref_sub_mul(None, x[lo:], q, W - lo)
+        for j, x in enumerate(a[k])
+    ]
+
+
+def _ref_levels(L, t0):
+    t0 = F(t0)
+    n = len(L)
+    D = jantzen._det_order(L, t0)
+    if D is None:
+        raise SingularFamily("determinant vanishes identically")
+    m, W, a = _ref_expand(L, t0, D)
+    C = [[int(i == j) for j in range(n)] for i in range(n)]
+    orders = [0] * n
+    for k in range(n):
+        piv = _ref_pivot(a, k)
+        if piv is None:
+            raise SingularFamily("family is singular at every order")
+        v, pi, pj = piv
+        if pi != k:
+            a[k], a[pi] = a[pi], a[k]
+        if pj != k:
+            for row in a + C:
+                row[k], row[pj] = row[pj], row[k]
+        q = _ref_quotients(a, k, W)
+        for j in range(k + 1, n):
+            if q[j] is None:
+                continue
+            f = q[j][0]
+            if f:
+                for row in C:
+                    row[j] -= f * row[k]
+            for i in range(k + 1, n):
+                if a[i][k] is not None:
+                    a[i][j] = _ref_sub_mul(a[i][j], a[i][k], q[j], W)
+        orders[k] = v + m
+    if D != sum(orders):
+        raise SingularFamily(
+            "valuation bookkeeping failed: ord det = %d, sum of layer "
+            "orders = %d" % (D, sum(orders))
+        )
+    layers = {}
+    for k in range(n):
+        vec = tuple(F(C[i][k]) for i in range(n))
+        layers.setdefault(orders[k], []).append(vec)
+    return [(r, len(vs), vs) for r, vs in sorted(layers.items())]
+
+
+def _ref_signatures(L, t0):
+    t0 = F(t0)
+    n = len(L)
+    if any(L[i][j] != L[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("level_signatures needs a symmetric family")
+    degenerate = DegenerateResidual("form is identically zero on a Jantzen layer")
+    D = jantzen._det_order(L, t0)
+    if D is None:
+        raise degenerate
+    m, W, a = _ref_expand(L, t0, D)
+    levels = {}
+    for k in range(n):
+        piv = _ref_pivot(a, k)
+        if piv is None:
+            raise degenerate
+        v, i0, j0 = piv
+        pi = next(
+            (i for i in range(k, n)
+             if a[i][i] is not None and jantzen._lead(a[i][i]) == v),
+            None,
+        )
+        if pi is None:
+            for c in range(k, n):
+                if a[j0][c] is not None:
+                    a[i0][c] = _ref_sub_mul(a[i0][c], a[j0][c], [-1], W)
+            for r in range(k, n):
+                if a[r][j0] is not None:
+                    a[r][i0] = _ref_sub_mul(a[r][i0], a[r][j0], [-1], W)
+            pi = i0
+        if pi != k:
+            a[k], a[pi] = a[pi], a[k]
+            for row in a:
+                row[k], row[pi] = row[pi], row[k]
+        q = _ref_quotients(a, k, W)
+        for i in range(k + 1, n):
+            if a[i][k] is not None:
+                for j in range(i, n):
+                    if q[j] is not None:
+                        a[i][j] = a[j][i] = _ref_sub_mul(a[i][j], a[i][k], q[j], W)
+        w = W_ONE if a[k][k][v] > 0 else W_S
+        levels[v + m] = levels.get(v + m, WElem(0, 0)) + w
+    total = sum(r * w.forget() for r, w in levels.items())
+    if D != total:
+        raise DegenerateResidual(
+            "valuation bookkeeping failed: ord det = %d, sum of layer "
+            "orders = %d" % (D, total)
+        )
+    return sorted(levels.items())
+
+
+def _outcome(fn, L, t0):
+    """fn(L, t0), or the type and text of what it raised."""
+    try:
+        return fn(L, t0)
+    except (SigzeroError, ValueError) as e:
+        return type(e), str(e)
+
+
+def _assert_same_as_reference(L, t0):
+    assert _outcome(jantzen_levels, L, t0) == _outcome(_ref_levels, L, t0)
+    assert _outcome(level_signatures, L, t0) == _outcome(_ref_signatures, L, t0)
+
+
+def _planted_part(rng, k, t0, lo, hi):
+    orders = [rng.randint(lo, hi) for _ in range(k)]
+    D, _ = _planted_diag(rng, orders, t0)
+    return _matmul(_matmul(_unimodular(rng, k, t0, 2 * k), D),
+                   _unimodular(rng, k, t0, 2 * k))
+
+
+@pytest.mark.parametrize("t0", [F(1, 2), F(-2, 3)])
+def test_block_diagonal_levels_match_global_precision(t0):
+    rng = random.Random("per-component %s" % t0)
+    for _ in range(40):
+        parts = [_planted_part(rng, rng.randint(1, 3), t0, -2, 3)
+                 for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.15:
+            # a rank-one part: the family is singular
+            f = _t_minus(t0)
+            parts.append([[f, f], [f, f]])
+        _assert_same_as_reference(_permuted_block_diagonal(rng, parts), t0)
+
+
+def _mirrored_pair(rng, k, t0):
+    """[[0, B], [B^T, 0]] for a planted k x k block B: two components of the
+    support, each the transpose of the other."""
+    B = _planted_part(rng, k, t0, -1, 3)
+    z = [RAT_ZERO] * k
+    return ([z + list(row) for row in _transpose(B)]
+            + [list(row) + z for row in B])
+
+
+def _symmetric_part(rng, k, t0):
+    """U^T D U with a nonzero diagonal at generic t."""
+    orders = [rng.randint(-1, 3) for _ in range(k)]
+    D, _ = _planted_diag(rng, orders, t0)
+    U = _unimodular(rng, k, t0, 2 * k)
+    return _matmul(_matmul(_transpose(U), D), U)
+
+
+@pytest.mark.parametrize("t0", [F(1, 2), F(-2, 3), 2])
+def test_symmetric_levels_and_signatures_match_global_precision(t0):
+    rng = random.Random("mirrored %s" % t0)
+    for _ in range(30):
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                parts.append(_mirrored_pair(rng, rng.randint(1, 2), t0))
+            else:
+                parts.append(_symmetric_part(rng, rng.randint(1, 3), t0))
+        n = sum(len(B) for B in parts)
+        L = [[RAT_ZERO] * n for _ in range(n)]
+        at = 0
+        for B in parts:
+            for i, row in enumerate(B):
+                L[at + i][at:at + len(row)] = row
+            at += len(B)
+        # one permutation of rows and columns keeps the family symmetric
+        perm = rng.sample(range(n), n)
+        _assert_same_as_reference([[L[r][c] for c in perm] for r in perm], t0)
+
+
+def _walls(parity, cutoff):
+    """The levels nu at which some c_n of the ladder vanishes."""
+    return range(1 if parity == 1 else 2, cutoff, 2)
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+def test_intertwining_levels_match_global_precision(parity):
+    for cutoff in range(2, 15):
+        L = sl2_intertwining(parity, cutoff)
+        for k in _walls(parity, cutoff):
+            _assert_same_as_reference(L, F(k))
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+def test_intertwining_entries_keep_at_most_two_coefficients(parity):
+    # each c_n is a 1x1 component of order 0 or +-1 at a wall, so the
+    # expansion needs at most the coefficients at U^0 and U^1 (at U^-1 and
+    # U^0 below a pole)
+    L = sl2_intertwining(parity, 14)
+    for k in _walls(parity, 14):
+        for t0 in (F(k), F(-k)):
+            _, a = jantzen._expand(L, t0, jantzen._det_order(L, t0))
+            assert all(len(x) <= 2 for row in a for x in row if x is not None)
+
+
+def _closed_form_c(parity, n):
+    """c_{2m} = prod_{j<m} (2j+1-nu)/(2j+1+nu) and c_{2m+1} = prod_{1<=j<=m}
+    (2j-nu)/(2j+nu), as in the module docstring."""
+    n = abs(n)
+    ints = range(1, n, 2) if parity == 1 else range(2, n, 2)
+    out = RAT_ONE
+    for a in ints:
+        out = out * RatFn((a, -1), (a, 1))
+    return out
+
+
+def test_c_function_matches_the_closed_form():
+    for parity in (1, -1):
+        for n in sl2_ktypes(parity, 20):
+            assert sl2_c_function(parity, n) == _closed_form_c(parity, n)
+
+
+def test_intertwining_and_oracles_climb_one_ladder(monkeypatch):
+    # one RatFn product per weight above the lowest: at most cutoff // 2
+    calls = []
+    mul = RatFn.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(RatFn, "__mul__", counted)
+    for parity in (1, -1):
+        for cutoff in range(0, 21):
+            for run in (
+                lambda: sl2_intertwining(parity, cutoff),
+                lambda: oracle_signature(parity, F(3), cutoff),
+                lambda: oracle_unitary(parity, F(5, 2), cutoff),
+            ):
+                calls.clear()
+                run()
+                assert len(calls) <= cutoff // 2
