@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedGroup,
     ValidationError,
 )
-from .intpoly import IntPoly, p_add, p_mul, p_neg, p_trim
+from .intpoly import IntPoly, p_addmul, p_neg, p_trim
 from .params import (
     CartanClass,
     DiscreteParam,
@@ -322,18 +322,16 @@ def invert_multiplicity(b: Block) -> Dict[Tuple[int, int], IntPoly]:
     for j, c in enumerate(order):
         X[(c, c)] = (1,)
         for r in reversed(order[:j]):
-            acc: IntPoly = ()
+            acc: List[int] = []
             for k, q in rows.get(r, ()):
                 x = X.get((k, c))
                 if x is not None:
-                    acc = p_add(acc, p_mul(q, x))
-            if acc:
-                X[(r, c)] = p_neg(acc)
-    P: Dict[Tuple[int, int], IntPoly] = {}
-    for (r, c), v in X.items():
-        sign = -1 if (lengths[c] - lengths[r]) % 2 else 1
-        P[(r, c)] = tuple(sign * x for x in v)
-    return P
+                    p_addmul(acc, q, x)
+            v = p_trim(acc)
+            if v:
+                X[(r, c)] = p_neg(v)
+    return {(r, c): p_neg(v) if (lengths[c] - lengths[r]) % 2 else v
+            for (r, c), v in X.items()}
 
 
 def multiplicity_inverse(b: Block) -> Dict[Tuple[int, int], int]:

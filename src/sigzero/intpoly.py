@@ -2,7 +2,8 @@
 coefficients ascending in t, trailing zeros trimmed (zero is ``()``).
 
 Block Q-matrices and both components of a ``sigring.WPoly`` in $W[q]$ use
-the ring operations.  The rational functions and the Jantzen filtrations of
+the ring operations; the unitriangular solvers accumulate their sums of
+products in place, in one list per entry, with ``p_addmul``.  The rational functions and the Jantzen filtrations of
 ``jantzen`` also use exact division, a primitive gcd, and the order, value
 and Taylor expansion at a rational point $t_0 = a/b$ ($b > 0$,
 $\\gcd(a, b) = 1$), all in integer arithmetic.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 IntPoly = Tuple[int, ...]
 
@@ -44,6 +45,20 @@ def p_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return p_trim(out)
+
+
+def p_addmul(acc: List[int], a: Sequence[int], b: Sequence[int]) -> None:
+    """acc += a * b in place, acc a list of coefficients that is extended
+    as needed and left untrimmed; zero coefficients of a are skipped."""
+    if not a or not b:
+        return
+    n = len(a) + len(b) - 1
+    if len(acc) < n:
+        acc.extend([0] * (n - len(acc)))
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                acc[j] += x * y
 
 
 def p_divexact(a: Sequence[int], b: Sequence[int]) -> IntPoly:

@@ -257,29 +257,41 @@ def ratmatrix_to_json_obj(m: RatMatrix) -> list:
 # U^(N_c - 1), U = b (t - t0) and N_c the precision of its component, or
 # None for zero (to that precision).
 
-def _components(L: RatMatrix) -> List[Tuple[List[int], List[int]]]:
+Components = List[Tuple[List[int], List[int]]]
+
+
+def _components(L: RatMatrix) -> Components:
     """(rows, columns) of each connected component of the support of L: row
-    i is linked to column j when L_ij != 0."""
+    i is linked to column j when L_ij != 0.  Components come in the order of
+    their least row, and those without a row after them, by column."""
     n = len(L)
-    # rows are 0..n-1 and columns n..2n-1, each labelled by its component
-    comp = list(range(2 * n))
+    # rows are 0..n-1 and columns n..2n-1, merged by a union-find
+    parent = list(range(2 * n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     for i, row in enumerate(L):
         for j, f in enumerate(row):
-            if f and comp[i] != comp[n + j]:
-                old = comp[n + j]
-                comp = [comp[i] if c == old else c for c in comp]
+            if f:
+                parent[find(i)] = find(n + j)
     parts: Dict[int, Tuple[List[int], List[int]]] = {}
-    for x, c in enumerate(comp):
-        parts.setdefault(c, ([], []))[x >= n].append(x % n)
+    for x in range(2 * n):
+        parts.setdefault(find(x), ([], []))[x >= n].append(x % n)
     return list(parts.values())
 
 
-def _det_order(L: RatMatrix, t0: Fraction) -> Optional[int]:
+def _det_order(L: RatMatrix, t0: Fraction,
+               parts: Optional[Components] = None) -> Optional[int]:
     """ord_{t0} det L, or None when det L vanishes identically: the sum of
-    the Bareiss orders of the connected components of the support of L, and
-    None for a component that is not square."""
+    the Bareiss orders of the connected components of the support of L
+    (``parts``, found here when not given), and None for a component that
+    is not square."""
     D = 0
-    for rows, cols in _components(L):
+    for rows, cols in parts if parts is not None else _components(L):
         if len(rows) != len(cols):
             return None
         d = _bareiss_order([[L[i][j] for j in cols] for i in rows], t0)
@@ -349,13 +361,15 @@ def _sub_mul(x, y: list, q: list, W: int):
     return out if any(out) else None
 
 
-def _expand(L: RatMatrix, t0: Fraction, D: int):
+def _expand(L: RatMatrix, t0: Fraction, D: int,
+            parts: Optional[Components] = None):
     """(m, a): the entries of L expanded at t0, with m = min(0, least entry
-    valuation).  An entry of the component c of the support is kept modulo
-    U^N_c, N_c = D - sum_c' n_c' v_c' + v_c + 1 (v_c its least entry
-    valuation, n_c its number of rows), as its N_c - m coefficients."""
-    parts = []
-    for rows, cols in _components(L):
+    valuation).  An entry of the component c of the support (``parts``,
+    found here when not given) is kept modulo U^N_c, N_c = D - sum_c' n_c'
+    v_c' + v_c + 1 (v_c its least entry valuation, n_c its number of rows),
+    as its N_c - m coefficients."""
+    comps = []
+    for rows, cols in parts if parts is not None else _components(L):
         cells = []
         for i in rows:
             for j in cols:
@@ -365,11 +379,11 @@ def _expand(L: RatMatrix, t0: Fraction, D: int):
                     cells.append((i, j, pn, _lead(pn), pd, _lead(pd),
                                   len(f.den) - len(f.num)))
         v = min(vn - vd for _, _, _, vn, _, vd, _ in cells)
-        parts.append((len(rows), v, cells))
-    m = min([0] + [v for _, v, _ in parts])
-    N0 = D - sum(k * v for k, v, _ in parts) + 1
+        comps.append((len(rows), v, cells))
+    m = min([0] + [v for _, v, _ in comps])
+    N0 = D - sum(k * v for k, v, _ in comps) + 1
     a: list = [[None] * len(L) for _ in L]
-    for _, v, cells in parts:
+    for _, v, cells in comps:
         W = N0 + v - m
         for i, j, pn, vn, pd, vd, dd in cells:
             lo = vn - vd - m
@@ -409,10 +423,11 @@ def jantzen_levels(
     filtration of L at t0, certified by D = ord det = sum r dim."""
     t0 = Fraction(t0)
     n = len(L)
-    D = _det_order(L, t0)
+    parts = _components(L)
+    D = _det_order(L, t0, parts)
     if D is None:
         raise SingularFamily("determinant vanishes identically")
-    m, a = _expand(L, t0, D)
+    m, a = _expand(L, t0, D, parts)
     # C tracks right (domain) column operations modulo U; its columns at the
     # end are the adapted basis, regular at t0 because every quotient has
     # val >= 0
@@ -449,9 +464,11 @@ def jantzen_levels(
             "valuation bookkeeping failed: ord det = %d, sum of layer "
             "orders = %d" % (D, sum(orders))
         )
+    # one Fraction per distinct integer of C
+    frac = {x: Fraction(x) for x in {x for row in C for x in row}}
     layers: Dict[int, List[Tuple[Fraction, ...]]] = {}
     for k in range(n):
-        vec = tuple(Fraction(C[i][k]) for i in range(n))
+        vec = tuple(frac[C[i][k]] for i in range(n))
         layers.setdefault(orders[k], []).append(vec)
     return [(r, len(vs), vs) for r, vs in sorted(layers.items())]
 
@@ -465,10 +482,11 @@ def level_signatures(L: RatMatrix, t0) -> List[Tuple[int, WElem]]:
     if any(L[i][j] != L[j][i] for i in range(n) for j in range(i)):
         raise ValueError("level_signatures needs a symmetric family")
     degenerate = DegenerateResidual("form is identically zero on a Jantzen layer")
-    D = _det_order(L, t0)
+    parts = _components(L)
+    D = _det_order(L, t0, parts)
     if D is None:
         raise degenerate
-    m, a = _expand(L, t0, D)
+    m, a = _expand(L, t0, D, parts)
     levels: Dict[int, WElem] = {}
     for k in range(n):
         piv = _pivot(a, k)

@@ -46,6 +46,7 @@ from .errors import (
     UnsupportedUnequalRank,
     ValidationError,
 )
+from .intpoly import IntPoly, p_addmul, p_neg, p_trim
 from .params import (
     DiscreteParam,
     LanglandsParam,
@@ -177,7 +178,7 @@ class SignatureChar:
 # W[q] block matrices
 
 WPolyMatrix = Dict[Tuple[int, int], WPoly]
-SparseRows = Dict[int, List[Tuple[int, WPoly]]]
+QcRows = Dict[int, List[Tuple[int, IntPoly, IntPoly]]]
 
 
 def signature_Q(b: Block) -> WPolyMatrix:
@@ -195,49 +196,67 @@ def signature_Q(b: Block) -> WPolyMatrix:
     return out
 
 
-def _sparse_rows(mat: WPolyMatrix) -> SparseRows:
-    """The nonzero off-diagonal entries of each row, as (column, entry)."""
-    rows: SparseRows = {}
-    for (r, c), v in mat.items():
-        if r != c and v:
-            rows.setdefault(r, []).append((c, v))
+def _qc_rows(b: Block) -> QcRows:
+    """The nonzero off-diagonal entries of each row of $Q^c$, read from the
+    integer Q as (column, Q_e, Q_o) with $Q^c_{r,k} = Q_e(q) + Q_o(q) s$.
+    With $h = (\\ell_o(r)-\\ell_o(k))/2$ the coefficient $c_i q^i$ of
+    $Q_{r,k}$ becomes $c_i q^i s^{i+h}$, so it goes to Q_e when $i + h$ is
+    even and to Q_o when it is odd."""
+    orient = {e.id: e.orient for e in b.elements}
+    rows: QcRows = {}
+    for (r, k), coeffs in b.Q.items():
+        if r == k:
+            continue
+        # the block's orientation numbers share one parity
+        h = (orient[r] - orient[k]) // 2
+        q_e = p_trim([c if (i + h) % 2 == 0 else 0 for i, c in enumerate(coeffs)])
+        q_o = p_trim([c if (i + h) % 2 else 0 for i, c in enumerate(coeffs)])
+        if q_e or q_o:
+            rows.setdefault(r, []).append((k, q_e, q_o))
     return rows
 
 
-def _solve_column(order: List[int], rows: SparseRows, col: int) -> Dict[int, WPoly]:
-    """Column col of the inverse of a matrix unitriangular in the length order,
-    as {row: nonzero entry}, by one back substitution over its sparse rows."""
-    x = {col: WPoly.from_int_coeffs((1,))}
+def _solve_column(order: List[int], rows: QcRows, col: int) -> Dict[int, WPoly]:
+    """Column col of $(Q^c)^{-1}$, as {row: nonzero entry}, by one back
+    substitution over the rows of ``_qc_rows``.  Each unknown
+    $x_r = -\\sum_k Q^c_{r,k} x_k$ is accumulated in two lists, one per
+    power of s, and trimmed and negated once:
+    $(Q_e + Q_o s)(x_a + x_b s) = (Q_e x_a + Q_o x_b) + (Q_e x_b + Q_o x_a) s$."""
+    x: Dict[int, Tuple[IntPoly, IntPoly]] = {col: ((1,), ())}
     for r in reversed(order[:order.index(col)]):
-        acc = WPoly()
-        for k, a in rows.get(r, ()):
+        acc_a: List[int] = []
+        acc_b: List[int] = []
+        for k, q_e, q_o in rows.get(r, ()):
             xk = x.get(k)
             if xk is not None:
-                acc = acc + a * xk
-        if acc:
-            x[r] = -acc
-    return x
-
-
-def _invert_unitriangular(b: Block, mat: WPolyMatrix) -> WPolyMatrix:
-    """Inverse of a matrix that is unitriangular in the length order, one
-    sparse back substitution per column."""
-    order, rows = _length_order(b), _sparse_rows(mat)
-    return {(r, c): v for c in order for r, v in _solve_column(order, rows, c).items()}
+                x_a, x_b = xk
+                if q_e:
+                    p_addmul(acc_a, q_e, x_a)
+                    p_addmul(acc_b, q_e, x_b)
+                if q_o:
+                    p_addmul(acc_a, q_o, x_b)
+                    p_addmul(acc_b, q_o, x_a)
+        a, b = p_trim(acc_a), p_trim(acc_b)
+        if a or b:
+            x[r] = (p_neg(a), p_neg(b))
+    return {r: WPoly(a, b) for r, (a, b) in x.items()}
 
 
 def _qc_inverse(b: Block) -> WPolyMatrix:
-    """$(Q^c)^{-1}$, the matrix whose q = 1 columns expand irreducibles."""
-    return _invert_unitriangular(b, signature_Q(b))
+    """$(Q^c)^{-1}$, the matrix whose q = 1 columns expand irreducibles:
+    one back substitution per column, over rows read once from Q."""
+    order, rows = _length_order(b), _qc_rows(b)
+    return {(r, c): v for c in order for r, v in _solve_column(order, rows, c).items()}
 
 
 def _qc_column(b: Block, eid: int) -> Dict[int, WPoly]:
-    """Column eid of $(Q^c)^{-1}$ alone, as {row: nonzero entry}.  When
-    Q has no entry above the diagonal in that column, the column is the
-    unit vector, and $Q^c$ is not built."""
+    """Column eid of $(Q^c)^{-1}$ alone, as {row: nonzero entry}, solved
+    over the rows of $Q^c$ read from the integer Q.  When Q has no entry
+    above the diagonal in that column, the column is the unit vector and
+    nothing is solved."""
     if all(c != eid or r == c for r, c in b.Q):
         return {eid: WPoly.from_int_coeffs((1,))}
-    return _solve_column(_length_order(b), _sparse_rows(signature_Q(b)), eid)
+    return _solve_column(_length_order(b), _qc_rows(b), eid)
 
 
 def signature_P(b: Block) -> WPolyMatrix:
@@ -250,8 +269,7 @@ def signature_P(b: Block) -> WPolyMatrix:
     qc_inv = _qc_inverse(b)
     out: WPolyMatrix = {}
     for (r, c), v in qc_inv.items():
-        sign = -1 if (lengths[c] - lengths[r]) % 2 else 1
-        out[(r, c)] = v * sign
+        out[(r, c)] = -v if (lengths[c] - lengths[r]) % 2 else v
     # closed-form cross-check: the same twist applied to the plain P matrix
     P = invert_multiplicity(b)
     for (r, c), coeffs in P.items():

@@ -1,9 +1,13 @@
 """Block containers: built-in models, inversion, component splitting,
 serialization and invariant enforcement."""
 
+import contextlib
 import copy
+import io
 import json
+import os
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -27,6 +31,7 @@ from sigzero.blocks import (
     sl2r_ps_param,
     split_components,
 )
+from sigzero.cli import main
 from sigzero.errors import (
     InvariantViolation,
     MissingBlock,
@@ -262,6 +267,64 @@ def test_parse_block_fuzzed_field_raises_only_sigzero_errors(path, value):
         parse_block(json.dumps(obj).replace(json.dumps(_LONG), "9" * 5000))
     except SigzeroError:
         pass
+
+
+def _library_sl2r_3():
+    """The two blocks of sl2r:3 as one library file, which the query at
+    nu = 5 on the +1 line reads at its wall at 3."""
+    chain, single = builtin_block("sl2r", (F(3),))
+    return block_to_json_obj(Block("sl2r", chain.inf_char,
+                                   chain.elements + single.elements,
+                                   {**chain.Q, **single.Q}))
+
+
+_LIBRARY = _library_sl2r_3()
+
+
+@seed(11)
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(_field_paths(_LIBRARY))), _JSON)
+@pytest.mark.parametrize("argv", [
+    ["block", "load", "FILE", "--format", "json"],
+    ["signature", "--parity", "+1", "--nu", "5", "--block", "FILE"],
+])
+def test_main_with_fuzzed_block_file_exits_with_a_code(argv, path, value):
+    obj = copy.deepcopy(_LIBRARY)
+    cur = obj
+    for k in path[:-1]:
+        cur = cur[k]
+    cur[path[-1]] = value
+    fd, name = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(obj).replace(json.dumps(_LONG), "9" * 5000))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([name if a == "FILE" else a for a in argv])
+    finally:
+        os.unlink(name)
+    assert rc in (0, 2, 3, 4)
+    if rc:
+        assert not out.getvalue() and err.getvalue().startswith("error: ")
+
+
+def test_library_file_is_read_by_the_fuzzed_query(tmp_path, capsys):
+    # the unmutated file gives the built-in answer, and one changed Q
+    # entry changes it, so the fuzzed files reach the deformation
+    argv = ["signature", "--parity", "+1", "--nu", "5"]
+    assert main(argv) == 0
+    builtin = capsys.readouterr().out
+    path = tmp_path / "lib.json"
+    path.write_text(json.dumps(_LIBRARY))
+    assert main(argv + ["--block", str(path)]) == 0
+    assert capsys.readouterr().out == builtin
+    obj = copy.deepcopy(_LIBRARY)
+    (entry,) = [q for q in obj["Q"] if (q["row"], q["col"]) == (0, 2)]
+    entry["coeffs"] = [2]
+    path.write_text(json.dumps(obj))
+    assert main(argv + ["--block", str(path)]) == 0
+    changed = capsys.readouterr().out
+    assert "DS+(3)  1-s" in builtin and "DS+(3)  2-2s" in changed
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

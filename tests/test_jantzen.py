@@ -258,7 +258,7 @@ def test_level_signatures_checks_the_determinant_order(monkeypatch):
     # with ord det misreported, both eliminations must notice that the
     # layer orders no longer add up to it
     det_order = jantzen._det_order
-    monkeypatch.setattr(jantzen, "_det_order", lambda L, t0: det_order(L, t0) + 1)
+    monkeypatch.setattr(jantzen, "_det_order", lambda L, t0, *parts: det_order(L, t0, *parts) + 1)
     L = [[RAT_ONE, RAT_ZERO], [RAT_ZERO, T_MINUS_1]]
     with pytest.raises(SingularFamily, match="ord det = 2"):
         jantzen_levels(L, 1)

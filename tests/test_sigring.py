@@ -2,10 +2,10 @@
 polynomial ring W[q]."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sigzero.errors import OddOrientationDifference
-from sigzero.intpoly import p_trim
+from sigzero.intpoly import p_add, p_addmul, p_mul, p_trim
 from sigzero.sigring import (
     WElem,
     WPoly,
@@ -55,6 +55,28 @@ def test_monomial_and_exponent():
 def test_welem_json_round_trip():
     w = WElem(-3, 5)
     assert WElem.from_json(w.to_json()) == w
+
+
+# untrimmed coefficient lists: zeros anywhere, trailing ones included
+int_lists = st.lists(st.integers(-9, 9), max_size=7)
+
+
+@given(int_lists, int_lists, int_lists)
+@example([], [], [])
+@example([3, -1], [], [2])
+@example([3, -1], [2], [])
+@example([0, 0, 0], [0, 0], [5, 0])
+@example([1, 2, 3, 4, 5, 6, 7], [1, -1], [2])
+@example([4], [0, 2, 0, -3], [1, 1, 0])
+@example([], [-1, 0, 2], [-3, 4])
+def test_p_addmul_accumulates_the_product_in_place(acc, a, b):
+    # acc longer and shorter than the product, empty, zero and negative
+    # inputs: the list itself holds acc + a b, and a and b are unchanged
+    a0, b0 = list(a), list(b)
+    want = p_add(acc, p_mul(a, b))
+    p_addmul(acc, a, b)
+    assert p_trim(acc) == want
+    assert (a, b) == (a0, b0)
 
 
 @given(welems, welems, welems)

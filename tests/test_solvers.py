@@ -174,3 +174,22 @@ def test_bottom_column_is_a_unit_vector_without_solving(monkeypatch):
     for e in chain.elements[:2]:  # DS+(3) and DS-(3), the bottom of the chain
         assert _qc_column(chain, e.id) == {e.id: WPoly.from_int_coeffs((1,))}
     assert solved == []
+
+
+def test_unit_vector_column_never_enters_the_back_substitution(monkeypatch):
+    (chain, _) = builtin_block("sl2r", (F(3),))
+    solve = sigengine._solve_column
+    solved = []
+
+    def counting(order, rows, col):
+        solved.append(col)
+        return solve(order, rows, col)
+
+    monkeypatch.setattr(sigengine, "_solve_column", counting)
+    bottom, top = chain.elements[:2], chain.elements[2]
+    for e in bottom:  # DS+(3) and DS-(3): no Q entry above them
+        assert _qc_column(chain, e.id) == {e.id: WPoly.from_int_coeffs((1,))}
+    assert solved == []
+    # the column above them is solved, through the patched name
+    assert len(_qc_column(chain, top.id)) == 3
+    assert solved == [top.id]
