@@ -9,9 +9,10 @@ floats.  stdout carries data only, diagnostics go to stderr.  JSON output is
 byte-deterministic (sorted keys, canonical rational strings).  `--trace`
 streams line-delimited JSON crossing records ahead of the result.  The
 colon-separated SIGZERO_BLOCK_PATH variable extends the search path for
-block files.  `scan` partitions its segment by the reducibility walls and
-reports one verdict per facet, checking constancy on two (or `--steps`)
-interior points; facets are reported in segment order.
+block files.  `scan` partitions its segment at the reducibility walls that
+the deformation of its top crosses and reports one verdict per facet, in
+segment order: at the wall itself for a point, at the midpoint for an open
+interval, certified by the midpoint being its own irreducible.
 
 Exit codes: 0 success, 2 missing block data, 3 invalid input or failed
 validation, 4 unsupported group or parameter.
@@ -42,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .jantzen import jantzen_levels, level_signatures, parse_ratmatrix
-from .params import frac_str, hyperplanes, parse_frac
+from .params import crossing_times, frac_str, hyperplanes, parse_frac
 from .sigengine import SignatureChar, deform_to_zero, unitary_test
 
 BLOCK_PATH_VAR = "SIGZERO_BLOCK_PATH"
@@ -108,12 +109,6 @@ def _line(args, nu: Fraction):
     """The parameter at nu on the principal series line that --group picks
     with --parity or --m."""
     return group_model(args.group).line(args.parity, args.m, nu)
-
-
-def _line_walls(args, radius) -> list:
-    """The wall arrangement of that line up to level radius."""
-    d = _line(args, Fraction(0)).discrete
-    return hyperplanes(d, group_model(args.group).cartan(d.cartan), parse_frac(radius))
 
 
 def _signature_rows(sc: SignatureChar) -> List[List[str]]:
@@ -243,27 +238,6 @@ def cmd_unitary(args) -> int:
     return 0
 
 
-def _scan_walls(args, lo: Fraction, hi: Fraction) -> List[Fraction]:
-    levels = {
-        h.level
-        for h in _line_walls(args, hi + 1)
-        if h.kind == "reducibility" and lo <= h.level <= hi
-    }
-    return sorted(levels)
-
-
-def _facet_verdict(args, session: Session, points: Sequence[Fraction]) -> str:
-    verdicts = set()
-    for nu in points:
-        g = _line(args, nu)
-        verdicts.add(unitary_test(g, session.provider, group=args.group).verdict)
-    if len(verdicts) != 1:
-        raise ValidationError(
-            "verdict not constant on a facet: %s" % sorted(verdicts)
-        )
-    return verdicts.pop()
-
-
 def cmd_scan(args) -> int:
     session = Session(args.block or [])
     lo, hi = parse_frac(getattr(args, "from")), parse_frac(args.to)
@@ -271,42 +245,40 @@ def cmd_scan(args) -> int:
         raise ValidationError("empty segment: %s > %s" % (lo, hi))
     if lo < 0:
         raise ValidationError("scan segment must lie in nu >= 0")
-    if args.steps < 2:
-        raise ValidationError("--steps must be >= 2 (got %d)" % args.steps)
-    facets: List[dict] = []
+
+    def verdict(nu: Fraction, certify: bool = False) -> str:
+        g = _line(args, nu)
+        res = unitary_test(g, session.provider, group=args.group)
+        # B = deform(I) exactly when J = I: the representative is then
+        # irreducible and its B is the prefix sum shared by the facet
+        if certify and res.B != deform_to_zero(g, session.provider, group=args.group):
+            raise ValidationError("facet representative %s is reducible" % frac_str(nu))
+        return res.verdict
+
+    def point(nu: Fraction) -> dict:
+        return {"kind": "point", "at": frac_str(nu), "verdict": verdict(nu)}
+
+    def interval(a: Fraction, b: Fraction) -> dict:
+        return {"kind": "interval", "from": frac_str(a), "to": frac_str(b),
+                "verdict": verdict((a + b) / 2, certify=True)}
+
     if lo == hi:
-        facets.append(
-            {
-                "kind": "point",
-                "at": frac_str(lo),
-                "verdict": _facet_verdict(args, session, [lo]),
-            }
-        )
+        facets = [point(lo)]
     else:
-        prev = lo
-        for w in _scan_walls(args, lo, hi) + [hi]:
+        # the walls of the segment are the points where the deformation of
+        # its top crosses a reducibility wall
+        g_hi = _line(args, hi)
+        cartan = group_model(args.group).cartan(g_hi.discrete.cartan)
+        facets, prev = [], lo
+        for w in sorted(t * hi for t in crossing_times(g_hi, cartan)):
+            if w < lo:
+                continue
             if prev < w:
-                interior = [
-                    prev + (w - prev) * Fraction(i, args.steps + 1)
-                    for i in range(1, args.steps + 1)
-                ]
-                facets.append(
-                    {
-                        "kind": "interval",
-                        "from": frac_str(prev),
-                        "to": frac_str(w),
-                        "verdict": _facet_verdict(args, session, interior),
-                    }
-                )
-            if w < hi or w == hi and w != prev and _is_wall(args, w):
-                facets.append(
-                    {
-                        "kind": "point",
-                        "at": frac_str(w),
-                        "verdict": _facet_verdict(args, session, [w]),
-                    }
-                )
+                facets.append(interval(prev, w))
+            facets.append(point(w))
             prev = w
+        if prev < hi:
+            facets.append(interval(prev, hi))
     if args.format == "json":
         print(_dumps({"facets": facets}))
         return 0
@@ -322,15 +294,12 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _is_wall(args, nu: Fraction) -> bool:
-    return nu in _scan_walls(args, nu, nu)
-
-
 def cmd_hyperplanes(args) -> int:
     radius = parse_frac(args.radius)
     if radius < 0:
         raise ValidationError("--radius must be >= 0 (got %s)" % frac_str(radius))
-    walls = _line_walls(args, radius)
+    d = _line(args, Fraction(0)).discrete
+    walls = hyperplanes(d, group_model(args.group).cartan(d.cartan), radius)
     if args.format == "json":
         print(
             _dumps(
@@ -481,9 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     _param_opts(p_scan, nu_required=False)
     p_scan.add_argument("--from", required=True, help="segment start p/q")
     p_scan.add_argument("--to", required=True, help="segment end p/q")
-    p_scan.add_argument(
-        "--steps", type=int, default=2, help="interior samples per facet (>= 2)"
-    )
     p_scan.set_defaults(func=cmd_scan)
 
     p_hyp = sub.add_parser("hyperplanes", parents=[common], help="wall arrangement")

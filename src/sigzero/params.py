@@ -43,7 +43,7 @@ __all__ = [
     "param_from_json",
 ]
 
-_FRAC_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_FRAC_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
 
 def parse_frac(text) -> Fraction:
@@ -53,9 +53,11 @@ def parse_frac(text) -> Fraction:
         return Fraction(text)
     if isinstance(text, Fraction):
         return text
-    if not isinstance(text, str) or not _FRAC_RE.match(text.strip()):
+    m = _FRAC_RE.match(text.strip()) if isinstance(text, str) else None
+    if m is None:
         raise ValueError("not an exact rational: %r" % (text,))
-    return Fraction(text.strip())
+    num, den = m.groups()
+    return Fraction(int(num), int(den or 1))
 
 
 def frac_str(x: Fraction) -> str:
@@ -177,19 +179,6 @@ class LanglandsParam:
 
     def is_real(self) -> bool:
         return self.nu_im is None
-
-    def validate_continuous(self, cartan: CartanClass) -> None:
-        """nu must avoid the kernel walls of odd real coroots; in particular
-        nu = 0 is admissible exactly for final Lambda."""
-        for rr in cartan.restricted:
-            if rr.kind != "real":
-                continue
-            if self.discrete.grading.get(rr.root_index, 1) == -1:
-                if dot(self.nu, rr.covector) == 0:
-                    raise ValueError(
-                        "nu vanishes on an odd real coroot; (Lambda, nu) "
-                        "is not a Langlands parameter"
-                    )
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import dataclasses
 import os
+import random
 import tempfile
 from fractions import Fraction
 
@@ -11,8 +13,9 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from sigzero import cli, jantzen
-from sigzero.blocks import Block, builtin_block, serialize_block
+from sigzero.blocks import SL2R, Block, BlockProvider, builtin_block, serialize_block
 from sigzero.cli import main
+from sigzero.sigengine import deform_to_zero, unitary_test
 from sigzero.jantzen import RatFn, ratmatrix_to_json_obj
 
 
@@ -173,11 +176,109 @@ def test_scan_endpoint_wall(capsys):
     assert rows[1].startswith("(1, 2)")
 
 
-@pytest.mark.parametrize("steps", ["0", "1", "-1"])
-def test_scan_steps_below_two_exits_3(capsys, steps):
-    rc, out, err = run(capsys, "scan", "--from", "0", "--to", "3", "--steps", steps)
+def test_scan_has_no_steps_option(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["scan", "--from", "0", "--to", "3", "--steps", "2"])
+    assert e.value.code == 3
+    assert "--steps" in capsys.readouterr().err
+
+
+def _scan_facets(capsys, parity, lo, hi, *extra):
+    rc, out, _ = run(capsys, "scan", "--parity", parity, "--from", str(lo),
+                     "--to", str(hi), "--format", "json", *extra)
+    assert rc == 0
+    return json.loads(out)["facets"]
+
+
+def _seeded_segments(seed, n):
+    rng = random.Random(seed)
+    for _ in range(n):
+        d = rng.choice([1, 2, 3, 5])
+        lo, hi = sorted(Fraction(rng.randint(1, 60 * d), d) for _ in range(2))
+        yield lo, hi
+
+
+@pytest.mark.parametrize("parity", ["+1", "-1"])
+def test_scan_representative_B_equals_the_old_samples(capsys, parity):
+    # the B at each open facet's representative is the B at every point
+    # the sampling check deformed, for two and for eight samples
+    segments = [(Fraction(0), Fraction(4))] + list(_seeded_segments(15, 4))
+    provider = BlockProvider()
+    sign = int(parity)
+    checked = 0
+    for lo, hi in segments:
+        for f in _scan_facets(capsys, parity, lo, hi):
+            if f["kind"] != "interval":
+                continue
+            a, b = Fraction(f["from"]), Fraction(f["to"])
+            rep = unitary_test(SL2R.line(sign, 0, (a + b) / 2), provider).B
+            for n in (2, 8):
+                for i in range(1, n + 1):
+                    nu = a + (b - a) * Fraction(i, n + 1)
+                    assert unitary_test(SL2R.line(sign, 0, nu), provider).B == rep
+            checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("parity", ["+1", "-1"])
+def test_scan_walls_are_the_reducibility_levels(capsys, parity):
+    facets = _scan_facets(capsys, parity, 0, 60)
+    rc, out, _ = run(capsys, "hyperplanes", "--parity", parity, "--radius", "60",
+                     "--format", "json")
+    assert rc == 0
+    levels = [h["level"] for h in json.loads(out)["walls"] if h["kind"] == "reducibility"]
+    assert [f["at"] for f in facets if f["kind"] == "point"] == levels
+    # the facets cover the segment, each starting where the last one ends
+    spans = [(f["at"], f["at"]) if f["kind"] == "point" else (f["from"], f["to"])
+             for f in facets]
+    assert spans[0][0] == "0" and spans[-1][1] == "60"
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+
+@pytest.mark.parametrize("parity, facets", [("+1", 61), ("-1", 60)])
+def test_scan_calls_unitary_test_once_per_facet(capsys, monkeypatch, parity, facets):
+    calls = []
+
+    def counting(g, provider, group="sl2r"):
+        calls.append(g.nu)
+        return unitary_test(g, provider, group)
+
+    monkeypatch.setattr(cli, "unitary_test", counting)
+    assert len(_scan_facets(capsys, parity, 0, 60)) == facets
+    assert len(calls) == len(set(calls)) == facets
+
+
+def _swapped_library(tmp_path):
+    """The sl2r:2 library with the parameters of PS-(2) and PS+(2) swapped:
+    PS+(2) tops the chain, so it is reducible at nu = 2."""
+    chain, single = builtin_block("sl2r", (2,))
+    e0, e1, e2 = chain.elements
+    (e3,) = single.elements
+    swapped = Block(
+        chain.group,
+        chain.inf_char,
+        (e0, e1,
+         dataclasses.replace(e2, param=e3.param, label=e3.label),
+         dataclasses.replace(e3, param=e2.param, label=e2.label)),
+        {**chain.Q, **single.Q},
+    )
+    path = tmp_path / "swapped.json"
+    path.write_text(serialize_block(swapped))
+    return path
+
+
+def test_scan_certificate_fires_on_a_reducible_representative(tmp_path, capsys):
+    path = _swapped_library(tmp_path)
+    # the samples 11/6 and 13/6 of the old check are irreducible here, so
+    # sampling reported this facet as nonunitary
+    session = cli.Session([str(path)])
+    for nu in (Fraction(11, 6), Fraction(13, 6)):
+        g = SL2R.line(1, 0, nu)
+        assert unitary_test(g, session.provider).B == deform_to_zero(g, session.provider)
+    rc, out, err = run(capsys, "scan", "--from", "3/2", "--to", "5/2",
+                       "--block", str(path))
     assert rc == 3 and out == ""
-    assert "--steps must be >= 2" in err
+    assert "facet representative 2 is reducible" in err
 
 
 # ---------------------------------------------------------------------------

@@ -167,15 +167,6 @@ def test_on_demand_columns_match_the_full_inverse():
             assert provider.inverse_column(b, e.id, None) is col
 
 
-def test_bottom_column_is_a_unit_vector_without_solving(monkeypatch):
-    (chain, _) = builtin_block("sl2r", (F(3),))
-    solved = []
-    monkeypatch.setattr(sigengine, "signature_Q", lambda b: solved.append(b))
-    for e in chain.elements[:2]:  # DS+(3) and DS-(3), the bottom of the chain
-        assert _qc_column(chain, e.id) == {e.id: WPoly.from_int_coeffs((1,))}
-    assert solved == []
-
-
 def test_unit_vector_column_never_enters_the_back_substitution(monkeypatch):
     (chain, _) = builtin_block("sl2r", (F(3),))
     solve = sigengine._solve_column
