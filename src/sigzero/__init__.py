@@ -65,7 +65,6 @@ from .blocks import (
     builtin_block,
     group_cartan,
     invert_multiplicity,
-    multiplicity_inverse,
     parse_block,
     serialize_block,
     sl2c_param,

@@ -55,7 +55,6 @@ __all__ = [
     "BlockElement",
     "Block",
     "invert_multiplicity",
-    "multiplicity_inverse",
     "parse_block",
     "serialize_block",
     "block_to_json_obj",
@@ -332,19 +331,6 @@ def invert_multiplicity(b: Block) -> Dict[Tuple[int, int], IntPoly]:
                 X[(r, c)] = p_neg(v)
     return {(r, c): p_neg(v) if (lengths[c] - lengths[r]) % 2 else v
             for (r, c), v in X.items()}
-
-
-def multiplicity_inverse(b: Block) -> Dict[Tuple[int, int], int]:
-    """M = m^{-1} at q = 1: the integer character-formula matrix."""
-    P = invert_multiplicity(b)
-    lengths = {e.id: e.length for e in b.elements}
-    out = {}
-    for (r, c), v in P.items():
-        sign = -1 if (lengths[c] - lengths[r]) % 2 else 1
-        val = sign * sum(v)
-        if val:
-            out[(r, c)] = val
-    return out
 
 
 def split_components(b: Block) -> List[Block]:

@@ -22,6 +22,8 @@ $U = bt - a$ modulo $U^{N_c}$,
 $N_c = D - \\sum_{c'} n_{c'} v_{c'} + v_c + 1$, with $v_c$ the least entry
 valuation in $c$ and $n_c$ its number of rows: the elementary divisors of
 $c$ are $\\geq v_c$ and all of them sum to $D$, so each of $c$ is $< N_c$.
+``_local`` makes $D$ and the expansion in one pass over the components,
+once per elimination; the elimination itself checks its orders against $D$.
 The elimination pivots on minimal valuation over the whole family,
 row-major on ties.  The Schur complement never leaves the pivot's
 component; division by a pivot of valuation $v$ keeps absolute precision
@@ -49,7 +51,10 @@ two odd half-ladders ($a_{-n} = -a_n$), which is the twist applied when
 reading off invariant-form positivity.  The full derivation from the
 rank-one integral lives in docs/intertwining.md; the closed form is gated by
 the determinant identity above and by matching its zero locus against the
-reducibility hyperplanes.
+reducibility hyperplanes.  ``oracle_signature`` reads each $c_n$'s order $r$
+and the sign of its residual $g(\\nu)$ off the rational function itself, the
+sign $(-1)^r \\operatorname{sign} g(\\nu)$ just below $\\nu$, so it runs none
+of the elimination it checks.
 """
 
 from __future__ import annotations
@@ -170,30 +175,6 @@ class RatFn:
     def to_json_obj(self) -> dict:
         return {"num": list(self.num), "den": list(self.den)}
 
-    def __str__(self) -> str:
-        def poly(c):
-            if not c:
-                return "0"
-            parts = []
-            for i, x in enumerate(c):
-                if x == 0:
-                    continue
-                if i == 0:
-                    parts.append(str(x))
-                else:
-                    var = "t" if i == 1 else "t^%d" % i
-                    if x == 1:
-                        parts.append(var)
-                    elif x == -1:
-                        parts.append("-" + var)
-                    else:
-                        parts.append("%d %s" % (x, var))
-            return " + ".join(parts).replace("+ -", "- ")
-
-        if self.den == (1,):
-            return poly(self.num)
-        return "(%s)/(%s)" % (poly(self.num), poly(self.den))
-
 
 RAT_ZERO = RatFn((), (1,))
 RAT_ONE = RatFn((1,), (1,))
@@ -257,10 +238,7 @@ def ratmatrix_to_json_obj(m: RatMatrix) -> list:
 # U^(N_c - 1), U = b (t - t0) and N_c the precision of its component, or
 # None for zero (to that precision).
 
-Components = List[Tuple[List[int], List[int]]]
-
-
-def _components(L: RatMatrix) -> Components:
+def _components(L: RatMatrix) -> List[Tuple[List[int], List[int]]]:
     """(rows, columns) of each connected component of the support of L: row
     i is linked to column j when L_ij != 0.  Components come in the order of
     their least row, and those without a row after them, by column."""
@@ -282,23 +260,6 @@ def _components(L: RatMatrix) -> Components:
     for x in range(2 * n):
         parts.setdefault(find(x), ([], []))[x >= n].append(x % n)
     return list(parts.values())
-
-
-def _det_order(L: RatMatrix, t0: Fraction,
-               parts: Optional[Components] = None) -> Optional[int]:
-    """ord_{t0} det L, or None when det L vanishes identically: the sum of
-    the Bareiss orders of the connected components of the support of L
-    (``parts``, found here when not given), and None for a component that
-    is not square."""
-    D = 0
-    for rows, cols in parts if parts is not None else _components(L):
-        if len(rows) != len(cols):
-            return None
-        d = _bareiss_order([[L[i][j] for j in cols] for i in rows], t0)
-        if d is None:
-            return None
-        D += d
-    return D
 
 
 def _bareiss_order(L: RatMatrix, t0: Fraction) -> Optional[int]:
@@ -361,15 +322,23 @@ def _sub_mul(x, y: list, q: list, W: int):
     return out if any(out) else None
 
 
-def _expand(L: RatMatrix, t0: Fraction, D: int,
-            parts: Optional[Components] = None):
-    """(m, a): the entries of L expanded at t0, with m = min(0, least entry
-    valuation).  An entry of the component c of the support (``parts``,
-    found here when not given) is kept modulo U^N_c, N_c = D - sum_c' n_c'
-    v_c' + v_c + 1 (v_c its least entry valuation, n_c its number of rows),
-    as its N_c - m coefficients."""
+def _local(L: RatMatrix, t0: Fraction) -> Optional[Tuple[int, int, list]]:
+    """(D, m, a), or None when det L vanishes identically.  D = ord_{t0}
+    det L is the sum of the Bareiss orders of the connected components of
+    the support of L, and a component that is not square is singular.  a
+    holds the entries of L expanded at t0, m = min(0, least entry
+    valuation): an entry of component c is kept modulo U^N_c, N_c = D -
+    sum_c' n_c' v_c' + v_c + 1 (v_c its least entry valuation, n_c its
+    number of rows), as its N_c - m coefficients."""
+    D = 0
     comps = []
-    for rows, cols in parts if parts is not None else _components(L):
+    for rows, cols in _components(L):
+        if len(rows) != len(cols):
+            return None
+        d = _bareiss_order([[L[i][j] for j in cols] for i in rows], t0)
+        if d is None:
+            return None
+        D += d
         cells = []
         for i in rows:
             for j in cols:
@@ -392,7 +361,7 @@ def _expand(L: RatMatrix, t0: Fraction, D: int,
                 scale = -_norm(Fraction(t0.denominator) ** dd)
                 q = [_norm(scale * x) for x in _inverse(pd[vd:], W - lo)]
                 a[i][j] = _sub_mul(None, ([0] * lo + list(pn[vn:]))[:W], q, W)
-    return m, a
+    return D, m, a
 
 
 def _pivot(a: list, k: int):
@@ -423,11 +392,10 @@ def jantzen_levels(
     filtration of L at t0, certified by D = ord det = sum r dim."""
     t0 = Fraction(t0)
     n = len(L)
-    parts = _components(L)
-    D = _det_order(L, t0, parts)
-    if D is None:
+    local = _local(L, t0)
+    if local is None:
         raise SingularFamily("determinant vanishes identically")
-    m, a = _expand(L, t0, D, parts)
+    D, m, a = local
     # C tracks right (domain) column operations modulo U; its columns at the
     # end are the adapted basis, regular at t0 because every quotient has
     # val >= 0
@@ -482,11 +450,10 @@ def level_signatures(L: RatMatrix, t0) -> List[Tuple[int, WElem]]:
     if any(L[i][j] != L[j][i] for i in range(n) for j in range(i)):
         raise ValueError("level_signatures needs a symmetric family")
     degenerate = DegenerateResidual("form is identically zero on a Jantzen layer")
-    parts = _components(L)
-    D = _det_order(L, t0, parts)
-    if D is None:
+    local = _local(L, t0)
+    if local is None:
         raise degenerate
-    m, a = _expand(L, t0, D, parts)
+    D, m, a = local
     levels: Dict[int, WElem] = {}
     for k in range(n):
         piv = _pivot(a, k)
@@ -585,21 +552,18 @@ def sl2_intertwining(parity: int, cutoff: int) -> RatMatrix:
     return out
 
 
-def _flip(w: WElem) -> WElem:
-    return WElem(w.q, w.p)
-
-
 def oracle_signature(parity: int, nu, cutoff: int) -> Dict[int, WElem]:
-    """Sign of the c-form per K-type as 1 or s, as a limit from below: at a
-    reducibility point the 1x1 Jantzen layer data (r, residual sign) is read
-    off and the below-wall sign is residual times (-1)^r."""
+    """Sign of the c-form per K-type as 1 or s, as a limit from below: near
+    nu, c_n = g (t - nu)^r with g(nu) != 0, so its sign just below nu is
+    (-1)^r sign g(nu), with r its valuation and g(nu) its residual."""
     nu = Fraction(nu)
     out: Dict[int, WElem] = {}
     kt = sl2_ktypes(parity, cutoff)
     c = _c_ladder(parity, cutoff)
     for n in kt:
-        ((r, sig),) = level_signatures([[c[abs(n)]]], nu)
-        out[n] = sig if r % 2 == 0 else _flip(sig)
+        f = c[abs(n)]
+        odd = f.valuation(nu) % 2 == 1
+        out[n] = W_ONE if (f.residual(nu) > 0) != odd else W_S
     return out
 
 

@@ -283,8 +283,6 @@ def signature_P(b: Block) -> WPolyMatrix:
 
 
 def _resolve_element(b: Block, psi) -> BlockElement:
-    if isinstance(psi, BlockElement):
-        return b.element(psi.id)
     if isinstance(psi, LanglandsParam):
         e = b.find(psi)
         if e is None:

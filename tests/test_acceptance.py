@@ -21,7 +21,6 @@ from sigzero.blocks import (
     block_to_json_obj,
     builtin_block,
     invert_multiplicity,
-    multiplicity_inverse,
     parse_block,
     serialize_block,
     sl2c_param,
@@ -121,8 +120,10 @@ def test_criterion_3_matrix_identities():
         ids = list(b.ids())
         lengths = {e.id: e.length for e in b.elements}
         orients = {e.id: e.orient for e in b.elements}
-        # sum m M = delta at q = 1
-        M = multiplicity_inverse(b)
+        # sum m M = delta at q = 1, M = P at q = 1 with the sign
+        # (-1)^(l(c) - l(r))
+        M = {(r, c): -sum(v) if (lengths[c] - lengths[r]) % 2 else sum(v)
+             for (r, c), v in invert_multiplicity(b).items()}
         for r in ids:
             for c in ids:
                 tot = sum(

@@ -10,11 +10,12 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from sigzero import cli, jantzen
 from sigzero.blocks import SL2R, Block, BlockProvider, builtin_block, serialize_block
 from sigzero.cli import main
+from sigzero.errors import DegenerateResidual, SingularFamily
 from sigzero.sigengine import deform_to_zero, unitary_test
 from sigzero.jantzen import RatFn, ratmatrix_to_json_obj
 
@@ -589,7 +590,8 @@ def test_jantzen_main_fuzzed_families_exit_0_or_3(family):
         os.unlink(path)
     assert rc in (0, 3)
     # every family is well formed, so exit 3 means a singular one
-    D = jantzen._det_order(L, t0)
+    local = jantzen._local(L, t0)
+    D = None if local is None else local[0]
     assert (rc == 3) == (D is None)
     if rc == 3:
         assert not out.getvalue() and err.getvalue().startswith("error: ")
@@ -602,6 +604,115 @@ def test_jantzen_main_fuzzed_families_exit_0_or_3(family):
         assert len(lv["basis"]) == lv["dim"]
         if obj["symmetric"]:
             assert sum(lv["signature"]) == lv["dim"]
+
+
+def _assert_both_eliminations_agree(L, t0):
+    """The row-column elimination (jantzen_levels) and the congruence one
+    (level_signatures) of a symmetric family: the same (r, dim), or both
+    find it singular."""
+    try:
+        levels = [(r, d) for r, d, _ in jantzen.jantzen_levels(L, t0)]
+    except SingularFamily:
+        with pytest.raises(DegenerateResidual):
+            jantzen.level_signatures(L, t0)
+        return
+    assert levels == [(r, w.forget()) for r, w in jantzen.level_signatures(L, t0)]
+
+
+@pytest.mark.parametrize(
+    "family, at",
+    [("sym_pole.json", "1/2"), ("sl2_intertwining_p+1_12.json", "5"),
+     ("sym_mirrored.json", "1/2")],
+)
+def test_both_eliminations_agree_on_the_symmetric_goldens(family, at):
+    with open(os.path.join(FIXTURES, family), "rb") as fh:
+        L = jantzen.parse_ratmatrix(fh.read())
+    assert all(L[i][j] == L[j][i] for i in range(len(L)) for j in range(i))
+    _assert_both_eliminations_agree(L, Fraction(at))
+
+
+@seed(14)
+@settings(max_examples=300, deadline=None)
+@given(_jantzen_families())
+def test_both_eliminations_agree_on_fuzzed_symmetric_families(family):
+    L, t0 = family
+    assume(all(L[i][j] == L[j][i] for i in range(len(L)) for j in range(i)))
+    _assert_both_eliminations_agree(L, t0)
+
+
+# ---------------------------------------------------------------------------
+# the error contract of the parameter commands
+
+def _mostly(valid, mutated):
+    """A valid value three times in four, else a mutated one."""
+    return st.integers(0, 3).flatmap(lambda k: mutated if k == 3 else valid)
+
+
+# each value that parses lies in [-60, 60]: hyperplanes --radius walks every
+# level up to the radius
+_RATIONALS = _mostly(
+    st.tuples(st.integers(0, 60), st.integers(1, 7)).map(
+        lambda pq: "%d/%d" % pq if pq[1] > 1 else str(pq[0])),
+    st.one_of(
+        st.tuples(st.integers(-60, -1), st.integers(1, 7)).map(lambda pq: "%d/%d" % pq),
+        st.sampled_from(["", " ", "3/0", "-3/0", "0/0", "1.5", "-0.5", ".5", "2.",
+                         "1e1", "3/", "/2", "1/-2", "--1", "+1", "1_0", "x"]),
+    ),
+)
+_JUNK_INTEGERS = st.sampled_from(["", "x", "1.0", "1/2", "--1"])
+_PARITIES = _mostly(st.sampled_from(["1", "-1", "+1"]),
+                    st.integers(-60, 60).map(str) | _JUNK_INTEGERS)
+_INTEGERS = _mostly(st.integers(-60, 60).map(str), _JUNK_INTEGERS)
+_GROUPS = _mostly(
+    st.sampled_from(["sl2r", "sl2c"]),
+    st.sampled_from(["", "g2", "SL2R", "sl2r:", "sl2c:1"]),
+)
+_KEYS = _mostly(
+    st.tuples(_GROUPS, st.lists(_RATIONALS, min_size=1, max_size=3)).map(
+        lambda gc: "%s:%s" % (gc[0], ",".join(gc[1]))),
+    st.sampled_from(["sl2r:", "sl2c:1/3,1/5", ":3", "sl2r", "", ":", "sl2r:1,,2",
+                     "sl2c:,", "sl2c:1/2,1/2"]),
+)
+_OPTIONS = {
+    "unitary": ("--nu",),
+    "scan": ("--from", "--to"),
+    "hyperplanes": ("--radius",),
+}
+
+
+@st.composite
+def _parameter_calls(draw):
+    """argv of unitary, scan, hyperplanes or block show with mutated
+    arguments, each option present or not, as --opt=value or --opt value."""
+    cmd = draw(st.sampled_from(sorted(_OPTIONS) + ["block show"]))
+    if cmd == "block show":
+        argv = ["block", "show", draw(_KEYS)]
+    else:
+        argv = [cmd]
+        opts = [("--group", _GROUPS), ("--parity", _PARITIES), ("--m", _INTEGERS)]
+        for opt, values in opts + [(o, _RATIONALS) for o in _OPTIONS[cmd]]:
+            if draw(st.integers(0, 5)) < 5:
+                value = draw(values)
+                joined = draw(st.booleans())
+                argv += ["%s=%s" % (opt, value)] if joined else [opt, value]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv
+
+
+@seed(15)
+@settings(max_examples=400, deadline=None)
+@given(_parameter_calls())
+def test_parameter_commands_fuzzed_exit_0_2_3_or_4(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+    assert rc in (0, 2, 3, 4), (argv, rc, err.getvalue())
+    if rc:
+        assert not out.getvalue() and err.getvalue(), argv
 
 
 # ---------------------------------------------------------------------------

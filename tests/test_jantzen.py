@@ -256,12 +256,19 @@ def test_level_signatures_requires_symmetry():
 
 def test_level_signatures_checks_the_determinant_order(monkeypatch):
     # with ord det misreported, both eliminations must notice that the
-    # layer orders no longer add up to it
-    det_order = jantzen._det_order
-    monkeypatch.setattr(jantzen, "_det_order", lambda L, t0, *parts: det_order(L, t0, *parts) + 1)
+    # layer orders no longer add up to it: the first component's Bareiss
+    # order of each elimination is one too high
+    bareiss_order, calls = jantzen._bareiss_order, []
+
+    def misreported(L, t0):
+        calls.append(1)
+        return bareiss_order(L, t0) + (len(calls) == 1)
+
+    monkeypatch.setattr(jantzen, "_bareiss_order", misreported)
     L = [[RAT_ONE, RAT_ZERO], [RAT_ZERO, T_MINUS_1]]
     with pytest.raises(SingularFamily, match="ord det = 2"):
         jantzen_levels(L, 1)
+    calls.clear()
     with pytest.raises(DegenerateResidual, match="ord det = 2"):
         level_signatures(L, 1)
 
@@ -351,6 +358,31 @@ def test_oracle_matches_engine_nonspherical_wall():
     kt = ktype_signature(sc, 3)
     engine = {lab: w for lab, w in kt.items()}
     assert sig == engine
+
+
+def test_level_signatures_of_one_c_function_are_its_valuation_and_residual():
+    # [[c_n]] has one layer, at the valuation of c_n and with the sign of its
+    # residual: the pair oracle_signature reads off c_n itself
+    points = [F(k) for k in range(-21, 22)] + [F(k, q) for q in (2, 3, 7)
+                                                 for k in range(-43, 44, 3)]
+    for parity in (1, -1):
+        for n in range(0 if parity == 1 else 1, 21, 2):
+            f = sl2_c_function(parity, n)
+            for nu in points:
+                want = [(f.valuation(nu), W_ONE if f.residual(nu) > 0 else W_S)]
+                assert level_signatures([[f]], nu) == want, (parity, n, nu)
+
+
+def test_oracle_signature_runs_no_elimination(monkeypatch):
+    calls = []
+    for name in ("jantzen_levels", "level_signatures"):
+        fn = getattr(jantzen, name)
+        monkeypatch.setattr(jantzen, name,
+                            lambda *a, fn=fn: calls.append(1) or fn(*a))
+    for parity in (1, -1):
+        for nu in (F(1, 2), F(1), F(2), F(7, 3), F(5)):
+            oracle_signature(parity, nu, 8)
+    assert not calls
 
 
 def test_oracle_unitary_classification():
@@ -597,10 +629,17 @@ def test_levels_match_reference_elimination(t0):
 # ---------------------------------------------------------------------------
 # the determinant order, one connected component of the support at a time
 
+def _det_order(L, t0):
+    """ord_{t0} det L as the front half of both eliminations finds it, or
+    None for a singular family."""
+    local = jantzen._local(L, t0)
+    return None if local is None else local[0]
+
+
 def _dense_det_order(L, t0):
     """Bareiss over Z[t] on the whole of L, first-nonzero pivoting, each row
     scaled by the product of its distinct denominators: the reference for
-    the order that _det_order sums over components."""
+    the order that _local sums over components."""
     n = len(L)
     if not n:
         return 0
@@ -658,7 +697,7 @@ def test_det_order_sums_the_components(t0):
         L = _permuted_block_diagonal(rng, parts)
         want = _dense_det_order(L, t0)
         assert want == sum(_dense_det_order(B, t0) for B in parts) == planted
-        assert jantzen._det_order(L, t0) == want
+        assert _det_order(L, t0) == want
 
 
 def test_support_that_is_not_square_is_singular():
@@ -668,7 +707,7 @@ def test_support_that_is_not_square_is_singular():
     zero_row = [[RAT_ONE, z], [z, z]]
     two_on_one = [[z, z, a], [z, z, b], [a, b, z]]
     for L in (zero_row, two_on_one):
-        assert jantzen._det_order(L, F(1)) is None
+        assert _det_order(L, F(1)) is None
         with pytest.raises(SingularFamily):
             jantzen_levels(L, 1)
         with pytest.raises(DegenerateResidual):
@@ -682,7 +721,7 @@ def test_intertwining_order_counts_ktypes_above_the_wall(cutoff):
         L = sl2_intertwining(parity, cutoff)
         kt = sl2_ktypes(parity, cutoff)
         for k in walls:
-            assert jantzen._det_order(L, F(k)) == sum(1 for n in kt if abs(n) > k)
+            assert _det_order(L, F(k)) == sum(1 for n in kt if abs(n) > k)
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +793,7 @@ def _ref_quotients(a, k, W):
 def _ref_levels(L, t0):
     t0 = F(t0)
     n = len(L)
-    D = jantzen._det_order(L, t0)
+    D = _det_order(L, t0)
     if D is None:
         raise SingularFamily("determinant vanishes identically")
     m, W, a = _ref_expand(L, t0, D)
@@ -800,7 +839,7 @@ def _ref_signatures(L, t0):
     if any(L[i][j] != L[j][i] for i in range(n) for j in range(i)):
         raise ValueError("level_signatures needs a symmetric family")
     degenerate = DegenerateResidual("form is identically zero on a Jantzen layer")
-    D = jantzen._det_order(L, t0)
+    D = _det_order(L, t0)
     if D is None:
         raise degenerate
     m, W, a = _ref_expand(L, t0, D)
@@ -930,6 +969,18 @@ def test_intertwining_levels_match_global_precision(parity):
 
 
 @pytest.mark.parametrize("parity", [1, -1])
+def test_both_eliminations_give_the_intertwining_levels(parity):
+    # the row-column and the congruence elimination: the same (r, dim)
+    for cutoff in range(2, 15):
+        L = sl2_intertwining(parity, cutoff)
+        for k in _walls(parity, cutoff):
+            for t0 in (F(k), F(-k)):
+                levels = [(r, d) for r, d, _ in jantzen_levels(L, t0)]
+                assert levels == [(r, w.forget())
+                                  for r, w in level_signatures(L, t0)]
+
+
+@pytest.mark.parametrize("parity", [1, -1])
 def test_intertwining_entries_keep_at_most_two_coefficients(parity):
     # each c_n is a 1x1 component of order 0 or +-1 at a wall, so the
     # expansion needs at most the coefficients at U^0 and U^1 (at U^-1 and
@@ -937,7 +988,7 @@ def test_intertwining_entries_keep_at_most_two_coefficients(parity):
     L = sl2_intertwining(parity, 14)
     for k in _walls(parity, 14):
         for t0 in (F(k), F(-k)):
-            _, a = jantzen._expand(L, t0, jantzen._det_order(L, t0))
+            _, _, a = jantzen._local(L, t0)
             assert all(len(x) <= 2 for row in a for x in row if x is not None)
 
 
