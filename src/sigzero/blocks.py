@@ -791,27 +791,25 @@ class BlockProvider:
     character).  Registered libraries win; built-in groups resolve
     analytically; a miss is a hard MissingBlock error.
 
-    The provider owns every cache derived from its blocks, each one empty
-    when the provider is created and private to it: the built-in partitions
-    it has served, the columns of $(Q^c)^{-1}$ of each block (keyed by the
-    Block object), and the results of ``deform_to_zero``.  A column is
-    solved on demand, the first time it is asked for, and the columns no
-    caller reads are never solved: a wall crossing reads only the columns
-    of the constituents below the wall.  That memo also holds
-    every wall point $(\\Lambda, t_i\\nu)$ a deformation crossed, under the
-    key a direct call uses: the crossing times of $t_i\\nu$ are exactly
-    $\\{t/t_i : t \\le t_i\\}$, so the partial sum up to that wall is the
-    direct answer, and each child entering at a wall was held to the cap
-    $|d\\lambda|^2 + t_{prev}^2|\\nu|^2$ that the direct call uses.
-    ``register`` empties all three, so no answer depends on what was asked
-    before a library arrived.  The caches are plain dicts without a lock:
-    two threads sharing a provider can at worst compute the same value
+    The provider owns two caches, each one empty when the provider is
+    created and private to it: the built-in partitions it has served, and
+    the results of ``deform_to_zero``.  A built-in partition depends only
+    on its key, and ``get`` looks up a registered library first, so
+    ``register`` leaves the partitions as they are.  The deformation memo
+    also holds every wall point $(\\Lambda, t_i\\nu)$ a deformation
+    crossed, under the key a direct call uses: the crossing times of
+    $t_i\\nu$ are exactly $\\{t/t_i : t \\le t_i\\}$, so the partial sum
+    up to that wall is the direct answer, and each child entering at a wall
+    was held to the cap $|d\\lambda|^2 + t_{prev}^2|\\nu|^2$ that the
+    direct call uses.  Its entries depend on the registered libraries, so
+    ``register`` empties it: no answer depends on what was asked before a
+    library arrived.  The caches are plain dicts without a lock: two
+    threads sharing a provider can at worst compute the same value
     twice."""
 
     def __init__(self):
         self._store: Dict[Tuple[str, Tuple[Fraction, ...]], List[Block]] = {}
         self._builtin: Dict[Tuple[str, Tuple[Fraction, ...]], List[Block]] = {}
-        self._columns: Dict[Block, Dict[int, object]] = {}
         self._deformations: Dict[tuple, object] = {}
 
     def register(self, blocks: Sequence[Block]) -> None:
@@ -825,8 +823,6 @@ class BlockProvider:
                 % (group, [frac_str(x) for x in key[1]])
             )
         self._store[key] = list(blocks)
-        self._builtin.clear()
-        self._columns.clear()
         self._deformations.clear()
 
     def get(self, group: str, inf_char) -> List[Block]:
@@ -843,17 +839,6 @@ class BlockProvider:
             "no block data for group %r at infinitesimal character %s"
             % (group, [frac_str(x) for x in key[1]])
         )
-
-    def inverse_column(self, b: Block, eid: int, solve: Callable[[Block, int], object]):
-        """Column ``eid`` of the $(Q^c)^{-1}$ of a block this provider
-        served, solved by ``solve(b, eid)`` on first use."""
-        columns = self._columns.get(b)
-        if columns is None:
-            columns = self._columns[b] = {}
-        column = columns.get(eid)
-        if column is None:
-            column = columns[eid] = solve(b, eid)
-        return column
 
     def deformation(self, key: tuple):
         """A remembered ``deform_to_zero`` result, or None."""

@@ -9,7 +9,7 @@ floats.  stdout carries data only, diagnostics go to stderr.  JSON output is
 byte-deterministic (sorted keys, canonical rational strings).  `--trace`
 streams line-delimited JSON crossing records ahead of the result.  The
 colon-separated SIGZERO_BLOCK_PATH variable extends the search path for
-block files.  `scan` partitions its segment at the reducibility walls that
+block files and for the matrix file of `jantzen FILE`.  `scan` partitions its segment at the reducibility walls that
 the deformation of its top crosses and reports one verdict per facet, in
 segment order: at the wall itself for a point, at the midpoint for an open
 interval, certified by the midpoint being its own irreducible.

@@ -55,7 +55,7 @@ from .params import (
     param_to_json,
 )
 from .rootdata import _norm_sq_parts
-from .sigring import WElem, WPoly, W_ONE, s_power
+from .sigring import WElem, WPoly, W_ONE, W_S
 
 __all__ = [
     "StdLabel",
@@ -130,12 +130,6 @@ class SignatureChar:
         out.terms = dict(self.terms)
         return out
 
-    def scaled(self, w: WElem) -> "SignatureChar":
-        out = SignatureChar(self.group, self.basis)
-        for k, v in self.terms.items():
-            out.add(k, w * v)
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SignatureChar)
@@ -196,21 +190,25 @@ def signature_Q(b: Block) -> WPolyMatrix:
     return out
 
 
+def _qc_entry(coeffs: IntPoly, h: int) -> Tuple[IntPoly, IntPoly]:
+    """$Q^c_{r,k} = Q_e(q) + Q_o(q) s$ read from the integer $Q_{r,k}$, as
+    (Q_e, Q_o), where $h = (\\ell_o(r)-\\ell_o(k))/2$: the coefficient
+    $c_i q^i$ becomes $c_i q^i s^{i+h}$, so it goes to Q_e when $i + h$ is
+    even and to Q_o when it is odd."""
+    return (p_trim([c if (i + h) % 2 == 0 else 0 for i, c in enumerate(coeffs)]),
+            p_trim([c if (i + h) % 2 else 0 for i, c in enumerate(coeffs)]))
+
+
 def _qc_rows(b: Block) -> QcRows:
     """The nonzero off-diagonal entries of each row of $Q^c$, read from the
-    integer Q as (column, Q_e, Q_o) with $Q^c_{r,k} = Q_e(q) + Q_o(q) s$.
-    With $h = (\\ell_o(r)-\\ell_o(k))/2$ the coefficient $c_i q^i$ of
-    $Q_{r,k}$ becomes $c_i q^i s^{i+h}$, so it goes to Q_e when $i + h$ is
-    even and to Q_o when it is odd."""
+    integer Q as (column, Q_e, Q_o) by ``_qc_entry``."""
     orient = {e.id: e.orient for e in b.elements}
     rows: QcRows = {}
     for (r, k), coeffs in b.Q.items():
         if r == k:
             continue
         # the block's orientation numbers share one parity
-        h = (orient[r] - orient[k]) // 2
-        q_e = p_trim([c if (i + h) % 2 == 0 else 0 for i, c in enumerate(coeffs)])
-        q_o = p_trim([c if (i + h) % 2 else 0 for i, c in enumerate(coeffs)])
+        q_e, q_o = _qc_entry(coeffs, (orient[r] - orient[k]) // 2)
         if q_e or q_o:
             rows.setdefault(r, []).append((k, q_e, q_o))
     return rows
@@ -296,20 +294,11 @@ def irreducible_in_standards(b: Block, psi) -> SignatureChar:
     \\, sig^c_{I(\\Gamma)}$ with $W^c = (Q^c)^{-1}$ at $q = 1$; forgetting
     $s$ recovers the character-formula row $M_{\\cdot,\\Psi}$.  Only the
     column of $\\Psi$ is solved, by one back substitution."""
-    return _column_in_standards(b, _qc_column(b, _resolve_element(b, psi).id))
-
-
-def _column_in_standards(b: Block, column: Dict[int, WPoly]) -> SignatureChar:
-    """A column of $(Q^c)^{-1}$, as {row: entry}, at $q = 1$: a signature
-    character in the standard basis."""
+    column = _qc_column(b, _resolve_element(b, psi).id)
     out = SignatureChar(b.group, "standard")
     for e in b.elements:
-        v = column.get(e.id)
-        if v is None:
-            continue
-        w = v.eval_one()
-        if w:
-            out.add(StdLabel.of(b.group, e.param, e.label), w)
+        if e.id in column:
+            out.add(StdLabel.of(b.group, e.param, e.label), column[e.id].eval_one())
     return out
 
 
@@ -317,22 +306,20 @@ def deform_step(b: Block, gamma) -> SignatureChar:
     """Signature delta on crossing the wall from below:
     $(s-1) \\sum_{\\Xi<\\Gamma,\\ \\Delta\\ell\\ odd}
     s^{(\\ell_o(\\Xi)-\\ell_o(\\Gamma))/2} Q_{\\Xi,\\Gamma}(s)\\,
-    sig^c_{J(\\Xi)}$, expressed in the irreducible basis of the block."""
+    sig^c_{J(\\Xi)}$, expressed in the irreducible basis of the block.  Each
+    coefficient is $(s-1) Q^c_{\\Xi,\\Gamma}(1)$, read by ``_qc_entry``."""
     e_gamma = _resolve_element(b, gamma)
     out = SignatureChar(b.group, "irreducible")
     for e in b.elements:
-        if e.id == e_gamma.id or e.length >= e_gamma.length:
-            continue
-        if (e_gamma.length - e.length) % 2 == 0:
+        if e.length >= e_gamma.length or (e_gamma.length - e.length) % 2 == 0:
             continue
         coeffs = b.q_poly(e.id, e_gamma.id)
         if not coeffs:
             continue
         # the block's orientation numbers share one parity
-        q_at_s = WPoly.from_int_coeffs(coeffs).eval_s()
-        coef = W_S_MINUS_ONE * s_power((e.orient - e_gamma.orient) // 2) * q_at_s
-        if coef:
-            out.add(StdLabel.of(b.group, e.param, e.label), coef)
+        q_e, q_o = _qc_entry(coeffs, (e.orient - e_gamma.orient) // 2)
+        out.add(StdLabel.of(b.group, e.param, e.label),
+                W_S_MINUS_ONE * WElem(sum(q_e), sum(q_o)))
     return out
 
 
@@ -410,10 +397,9 @@ def deform_to_zero(
     walk down the walls stops at the first wall point it remembers; a
     traced call never reads the memo, so that its stream is complete.
     Every call returns an object of its own, which the caller may change;
-    the provider's entries are never handed out.  The expansion of each
-    constituent below a wall is one column of $(Q^c)^{-1}$, which the
-    provider solves on demand: the other columns of the block are never
-    solved.
+    the provider's entries are never handed out.  Each constituent below a
+    wall is expanded by ``irreducible_in_standards``, which solves its one
+    column of $(Q^c)^{-1}$ and no other column of the block.
 
     Each standard entering at the wall $t_j$ must have $|d\\lambda'|^2$
     strictly between $|d\\lambda|^2$ and $|d\\lambda|^2 +
@@ -454,7 +440,9 @@ def deform_to_zero(
         # times is deduplicated and descending: the walls below t are the
         # ones after it
         if (len(times) - 1 - pos) % 2:
-            delta = delta.scaled(s_power(1))
+            flipped = SignatureChar(group, "irreducible")
+            flipped.add_char(delta, W_S)
+            delta = flipped
         if trace is not None:
             trace(
                 {
@@ -470,10 +458,7 @@ def deform_to_zero(
                dl2[1] * nu2_den * q * q)
         jump = []
         for label, coef in delta.items():
-            eid = _resolve_element(blk, label.param).id
-            expansion = _column_in_standards(
-                blk, provider.inverse_column(blk, eid, _qc_column))
-            for slabel, w in expansion.items():
+            for slabel, w in irreducible_in_standards(blk, label.param).items():
                 child = slabel.param
                 cdl2 = child.discrete.dlambda_sq
                 if not (_less(dl2, cdl2) and _less(cdl2, cap)):
@@ -567,10 +552,8 @@ def unitary_test(
                              "tempered parameter (nu = 0)")
 
     blk, e_psi, _ = _block_containing(provider, group, g)
-    expansion = _column_in_standards(
-        blk, provider.inverse_column(blk, e_psi.id, _qc_column))
     B = SignatureChar(group, "final_tempered")
-    for slabel, w in expansion.items():
+    for slabel, w in irreducible_in_standards(blk, e_psi.id).items():
         B.add_char(deform_to_zero(slabel.param, provider, group), w)
 
     eps: Dict[str, int] = {}

@@ -202,6 +202,15 @@ def test_provider_register_wins_over_served_builtin():
     assert all(a is b for a, b in zip(got, library))
 
 
+def test_register_keeps_the_served_builtin_partitions():
+    # a built-in partition depends only on its key: a library registered
+    # at another key leaves it as it was served
+    p = BlockProvider()
+    served = p.get("sl2r", (2,))
+    p.register(builtin_block("sl2r", (3,)))
+    assert p.get("sl2r", (2,)) is served
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -449,6 +449,24 @@ def test_block_search_path(tmp_path, capsys, monkeypatch):
     assert rc == 3 and "not found" in err
 
 
+@pytest.mark.parametrize("argv,rc_want", [
+    (("unitary", "--parity", "-1", "--nu", "3"), 2),
+    (("scan", "--parity", "-1", "--from", "2", "--to", "4"), 2),
+    # the top point itself is never crossed, so PS-(3) is never looked up
+    (("signature", "--parity", "-1", "--nu", "3"), 0),
+])
+def test_library_without_the_parameter_exits_2(tmp_path, capsys, argv, rc_want):
+    # the sl2r:3 chain alone: DS+(3), DS-(3), PS+(3), without PS-(3)
+    path = tmp_path / "chain.json"
+    path.write_text(serialize_block(builtin_block("sl2r", (3,))[0]))
+    rc, out, err = run(capsys, *argv, "--block", str(path))
+    assert rc == rc_want
+    if rc_want:
+        assert out == ""
+        assert err.strip() == ("error: no block at infinitesimal character ['3'] "
+                               "contains the parameter PS-(3)")
+
+
 def test_block_show_round_trip(capsys):
     rc, out1, _ = run(capsys, "block", "show", "sl2r:2", "--format", "json")
     assert rc == 0

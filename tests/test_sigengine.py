@@ -5,6 +5,7 @@ from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sigzero.blocks import (
     SL2R,
@@ -230,6 +231,47 @@ def test_deform_step_at_wall():
     delta = deform_step(b, gamma)
     assert delta.basis == "irreducible"
     assert as_dict(delta) == {"DS+(1)": S_MINUS_1, "DS-(1)": S_MINUS_1}
+
+
+def test_deform_step_skips_even_length_differences():
+    elements = tuple(
+        BlockElement(i, 0, i, 2 * i, sl2r_ds_param(1, i + 1), frozenset(), "E%d" % i)
+        for i in range(3)
+    )
+    b = Block("synth", (F(1),), elements, {(0, 1): (1,), (1, 2): (2,), (0, 2): (3,)})
+    # E1 enters with (s-1) s^((2-4)/2) 2 = 2 - 2s; E0, two lengths below, not at all
+    assert as_dict(deform_step(b, 2)) == {"E1": WElem(2, -2)}
+    assert as_dict(deform_step(b, 1)) == {"E0": WElem(1, -1)}
+
+
+def _builtin_chains():
+    for k in range(1, 13):
+        yield from builtin_block("sl2r", (k,))
+    for a in range(1, 13):
+        for c in range(a % 2, a, 2):
+            yield from builtin_block("sl2c", (a, c))
+
+
+def test_deform_step_coefficients_are_qc_at_one():
+    crossed = 0
+    for b in _builtin_chains():
+        Qc = signature_Q(b)
+        for g in b.elements:
+            want = {
+                e.label: S_MINUS_1 * Qc[(e.id, g.id)].eval_one()
+                for e in b.elements
+                if e.length < g.length and (g.length - e.length) % 2
+                and (e.id, g.id) in Qc
+            }
+            assert as_dict(deform_step(b, g.id)) == want
+            crossed += bool(want)
+    assert crossed > 20
+
+
+@given(st.lists(st.integers(-5, 5), max_size=8), st.integers(-3, 3))
+def test_qc_entry_is_the_twist(coeffs, h):
+    assert WPoly(*sigengine._qc_entry(coeffs, h)) == \
+        WPoly.from_int_coeffs(coeffs).twist_sq(2 * h)
 
 
 def test_hs_rewrite():

@@ -18,7 +18,6 @@ from sigzero import sigengine
 from sigzero.blocks import (
     Block,
     BlockElement,
-    BlockProvider,
     builtin_block,
     invert_multiplicity,
     sl2r_ds_param,
@@ -156,15 +155,10 @@ def qc_columns(b):
 def test_on_demand_columns_match_the_full_inverse():
     blocks = list(builtin_blocks()) + [synthetic_block(s, n) for s in (1, 2, 3)
                                        for n in (24, 32, 40)]
-    provider = BlockProvider()
     for b in blocks:
         want = qc_columns(b)
         for e in b.elements:
             assert _qc_column(b, e.id) == want[e.id]
-            col = provider.inverse_column(b, e.id, _qc_column)
-            assert col == want[e.id]
-            # solved once per provider, then served
-            assert provider.inverse_column(b, e.id, None) is col
 
 
 def test_unit_vector_column_never_enters_the_back_substitution(monkeypatch):
