@@ -32,7 +32,6 @@ from .sigring import (
     W_ONE,
     W_S,
     W_ZERO,
-    s_power,
 )
 from .rootdata import (
     Involution,

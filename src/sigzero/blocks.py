@@ -217,10 +217,12 @@ class Block:
     """Immutable block at one infinitesimal character.
 
     Q maps (row id, col id) to ascending integer coefficient tuples;
-    absent entries are zero, diagonal entries are the constant 1.  The
-    block is validated once, in ``__post_init__``, against every named
-    invariant of ``_validate_block``; the engine relies on that and checks
-    none of them again, so Q must not be mutated afterwards."""
+    absent entries are zero, diagonal entries are the constant 1.  A block
+    is validated once per shape, in ``__post_init__``, against every named
+    invariant of ``_validate_block``; a built-in block instantiated from a
+    shape already validated (``GroupModel.partition``) skips it.  The
+    engine relies on that and checks none of them again, so Q, which the
+    blocks of one shape share, must not be mutated afterwards."""
 
     group: str
     inf_char: Tuple[Fraction, ...]
@@ -514,6 +516,14 @@ def parse_block(data: Union[bytes, str, Mapping]) -> Block:
 # ---------------------------------------------------------------------------
 # group models
 
+# one block in closed form: element specs (id, param, tau) and Q
+Layout = Tuple[List[Tuple[int, LanglandsParam, frozenset]], Dict[Tuple[int, int], IntPoly]]
+
+
+def _singleton(eid: int, param: LanglandsParam) -> Layout:
+    return [(eid, param, frozenset())], {(eid, eid): (1,)}
+
+
 class GroupModel:
     """Everything the engine knows about one real group.  This base is a
     group known only through block files: no Cartans, no built-in blocks,
@@ -553,8 +563,45 @@ class GroupModel:
             coords.sort(reverse=True)
         return tuple(coords)
 
-    def partition(self, inf_char) -> List[Block]:
+    def layout(self, ic: Tuple[Fraction, ...]) -> List[Layout]:
+        """The blocks at the canonical key ``ic`` in closed form: per block,
+        its element specs ``(id, param, tau)`` and its Q."""
         raise UnsupportedGroup("no built-in model for group %r" % self.name)
+
+    def partition(self, inf_char, shapes: Optional[dict] = None) -> List[Block]:
+        """The blocks of ``layout``, with lengths and orientation numbers.
+
+        ``shapes`` maps a family key to the Cartan indices, lengths and
+        orientation numbers of a block's elements, and its validated Q.  The
+        key holds the group, the block's index, each coordinate's
+        denominator, numerator mod twice the denominator and sign, and the
+        ties between coordinates.  In both built-in models these fix the
+        sign and integrality of every pairing and the floor parity of every
+        real one, which is all that ``length`` and ``orientation_number``
+        read.  A block with a known shape takes it and is not validated
+        again: ``_validate_block`` reads only ids, lengths, orientation
+        numbers and Q."""
+        ic = self.key(inf_char)
+        layout = self.layout(ic)
+        family = (self.name,
+                  tuple((x.denominator, x.numerator % (2 * x.denominator), x > 0) for x in ic),
+                  tuple(x == y for x, y in zip(ic, ic[1:])))
+        out = []
+        for i, (specs, Q) in enumerate(layout):
+            shape = None if shapes is None else shapes.get(family + (i,))
+            if shape is None:
+                b = Block(self.name, ic, tuple(self.element(*s) for s in specs), Q)
+                if shapes is not None:
+                    shapes[family + (i,)] = (
+                        tuple((e.cartan, e.length, e.orient) for e in b.elements), b.Q)
+            else:
+                invariants, Q = shape
+                b = Block.__new__(Block)
+                b.__dict__.update(group=self.name, inf_char=ic, Q=Q, elements=tuple(
+                    BlockElement(eid, c, n, o, param, tau, self.label(param))
+                    for (eid, param, tau), (c, n, o) in zip(specs, invariants)))
+            out.append(b)
+        return out
 
     def label(self, param: LanglandsParam) -> str:
         return "elt"
@@ -594,14 +641,6 @@ class GroupModel:
             label=self.label(param),
         )
 
-    def singleton(self, eid: int, param: LanglandsParam, ic) -> Block:
-        return Block(
-            group=self.name,
-            inf_char=ic,
-            elements=(self.element(eid, param, frozenset()),),
-            Q={(eid, eid): (1,)},
-        )
-
 
 class _SL2R(GroupModel):
     """SL(2,R): compact and split Cartans, blocks keyed by |k|."""
@@ -614,42 +653,31 @@ class _SL2R(GroupModel):
     def block_key(self, g: LanglandsParam) -> Tuple[Fraction, ...]:
         return (abs(g.gamma[0]),)
 
-    def partition(self, inf_char) -> List[Block]:
-        (k,) = ic = self.key(inf_char)
+    def layout(self, ic: Tuple[Fraction, ...]) -> List[Layout]:
+        (k,) = ic
         if k == 0:
             # singular point: the spherical principal series and the two
             # limits of discrete series are all irreducible
             return [
-                self.singleton(0, sl2r_ps_param(0, Fraction(0)), ic),
-                self.singleton(1, sl2r_ds_param(1, Fraction(0)), ic),
-                self.singleton(2, sl2r_ds_param(-1, Fraction(0)), ic),
+                _singleton(0, sl2r_ps_param(0, k)),
+                _singleton(1, sl2r_ds_param(1, k)),
+                _singleton(2, sl2r_ds_param(-1, k)),
             ]
         if k.denominator == 1:
             # reducible parity: spherical at odd k, nonspherical at even k
             red_eps = 0 if int(k) % 2 == 1 else 1
             other_eps = 1 - red_eps
-            chain = Block(
-                group=self.name,
-                inf_char=ic,
-                elements=(
-                    self.element(0, sl2r_ds_param(1, k), frozenset({0})),
-                    self.element(1, sl2r_ds_param(-1, k), frozenset({0})),
-                    self.element(2, sl2r_ps_param(red_eps, k), frozenset()),
-                ),
-                Q={
-                    (0, 0): (1,),
-                    (1, 1): (1,),
-                    (2, 2): (1,),
-                    (0, 2): (1,),
-                    (1, 2): (1,),
-                },
+            chain = (
+                [
+                    (0, sl2r_ds_param(1, k), frozenset({0})),
+                    (1, sl2r_ds_param(-1, k), frozenset({0})),
+                    (2, sl2r_ps_param(red_eps, k), frozenset()),
+                ],
+                {(0, 0): (1,), (1, 1): (1,), (2, 2): (1,), (0, 2): (1,), (1, 2): (1,)},
             )
-            return [chain, self.singleton(3, sl2r_ps_param(other_eps, k), ic)]
+            return [chain, _singleton(3, sl2r_ps_param(other_eps, k))]
         # nonintegral: two irreducible principal series
-        return [
-            self.singleton(0, sl2r_ps_param(0, k), ic),
-            self.singleton(1, sl2r_ps_param(1, k), ic),
-        ]
+        return [_singleton(0, sl2r_ps_param(0, k)), _singleton(1, sl2r_ps_param(1, k))]
 
     def label(self, param: LanglandsParam) -> str:
         d = param.discrete
@@ -724,8 +752,8 @@ class _SL2C(GroupModel):
     def block_key(self, g: LanglandsParam) -> Tuple[Fraction, ...]:
         return (2 * g.discrete.dlambda[0], 2 * g.nu[0])
 
-    def partition(self, inf_char) -> List[Block]:
-        a, b = ic = self.key(inf_char)
+    def layout(self, ic: Tuple[Fraction, ...]) -> List[Layout]:
+        a, b = ic
         if (
             a.denominator == 1
             and b.denominator == 1
@@ -733,26 +761,16 @@ class _SL2C(GroupModel):
             and (a - b) % 2 == 0
         ):
             # one 2-chain: I(b, a) has the J(a, b) constituent below
-            return [
-                Block(
-                    group=self.name,
-                    inf_char=ic,
-                    elements=(
-                        self.element(0, sl2c_param(a, b), frozenset()),
-                        self.element(1, sl2c_param(b, a), frozenset({0})),
-                    ),
-                    Q={(0, 0): (1,), (1, 1): (1,), (0, 1): (1,)},
-                )
-            ]
+            return [(
+                [(0, sl2c_param(a, b), frozenset()), (1, sl2c_param(b, a), frozenset({0}))],
+                {(0, 0): (1,), (1, 1): (1,), (0, 1): (1,)},
+            )]
         coords = [(a, b)] if a.denominator == 1 else []
         if b.denominator == 1 and b != a:
             coords.append((b, a))
         if not coords:
             raise ValueError("no sl2c parameter: neither coordinate is an integer")
-        return [
-            self.singleton(i, sl2c_param(mm, vv), ic)
-            for i, (mm, vv) in enumerate(coords)
-        ]
+        return [_singleton(i, sl2c_param(mm, vv)) for i, (mm, vv) in enumerate(coords)]
 
     def label(self, param: LanglandsParam) -> str:
         return "PS(%s,%s)" % (
@@ -776,11 +794,11 @@ def group_cartan(group: str, name: str) -> CartanClass:
     return group_model(group).cartan(name)
 
 
-def builtin_block(group: str, inf_char) -> List[Block]:
+def builtin_block(group: str, inf_char, shapes: Optional[dict] = None) -> List[Block]:
     """The full partition of B(chi) into blocks at this infinitesimal
     character, with lengths, orientation numbers, tau-invariants and Q in
-    closed form."""
-    return group_model(group).partition(inf_char)
+    closed form; ``shapes`` is the family memo of ``GroupModel.partition``."""
+    return group_model(group).partition(inf_char, shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -791,11 +809,13 @@ class BlockProvider:
     character).  Registered libraries win; built-in groups resolve
     analytically; a miss is a hard MissingBlock error.
 
-    The provider owns two caches, each one empty when the provider is
-    created and private to it: the built-in partitions it has served, and
-    the results of ``deform_to_zero``.  A built-in partition depends only
-    on its key, and ``get`` looks up a registered library first, so
-    ``register`` leaves the partitions as they are.  The deformation memo
+    The provider owns three caches, each one empty when the provider is
+    created and private to it: the built-in partitions it has served, one
+    validated block shape per translation family (so a block is validated
+    once per shape, not once per wall), and the results of
+    ``deform_to_zero``.  A built-in partition depends only on its key and a
+    shape only on its family key, and ``get`` looks up a registered library
+    first, so ``register`` leaves both as they are.  The deformation memo
     also holds every wall point $(\\Lambda, t_i\\nu)$ a deformation
     crossed, under the key a direct call uses: the crossing times of
     $t_i\\nu$ are exactly $\\{t/t_i : t \\le t_i\\}$, so the partial sum
@@ -810,6 +830,7 @@ class BlockProvider:
     def __init__(self):
         self._store: Dict[Tuple[str, Tuple[Fraction, ...]], List[Block]] = {}
         self._builtin: Dict[Tuple[str, Tuple[Fraction, ...]], List[Block]] = {}
+        self._shapes: Dict[tuple, tuple] = {}
         self._deformations: Dict[tuple, object] = {}
 
     def register(self, blocks: Sequence[Block]) -> None:
@@ -833,7 +854,7 @@ class BlockProvider:
         if model.cartans:
             blocks = self._builtin.get(key)
             if blocks is None:
-                blocks = self._builtin[key] = builtin_block(group, inf_char)
+                blocks = self._builtin[key] = builtin_block(group, inf_char, self._shapes)
             return blocks
         raise MissingBlock(
             "no block data for group %r at infinitesimal character %s"

@@ -33,7 +33,6 @@ __all__ = [
     "W_ZERO",
     "W_ONE",
     "W_S",
-    "s_power",
 ]
 
 
@@ -108,11 +107,6 @@ W_ONE = WElem(1, 0)
 W_S = WElem(0, 1)
 
 
-def s_power(k: int) -> WElem:
-    """$s^k$, which only depends on $k \\bmod 2$."""
-    return W_ONE if k % 2 == 0 else W_S
-
-
 @dataclass(frozen=True)
 class WPoly:
     """Polynomial $a(q) + b(q)s$ in $q$ over $\\mathbb{W}$.
@@ -163,11 +157,6 @@ class WPoly:
     def eval_one(self) -> WElem:
         """Value at $q = 1$: the sum of all coefficients."""
         return WElem(sum(self.a), sum(self.b))
-
-    def eval_s(self) -> WElem:
-        """Substitute $q := s$: odd powers of q swap the two components."""
-        a, b = self.a, self.b
-        return WElem(sum(a[0::2]) + sum(b[1::2]), sum(b[0::2]) + sum(a[1::2]))
 
     def twist_sq(self, delta: int) -> "WPoly":
         """$s^{\\delta/2} P(sq)$: coefficient of $q^k$ gains $s^{k+\\delta/2}$,

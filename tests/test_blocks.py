@@ -1,6 +1,7 @@
 """Block containers: built-in models, inversion, component splitting,
 serialization and invariant enforcement."""
 
+import collections
 import contextlib
 import copy
 import io
@@ -13,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from sigzero import blocks
 from sigzero.blocks import (
     SL2C,
     SL2R,
@@ -31,6 +33,7 @@ from sigzero.blocks import (
     split_components,
 )
 from sigzero.cli import main
+from sigzero.sigengine import deform_to_zero
 from sigzero.errors import (
     InvariantViolation,
     MissingBlock,
@@ -209,6 +212,82 @@ def test_register_keeps_the_served_builtin_partitions():
     served = p.get("sl2r", (2,))
     p.register(builtin_block("sl2r", (3,)))
     assert p.get("sl2r", (2,)) is served
+
+
+# ---------------------------------------------------------------------------
+# block shapes: one validated shape per translation family
+
+def _built_in_keys():
+    # sl2r at k = n/d <= 200: integral k of both reducible parities, and
+    # every residue class of n mod 2d; sl2c at (m, v) with v in Z/2
+    for d in (1, 2, 3, 4, 7):
+        for n in range(200 * d + 1):
+            yield "sl2r", (F(n, d),)
+    for m in range(11):
+        for h in range(401):
+            yield "sl2c", (m, F(h, 2))
+
+
+def _fingerprint(comps):
+    return [(serialize_block(b), [(e.label, e.tau, e.cartan) for e in b.elements])
+            for b in comps]
+
+
+def test_blocks_instantiated_from_shapes_equal_fresh_builds():
+    shapes = {}
+    for group, ic in _built_in_keys():
+        assert _fingerprint(builtin_block(group, ic, shapes)) == _fingerprint(
+            builtin_block(group, ic)), (group, ic)
+    # sl2r: k = 0 (3 singletons), odd and even k (chain + singleton each),
+    # and 2 singletons for each of the 2 + 4 + 4 + 12 classes of nonintegral
+    # n mod 2d; sl2c: 3 chains, 3 diagonal singletons, 3 pairs of singletons
+    # of mixed parity, and 10 singletons with one half-integral coordinate
+    # (m = 0, even or odd, v = 1/2 or 3/2 mod 2, m above or below v unless
+    # m = 0); the group opens every key, so groups never share a shape
+    groups = collections.Counter(key[0] for key in shapes)
+    assert groups == {"sl2r": 3 + 4 + 2 * 22, "sl2c": 3 + 3 + 6 + 10}
+
+
+def test_cold_deformation_validates_once_per_shape(monkeypatch):
+    calls = collections.Counter()
+
+    def counting(name):
+        fn = getattr(blocks, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(blocks, name, wrapper)
+
+    for name in ("builtin_block", "_validate_block", "length", "orientation_number"):
+        counting(name)
+    queries = [("sl2r", sl2r_ps_param(0, F(161, 2))), ("sl2c", sl2c_param(3, F(41, 2)))]
+    for group, g in queries:
+        seen = []
+        # a second fresh provider builds its first shapes again: no cache
+        # outlives the provider that owns it
+        for _ in range(2):
+            calls.clear()
+            deform_to_zero(g, BlockProvider(), group)
+            seen.append(dict(calls))
+        assert seen[0] == seen[1]
+        # 40 walls for sl2r, 18 for sl2c, each in one of two families
+        assert calls["builtin_block"] >= 18
+        assert calls["_validate_block"] == 2
+        assert calls["length"] == calls["orientation_number"] <= 4
+
+
+def test_register_wins_and_leaves_built_in_shapes_correct():
+    p = BlockProvider()
+    g = sl2r_ps_param(0, F(161, 2))
+    want = deform_to_zero(g, p)
+    library = builtin_block("sl2r", (5,))[:1]
+    p.register(library)
+    assert p.get("sl2r", (5,)) == library
+    for k in (81, 82, 83, F(163, 2)):
+        assert _fingerprint(p.get("sl2r", (k,))) == _fingerprint(builtin_block("sl2r", (k,)))
+    # the library at 5 holds the same chain as the built-in partition
+    assert deform_to_zero(g, p) == want
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,21 @@ CLI_CASES = (
          ["signature", "--group", "sl2c", "--m", "1", "--nu", "4", "--format", "json"]),
         ("signature_nu7_2_trace.txt", ["signature", "--nu", "7/2", "--trace"]),
     ]
+    # deep queries: 20 to 80 walls of one translation family below nu
+    + [
+        ("signature_sl2r_p%s_nu81_2.json" % p,
+         ["signature", "--parity", p, "--nu", "81/2", "--format", "json"])
+        for p in ("+1", "-1")
+    ]
+    + [
+        ("signature_sl2c_m%s_nu%s.json" % (m, nu.replace("/", "_")),
+         ["signature", "--group", "sl2c", "--m", m, "--nu", nu, "--format", "json"])
+        for m, nu in (("3", "41/2"), ("0", "45/2"))
+    ]
+    + [
+        ("unitary_p-1_nu161_2.json",
+         ["unitary", "--parity", "-1", "--nu", "161/2", "--format", "json"]),
+    ]
     + _both_formats("unitary_nu1_2", ["unitary", "--nu", "1/2"])
     + _both_formats("unitary_nu3_2", ["unitary", "--nu", "3/2"])
     + _both_formats("scan_p+1_0_4", ["scan", "--parity", "+1", "--from", "0", "--to", "4"])

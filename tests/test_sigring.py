@@ -12,7 +12,6 @@ from sigzero.sigring import (
     W_ONE,
     W_S,
     W_ZERO,
-    s_power,
 )
 
 welems = st.builds(WElem, st.integers(-9, 9), st.integers(-9, 9))
@@ -30,9 +29,6 @@ int_wpolys = small_wpolys(4)
 
 def test_s_squared_is_one():
     assert W_S * W_S == W_ONE
-    assert s_power(2) == W_ONE
-    assert s_power(-1) == W_S
-    assert s_power(-4) == W_ONE
 
 
 def test_mul_table():
@@ -96,12 +92,6 @@ def test_forget_is_a_ring_map(a, b):
 def test_from_int_coeffs_evaluations():
     p = WPoly.from_int_coeffs([1, 2])  # 1 + 2q
     assert p.eval_one() == WElem(3, 0)
-    assert p.eval_s() == WElem(1, 2)  # q -> s
-
-
-def test_eval_s_even_odd_split():
-    p = WPoly.from_int_coeffs([3, 5, 7])  # 3 + 5q + 7q^2
-    assert p.eval_s() == WElem(3 + 7, 5)
 
 
 def test_twist_sq_examples():
@@ -130,12 +120,6 @@ def test_twist_sq_is_an_involution_up_to_sign_convention(p, delta):
 def test_poly_eval_one_is_a_ring_map(p, r):
     assert (p * r).eval_one() == p.eval_one() * r.eval_one()
     assert (p + r).eval_one() == p.eval_one() + r.eval_one()
-
-
-@given(int_wpolys, int_wpolys)
-def test_poly_eval_s_is_a_ring_map(p, r):
-    assert (p * r).eval_s() == p.eval_s() * r.eval_s()
-    assert (p + r).eval_s() == p.eval_s() + r.eval_s()
 
 
 @given(wpolys, wpolys, wpolys)
