@@ -31,7 +31,6 @@ from .sigring import (
     WPoly,
     W_ONE,
     W_S,
-    W_ZERO,
 )
 from .rootdata import (
     Involution,
@@ -40,7 +39,6 @@ from .rootdata import (
     classify_roots,
     dot,
     length,
-    norm_sq,
     orientation_number,
 )
 from .params import (

@@ -203,7 +203,6 @@ class BlockElement:
     orient: int
     param: LanglandsParam
     tau: Optional[frozenset] = None
-    label: str = ""
 
     def __post_init__(self):
         if self.length < 0:
@@ -496,7 +495,6 @@ def parse_block(data: Union[bytes, str, Mapping]) -> Block:
                 param=param,
                 tau=None if tau is None else frozenset(
                     _int_parse(x) for x in _json_list(tau, "tau")),
-                label=model.label(param),
             )
         except ValueError as e:
             raise SchemaError(str(e))
@@ -598,15 +596,18 @@ class GroupModel:
                 invariants, Q = shape
                 b = Block.__new__(Block)
                 b.__dict__.update(group=self.name, inf_char=ic, Q=Q, elements=tuple(
-                    BlockElement(eid, c, n, o, param, tau, self.label(param))
+                    BlockElement(eid, c, n, o, param, tau)
                     for (eid, param, tau), (c, n, o) in zip(specs, invariants)))
             out.append(b)
         return out
 
     def label(self, param: LanglandsParam) -> str:
+        """The name of a block element, and of a term in the standard and
+        irreducible bases."""
         return "elt"
 
     def label_text(self, g: LanglandsParam) -> str:
+        """The name of a term in the final tempered basis."""
         return self.label(g)
 
     def hs_rewrite(self, d: DiscreteParam) -> Tuple[LanglandsParam, ...]:
@@ -638,7 +639,6 @@ class GroupModel:
                                       d.dlambda, param.nu, pairings),
             param=param,
             tau=tau,
-            label=self.label(param),
         )
 
 

@@ -139,7 +139,7 @@ def _parse_key(key: str) -> Tuple[str, Tuple[Fraction, ...]]:
 def cmd_block_show(args) -> int:
     session = Session(args.block or [])
     group, ic = _parse_key(args.key)
-    comps = session.provider.get(group, ic)
+    comps, label = session.provider.get(group, ic), group_model(group).label
     if args.format == "json":
         print(_dumps([block_to_json_obj(c) for c in comps]))
         return 0
@@ -153,7 +153,7 @@ def cmd_block_show(args) -> int:
             rows.append(
                 [
                     str(e.id),
-                    e.label,
+                    label(e.param),
                     str(e.length),
                     str(e.orient),
                     "-" if e.tau is None else "{%s}" % ",".join(map(str, sorted(e.tau))),

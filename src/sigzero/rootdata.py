@@ -43,7 +43,6 @@ __all__ = [
     "length",
     "orientation_number",
     "dot",
-    "norm_sq",
 ]
 
 Vector = Tuple[Fraction, ...]
@@ -61,10 +60,6 @@ def _vec(v: Sequence) -> Vector:
 def dot(u: Sequence, v: Sequence) -> Fraction:
     """The dot product of two vectors of ints or Fractions, as a Fraction."""
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def norm_sq(u: Sequence) -> Fraction:
-    return dot(u, u)
 
 
 def _norm_sq_parts(v: Sequence) -> Tuple[int, int]:

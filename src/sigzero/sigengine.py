@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from .blocks import (
     Block,
@@ -76,46 +76,39 @@ W_S_MINUS_ONE = WElem(-1, 1)
 
 @dataclass(frozen=True)
 class StdLabel:
-    """Hashable handle for one basis parameter of a signature character."""
+    """A term's parameter and the name ``SignatureChar.items`` renders."""
 
     group: str
     text: str
     param: LanglandsParam = field(repr=False)
 
-    @staticmethod
-    def of(group: str, g: LanglandsParam, text: Optional[str] = None) -> "StdLabel":
-        return StdLabel(
-            group=group,
-            text=text if text is not None else group_model(group).label_text(g),
-            param=g,
-        )
 
-
-LabelKey = Union[StdLabel, int]
+Key = Union[LanglandsParam, int]
 
 
 class SignatureChar:
-    """Finite W-combination of basis elements: standards or irreducibles of
-    one block, final tempered parameters, or K-types."""
+    """Finite W-combination of basis elements, keyed by Langlands parameter
+    (standards or irreducibles of one block, final tempered parameters) or
+    by weight (K-types).  Only ``items`` renders names."""
 
     __slots__ = ("group", "basis", "terms")
 
     def __init__(self, group: str, basis: str,
-                 terms: Optional[Dict[LabelKey, WElem]] = None):
+                 terms: Optional[Dict[Key, WElem]] = None):
         self.group = group
         self.basis = basis
-        self.terms: Dict[LabelKey, WElem] = {}
+        self.terms: Dict[Key, WElem] = {}
         if terms:
             for k, w in terms.items():
                 self.add(k, w)
 
-    def add(self, label: LabelKey, w: WElem) -> None:
-        cur = self.terms.get(label)
+    def add(self, key: Key, w: WElem) -> None:
+        cur = self.terms.get(key)
         new = w if cur is None else cur + w
         if new:
-            self.terms[label] = new
+            self.terms[key] = new
         elif cur is not None:
-            del self.terms[label]
+            del self.terms[key]
 
     def add_char(self, other: "SignatureChar", scale: WElem = W_ONE) -> None:
         if other.basis != self.basis:
@@ -141,14 +134,19 @@ class SignatureChar:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    @staticmethod
-    def _order(label: LabelKey):
-        if isinstance(label, int):
-            return (label,)
-        return (label.text,)
+    def _namer(self) -> Callable[[LanglandsParam], str]:
+        """The group model's names in this basis: ``PS0`` in the final
+        tempered basis, ``PS+(0)`` in the others."""
+        model = group_model(self.group)
+        return model.label_text if self.basis == "final_tempered" else model.label
 
-    def items(self) -> List[Tuple[LabelKey, WElem]]:
-        return sorted(self.terms.items(), key=lambda kv: self._order(kv[0]))
+    def items(self) -> List[Tuple[Union[StdLabel, int], WElem]]:
+        """Named terms by name (K-types by weight), ties in entry order."""
+        name = self._namer()
+        out = [(k if isinstance(k, int) else StdLabel(self.group, name(k), k), w)
+               for k, w in self.terms.items()]
+        out.sort(key=lambda kv: kv[0] if isinstance(kv[0], int) else kv[0].text)
+        return out
 
     def to_json_obj(self) -> dict:
         terms = []
@@ -298,7 +296,7 @@ def irreducible_in_standards(b: Block, psi) -> SignatureChar:
     out = SignatureChar(b.group, "standard")
     for e in b.elements:
         if e.id in column:
-            out.add(StdLabel.of(b.group, e.param, e.label), column[e.id].eval_one())
+            out.add(e.param, column[e.id].eval_one())
     return out
 
 
@@ -318,8 +316,7 @@ def deform_step(b: Block, gamma) -> SignatureChar:
             continue
         # the block's orientation numbers share one parity
         q_e, q_o = _qc_entry(coeffs, (e.orient - e_gamma.orient) // 2)
-        out.add(StdLabel.of(b.group, e.param, e.label),
-                W_S_MINUS_ONE * WElem(sum(q_e), sum(q_o)))
+        out.add(e.param, W_S_MINUS_ONE * WElem(sum(q_e), sum(q_o)))
     return out
 
 
@@ -336,8 +333,7 @@ def hs_rewrite(d: DiscreteParam, group: str,
         tempered = (at_zero,)
     else:
         tempered = group_model(group).hs_rewrite(d)
-    return SignatureChar(group, "final_tempered",
-                         {StdLabel.of(group, g): W_ONE for g in tempered})
+    return SignatureChar(group, "final_tempered", {g: W_ONE for g in tempered})
 
 
 def _block_containing(provider: BlockProvider, group: str,
@@ -352,6 +348,14 @@ def _block_containing(provider: BlockProvider, group: str,
         "no block at infinitesimal character %s contains the parameter %s"
         % ([frac_str(Fraction(x)) for x in key], group_model(group).label_text(g))
     )
+
+
+def _terms(sc: SignatureChar, trace) -> Iterable[Tuple[LanglandsParam, WElem]]:
+    """The terms of sc as they are stored; in a traced call, in the order
+    in which the result prints them, which the stream follows."""
+    if trace is None:
+        return sc.terms.items()
+    return [(label.param, w) for label, w in sc.items()]
 
 
 def _less(x: Tuple[int, int], y: Tuple[int, int]) -> bool:
@@ -435,8 +439,8 @@ def deform_to_zero(
     above, above_point = Fraction(1), g
     for pos, t in enumerate(times):
         gt = LanglandsParam(g.discrete, tuple(t * x for x in g.nu))
-        blk, _, blk_idx = _block_containing(provider, group, gt)
-        delta = deform_step(blk, gt)
+        blk, e_gt, blk_idx = _block_containing(provider, group, gt)
+        delta = deform_step(blk, e_gt.id)
         # times is deduplicated and descending: the walls below t are the
         # ones after it
         if (len(times) - 1 - pos) % 2:
@@ -457,9 +461,8 @@ def deform_to_zero(
         cap = (dl2[0] * nu2_den * q * q + nu2_num * dl2[1] * p * p,
                dl2[1] * nu2_den * q * q)
         jump = []
-        for label, coef in delta.items():
-            for slabel, w in irreducible_in_standards(blk, label.param).items():
-                child = slabel.param
+        for xi, coef in _terms(delta, trace):
+            for child, w in _terms(irreducible_in_standards(blk, xi), trace):
                 cdl2 = child.discrete.dlambda_sq
                 if not (_less(dl2, cdl2) and _less(cdl2, cap)):
                     raise BoundViolation(
@@ -507,18 +510,33 @@ def deform_to_zero(
 
 @dataclass
 class UnitaryResult:
-    """Verdict plus the certificate: the tempered expansion B, the parity
-    bits used, and the labels violating the monomial or matching rules."""
+    """Verdict plus the certificate: the tempered expansion B and the terms
+    of B violating the monomial or matching rules.  The parity bits used
+    and the violating terms are named from B when read."""
 
     verdict: str
     B: SignatureChar
-    epsilon: Dict[str, int]
-    violations: List[str]
     reason: str
+    # not in the repr: a frozenset's order follows the string hash seed
+    violating: FrozenSet[LanglandsParam] = field(default=frozenset(), repr=False)
 
     @property
     def is_unitary(self) -> bool:
         return self.verdict == "unitary"
+
+    @property
+    def epsilon(self) -> Dict[str, int]:
+        """The K-type parity bit of every monomial coefficient of B, by name."""
+        return {label.text: label.param.discrete.ktype_parity
+                for label, w in self.B.items() if w.is_monomial()}
+
+    @property
+    def violations(self) -> List[str]:
+        """The names of the violating terms, in the order of ``B.items()``;
+        no other term is named."""
+        name = self.B._namer()
+        return [text for text, _ in sorted(
+            (name(g), i) for i, g in enumerate(self.B.terms) if g in self.violating)]
 
 
 def unitary_test(
@@ -531,8 +549,8 @@ def unitary_test(
     every nonzero coefficient is a pure W-monomial $\\pm s^e$ whose exponent
     matches the parity bit $\\epsilon(\\Lambda')$ globally, or anti-matches
     globally.  The test is invariant under flipping every parity bit, which
-    absorbs the global square-root choice behind $\\epsilon$.  A nonzero
-    nu_im raises ValidationError."""
+    absorbs the global square-root choice behind $\\epsilon$.  Nothing is
+    named.  A nonzero nu_im raises ValidationError."""
     _require_real(g)
     model = group_model(group)
     if not model.cartans:
@@ -544,48 +562,29 @@ def unitary_test(
         )
 
     if all(x == 0 for x in g.nu):
-        B = hs_rewrite(g.discrete, group)
-        eps = {
-            lab.text: lab.param.discrete.ktype_parity for lab, _ in B.items()
-        }
-        return UnitaryResult("unitary", B, eps, [],
+        return UnitaryResult("unitary", hs_rewrite(g.discrete, group),
                              "tempered parameter (nu = 0)")
 
     blk, e_psi, _ = _block_containing(provider, group, g)
     B = SignatureChar(group, "final_tempered")
-    for slabel, w in irreducible_in_standards(blk, e_psi.id).items():
-        B.add_char(deform_to_zero(slabel.param, provider, group), w)
+    for child, w in irreducible_in_standards(blk, e_psi.id).terms.items():
+        B.add_char(deform_to_zero(child, provider, group), w)
 
-    eps: Dict[str, int] = {}
-    exps: Dict[str, int] = {}
-    impure: List[str] = []
-    for label, coef in B.items():
-        if not coef.is_monomial():
-            impure.append(label.text)
-            continue
-        parity = label.param.discrete.ktype_parity
-        if parity is None:
-            raise MissingParity(
-                "tempered parameter %s carries no K-type parity bit"
-                % label.text
-            )
-        eps[label.text] = parity
-        exps[label.text] = coef.s_exponent()
+    impure = frozenset(t for t, coef in B.terms.items() if not coef.is_monomial())
+    missing = [t for t in B.terms if t not in impure and t.discrete.ktype_parity is None]
+    if missing:
+        raise MissingParity("tempered parameter %s carries no K-type parity bit"
+                            % min(map(B._namer(), missing)))
     if impure:
-        return UnitaryResult(
-            "nonunitary", B, eps, impure,
-            "coefficients with both W-components nonzero",
-        )
-    match_viol = [t for t in exps if exps[t] != eps[t]]
-    anti_viol = [t for t in exps if exps[t] != 1 - eps[t]]
+        return UnitaryResult("nonunitary", B,
+                             "coefficients with both W-components nonzero", impure)
+    match_viol = frozenset(t for t, coef in B.terms.items()
+                           if coef.s_exponent() != t.discrete.ktype_parity)
+    anti_viol = frozenset(B.terms) - match_viol
     if not match_viol or not anti_viol:
-        return UnitaryResult("unitary", B, eps, [],
-                             "pure monomials with one global s-orientation")
-    violations = match_viol if len(match_viol) <= len(anti_viol) else anti_viol
-    return UnitaryResult(
-        "nonunitary", B, eps, violations,
-        "s-exponent pattern matches neither orientation",
-    )
+        return UnitaryResult("unitary", B, "pure monomials with one global s-orientation")
+    return UnitaryResult("nonunitary", B, "s-exponent pattern matches neither orientation",
+                         min(match_viol, anti_viol, key=len))
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +600,7 @@ def ktype_signature(sc: SignatureChar, cutoff: int) -> SignatureChar:
     if sc.basis != "final_tempered":
         raise ValueError("ktype_signature needs a final_tempered character")
     out = SignatureChar(sc.group, "ktype")
-    for label, coef in sc.items():
-        for n in support(label.param, cutoff):
+    for g, coef in sc.terms.items():
+        for n in support(g, cutoff):
             out.add(n, coef)
     return out

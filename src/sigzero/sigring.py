@@ -30,7 +30,6 @@ from .intpoly import IntPoly, p_add, p_mul, p_neg, p_trim
 __all__ = [
     "WElem",
     "WPoly",
-    "W_ZERO",
     "W_ONE",
     "W_S",
 ]
@@ -56,9 +55,6 @@ class WElem:
             self.p * other.p + self.q * other.q,
             self.p * other.q + self.q * other.p,
         )
-
-    def __rmul__(self, other: int) -> "WElem":
-        return WElem(self.p * other, self.q * other)
 
     def __bool__(self) -> bool:
         return self.p != 0 or self.q != 0
@@ -96,13 +92,7 @@ class WElem:
     def to_json(self) -> List[int]:
         return [self.p, self.q]
 
-    @staticmethod
-    def from_json(data: Sequence[int]) -> "WElem":
-        a, b = data
-        return WElem(int(a), int(b))
 
-
-W_ZERO = WElem(0, 0)
 W_ONE = WElem(1, 0)
 W_S = WElem(0, 1)
 
@@ -151,9 +141,6 @@ class WPoly:
             p_add(p_mul(a, c), p_mul(b, d)), p_add(p_mul(a, d), p_mul(b, c))
         )
 
-    def __rmul__(self, other: Union[WElem, int]) -> "WPoly":
-        return self * other
-
     def eval_one(self) -> WElem:
         """Value at $q = 1$: the sum of all coefficients."""
         return WElem(sum(self.a), sum(self.b))
@@ -167,13 +154,6 @@ class WPoly:
         odd = slice((delta // 2 + 1) % 2, None, 2)
         a[odd], b[odd] = b[odd], a[odd]
         return WPoly(p_trim(a), p_trim(b))
-
-    def __str__(self) -> str:
-        terms = [
-            "(%s)" % c if e == 0 else "(%s)q^%d" % (c, e // 2)
-            for e, c in self.items()
-        ]
-        return " + ".join(terms) or "0"
 
 
 def _pad(a: IntPoly, b: IntPoly) -> Tuple[List[int], List[int]]:

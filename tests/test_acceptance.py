@@ -105,9 +105,9 @@ def _identity_blocks():
         "sl2r",
         (99,),
         (
-            BlockElement(0, 0, 0, 0, sl2r_ds_param(1, 1), frozenset(), "A"),
-            BlockElement(1, 0, 1, 0, sl2r_ds_param(-1, 1), frozenset(), "B"),
-            BlockElement(2, 0, 3, 2, sl2r_ds_param(1, 3), frozenset(), "C"),
+            BlockElement(0, 0, 0, 0, sl2r_ds_param(1, 1), frozenset()),
+            BlockElement(1, 0, 1, 0, sl2r_ds_param(-1, 1), frozenset()),
+            BlockElement(2, 0, 3, 2, sl2r_ds_param(1, 3), frozenset()),
         ),
         {(0, 1): (1,), (1, 2): (1,), (0, 2): (0, 1)},
     )

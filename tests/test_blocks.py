@@ -47,7 +47,7 @@ F = Fraction
 
 
 def labels(b):
-    return [e.label for e in b.elements]
+    return [group_model(b.group).label(e.param) for e in b.elements]
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +111,7 @@ def test_sl2c_coordinate_order():
         one, other = builtin_block("sl2c", (x, y)), builtin_block("sl2c", (y, x))
         assert list(map(serialize_block, one)) == list(map(serialize_block, other))
     (b,) = builtin_block("sl2c", (F(1, 2), 1))
-    assert [e.label for e in b.elements] == ["PS(1,1/2)"]
+    assert labels(b) == ["PS(1,1/2)"]
     p = BlockProvider()
     assert p.get("sl2c", (1, 2)) is p.get("sl2c", (2, 1))
 
@@ -229,7 +229,7 @@ def _built_in_keys():
 
 
 def _fingerprint(comps):
-    return [(serialize_block(b), [(e.label, e.tau, e.cartan) for e in b.elements])
+    return [(serialize_block(b), labels(b), [(e.tau, e.cartan) for e in b.elements])
             for b in comps]
 
 

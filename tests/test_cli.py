@@ -259,8 +259,8 @@ def _swapped_library(tmp_path):
         chain.group,
         chain.inf_char,
         (e0, e1,
-         dataclasses.replace(e2, param=e3.param, label=e3.label),
-         dataclasses.replace(e3, param=e2.param, label=e2.label)),
+         dataclasses.replace(e2, param=e3.param),
+         dataclasses.replace(e3, param=e2.param)),
         {**chain.Q, **single.Q},
     )
     path = tmp_path / "swapped.json"

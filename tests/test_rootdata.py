@@ -21,7 +21,6 @@ from sigzero.rootdata import (
     classify_roots,
     dot,
     length,
-    norm_sq,
     orientation_number,
 )
 
@@ -30,7 +29,6 @@ F = Fraction
 
 def test_dot_and_norm():
     assert dot((2,), (1,)) == 2
-    assert norm_sq((F(3, 2), F(-3, 2))) == F(9, 2)
 
 
 def test_datum_negation_closure():

@@ -32,7 +32,6 @@ from sigzero.params import LanglandsParam, crossing_times
 from sigzero.sigring import WElem, WPoly, W_ONE, W_S
 from sigzero.sigengine import (
     SignatureChar,
-    StdLabel,
     deform_step,
     deform_to_zero,
     hs_rewrite,
@@ -73,12 +72,8 @@ def test_signature_q_on_integral_block():
 
 def _two_chain(q_poly, lo_orient=0, hi_orient=2, hi_length=3):
     # synthetic chain with prescribed Q and orientation gap
-    e0 = BlockElement(
-        0, 0, 0, lo_orient, sl2r_ds_param(1, 1), frozenset(), "A"
-    )
-    e1 = BlockElement(
-        1, 0, hi_length, hi_orient, sl2r_ds_param(-1, 1), frozenset(), "B"
-    )
+    e0 = BlockElement(0, 0, 0, lo_orient, sl2r_ds_param(1, 1), frozenset())
+    e1 = BlockElement(1, 0, hi_length, hi_orient, sl2r_ds_param(-1, 1), frozenset())
     return Block("sl2r", (9,), (e0, e1), {(0, 1): tuple(q_poly)})
 
 
@@ -177,7 +172,7 @@ def test_recursion_bound_is_strict_at_the_cap(nu, cap):
 def test_a_caller_may_change_the_deformation_it_was_given():
     provider = BlockProvider()
     low, high = sl2r_ps_param(0, F(1, 2)), sl2r_ps_param(0, F(7, 2))
-    extra = StdLabel.of("sl2r", sl2r_ps_param(0, 0))
+    extra = sl2r_ps_param(0, 0)
     r = deform_to_zero(low, provider)
     r.add(extra, W_ONE)
     assert as_dict(deform_to_zero(low, provider)) == {"PS0": W_ONE}
@@ -204,7 +199,7 @@ def test_signature_pq_compose_to_signed_identity():
                         if p is None or q is None:
                             continue
                         sign = (-1) ** ((lengths[r] + lengths[k]) % 2)
-                        acc = acc + sign * (p * q)
+                        acc = acc + p * q * sign
                     want = (
                         WPoly.from_int_coeffs([1])
                         if r == c
@@ -235,13 +230,14 @@ def test_deform_step_at_wall():
 
 def test_deform_step_skips_even_length_differences():
     elements = tuple(
-        BlockElement(i, 0, i, 2 * i, sl2r_ds_param(1, i + 1), frozenset(), "E%d" % i)
+        BlockElement(i, 0, i, 2 * i, sl2r_ds_param(1, i + 1), frozenset())
         for i in range(3)
     )
+    e0, e1, _ = (e.param for e in elements)
     b = Block("synth", (F(1),), elements, {(0, 1): (1,), (1, 2): (2,), (0, 2): (3,)})
     # E1 enters with (s-1) s^((2-4)/2) 2 = 2 - 2s; E0, two lengths below, not at all
-    assert as_dict(deform_step(b, 2)) == {"E1": WElem(2, -2)}
-    assert as_dict(deform_step(b, 1)) == {"E0": WElem(1, -1)}
+    assert deform_step(b, 2).terms == {e1: WElem(2, -2)}
+    assert deform_step(b, 1).terms == {e0: WElem(1, -1)}
 
 
 def _builtin_chains():
@@ -258,7 +254,7 @@ def test_deform_step_coefficients_are_qc_at_one():
         Qc = signature_Q(b)
         for g in b.elements:
             want = {
-                e.label: S_MINUS_1 * Qc[(e.id, g.id)].eval_one()
+                group_model(b.group).label(e.param): S_MINUS_1 * Qc[(e.id, g.id)].eval_one()
                 for e in b.elements
                 if e.length < g.length and (g.length - e.length) % 2
                 and (e.id, g.id) in Qc
@@ -448,6 +444,21 @@ def test_traced_stream_ignores_remembered_wall_points():
     assert untraced == deform_to_zero(sl2r_ps_param(0, F(29, 2)), BlockProvider())
 
 
+def test_trace_follows_the_printed_order():
+    # a library listing its elements out of name order: the recurse records
+    # still follow the crossing's delta as it is printed
+    chain, single = builtin_block("sl2r", (1,))
+    provider = BlockProvider()
+    provider.register([Block(chain.group, chain.inf_char, chain.elements[::-1], chain.Q),
+                       single])
+    records = []
+    deform_to_zero(sl2r_ps_param(0, F(5, 2)), provider, trace=records.append)
+    (crossing,) = [r for r in records if r["event"] == "crossing"]
+    assert [r["param"] for r in records if r["event"] == "recurse"] == [
+        t["label"]["param"] for t in crossing["delta"]["terms"]]
+    assert [t["label"]["text"] for t in crossing["delta"]["terms"]] == ["DS+(1)", "DS-(1)"]
+
+
 def test_deform_step_cost_on_warm_provider(monkeypatch):
     """A warm query crosses only the walls above the highest wall point
     that the provider remembers."""
@@ -456,7 +467,7 @@ def test_deform_step_cost_on_warm_provider(monkeypatch):
     calls = []
     real_step = sigengine.deform_step
     monkeypatch.setattr(sigengine, "deform_step",
-                        lambda b, g: calls.append(g.nu) or real_step(b, g))
+                        lambda b, g: calls.append(b.element(g).param.nu) or real_step(b, g))
     deform_to_zero(sl2r_ps_param(0, F(45, 2)), provider)
     assert calls == [(F(21),)]
 
@@ -481,6 +492,37 @@ CLASSICAL = [
 def test_unitary_verdicts(provider, eps, nu, want):
     res = unitary_test(sl2r_ps_param(eps, nu), provider)
     assert res.is_unitary == want
+
+
+def test_one_parameter_is_named_by_its_basis():
+    # a term is its parameter; the basis decides only how it is printed
+    g = sl2r_ps_param(0, 0)
+    (b, _, _) = builtin_block("sl2r", (0,))
+    standard = irreducible_in_standards(b, g)
+    tempered = deform_to_zero(g, BlockProvider())
+    assert list(standard.terms) == list(tempered.terms) == [g]
+    assert [label.text for label, _ in standard.items()] == ["PS+(0)"]
+    assert [label.text for label, _ in tempered.items()] == ["PS0"]
+
+
+def test_untraced_queries_name_no_term(monkeypatch):
+    named = []
+    for attr in ("label", "label_text"):
+        real = getattr(type(SL2R), attr)
+        monkeypatch.setattr(type(SL2R), attr,
+                            lambda self, g, attr=attr, real=real:
+                            named.append((attr, g)) or real(self, g))
+    deform_to_zero(sl2r_ps_param(0, F(81, 2)), BlockProvider())
+    res = unitary_test(sl2r_ps_param(1, F(79, 2)), BlockProvider())
+    assert named == []
+    assert res.verdict == "nonunitary"
+    assert 0 < len(res.violating) < len(res.B.terms)
+    violations = res.violations
+    # the tempered name of each violating term, once, and of no other
+    tempered = [g for attr, g in named if attr == "label_text"]
+    assert len(tempered) == len(violations) and set(tempered) == res.violating
+    assert violations == [label.text for label, _ in res.B.items()
+                          if label.param in res.violating]
 
 
 def test_unitary_certificates(provider):

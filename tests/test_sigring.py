@@ -11,7 +11,6 @@ from sigzero.sigring import (
     WPoly,
     W_ONE,
     W_S,
-    W_ZERO,
 )
 
 welems = st.builds(WElem, st.integers(-9, 9), st.integers(-9, 9))
@@ -35,7 +34,7 @@ def test_mul_table():
     # (p + q s)(p' + q' s) = (pp' + qq') + (pq' + qp') s
     assert WElem(1, 2) * WElem(3, 4) == WElem(3 + 8, 4 + 6)
     assert W_S * W_S == W_ONE
-    assert 3 * WElem(1, 1) == WElem(3, 3)
+    assert WElem(1, 1) * 3 == WElem(3, 3)
 
 
 def test_monomial_and_exponent():
@@ -43,14 +42,9 @@ def test_monomial_and_exponent():
     assert WElem(0, -2).is_monomial() and WElem(0, -2).s_exponent() == 1
     assert not WElem(1, 1).is_monomial()
     # zero is a degenerate monomial but carries no s-exponent
-    assert W_ZERO.is_monomial()
+    assert WElem(0, 0).is_monomial()
     with pytest.raises(ValueError):
-        W_ZERO.s_exponent()
-
-
-def test_welem_json_round_trip():
-    w = WElem(-3, 5)
-    assert WElem.from_json(w.to_json()) == w
+        WElem(0, 0).s_exponent()
 
 
 # untrimmed coefficient lists: zeros anywhere, trailing ones included
@@ -151,11 +145,10 @@ def test_items_format_and_trimmed_equality():
     p = WPoly((1, 2), (0, 5))
     assert p + (-p) == WPoly()
     assert (p + WPoly((0, -2), (0, -5))) == WPoly.from_int_coeffs([1])
-    assert p * 0 == WPoly() and p * W_ZERO == WPoly()
+    assert p * 0 == WPoly() and p * WElem(0, 0) == WPoly()
 
 
 def test_str_renderings():
     assert str(WElem(1, 0)) == "1"
     assert str(WElem(0, 1)) == "s"
-    assert str(W_ZERO) == "0"
-    assert "q" in str(WPoly.from_int_coeffs([0, 1]))
+    assert str(WElem(0, 0)) == "0"
