@@ -126,6 +126,16 @@ SL2C_CARTAN = CartanClass(
 _ZERO = Fraction(0)
 
 
+# the discrete parts of the spherical (eps = 0: grading +1, final) and the
+# nonspherical (eps = 1: grading -1, nonfinal) principal series, which every
+# such parameter shares
+_SPLIT_DISCRETE = tuple(
+    DiscreteParam(cartan="split", dlambda=(_ZERO,), grading={0: 1 if eps == 0 else -1},
+                  final=(eps == 0), ktype_parity=(0 if eps == 0 else None))
+    for eps in (0, 1))
+_ZERO_NU = (_ZERO,)
+
+
 def sl2r_ps_param(eps: int, nu: Fraction) -> LanglandsParam:
     """Principal series parameter on the split Cartan; eps = 0 spherical
     (grading +1, final), eps = 1 nonspherical (grading -1, nonfinal), and
@@ -134,17 +144,24 @@ def sl2r_ps_param(eps: int, nu: Fraction) -> LanglandsParam:
         raise ValueError("parity must be 0 or 1")
     if nu < 0:
         raise ValueError("principal series needs nu >= 0 (got %s)" % frac_str(nu))
-    d = DiscreteParam(
-        cartan="split",
-        dlambda=(_ZERO,),
-        grading={0: 1 if eps == 0 else -1},
-        final=(eps == 0),
-        ktype_parity=(0 if eps == 0 else None),
-    )
     # nu > 0 avoids the kernel wall of the one real coroot; eps = 1 at
     # nu = 0 is the formal limit standard I(Lambda_ns, 0), not itself a
     # parameter, which rewrites to LDS+ + LDS- downstream
-    return LanglandsParam(d, (nu,))
+    return LanglandsParam(_SPLIT_DISCRETE[eps], (nu,))
+
+
+def _compact_discrete(sign: int, k: Fraction) -> DiscreteParam:
+    """The discrete part of ``sl2r_ds_param(sign, k)``."""
+    lowest = sign * (k.numerator + 1)
+    parity = 0 if lowest % 2 == 0 else (0 if lowest > 0 else 1)
+    return DiscreteParam(
+        cartan="compact",
+        dlambda=(k if sign == 1 else -k,),
+        grading={},
+        imaginary_grading={0: "noncompact"},
+        final=True,
+        ktype_parity=parity,
+    )
 
 
 def sl2r_ds_param(sign: int, k: Fraction) -> LanglandsParam:
@@ -157,17 +174,18 @@ def sl2r_ds_param(sign: int, k: Fraction) -> LanglandsParam:
     k = k if type(k) is Fraction else Fraction(k)
     if sign not in (1, -1) or k.numerator < 0 or k.denominator != 1:
         raise ValueError("discrete series needs sign +-1 and integer k >= 0")
-    lowest = sign * (k.numerator + 1)
-    parity = 0 if lowest % 2 == 0 else (0 if lowest > 0 else 1)
-    d = DiscreteParam(
-        cartan="compact",
-        dlambda=(k if sign == 1 else -k,),
-        grading={},
-        imaginary_grading={0: "noncompact"},
-        final=True,
-        ktype_parity=parity,
-    )
-    return LanglandsParam(d, (_ZERO,))
+    return LanglandsParam(_compact_discrete(sign, k), _ZERO_NU)
+
+
+def _complex_discrete(m: Fraction) -> DiscreteParam:
+    half_m = m / 2
+    return DiscreteParam(cartan="complex", dlambda=(half_m, half_m), grading={},
+                         final=True, ktype_parity=None)
+
+
+def _complex_nu(v: Fraction) -> Tuple[Fraction, Fraction]:
+    half_v = v / 2
+    return (half_v, -half_v)
 
 
 def sl2c_param(m: Fraction, v: Fraction) -> LanglandsParam:
@@ -178,15 +196,7 @@ def sl2c_param(m: Fraction, v: Fraction) -> LanglandsParam:
         raise ValueError("sl2c discrete weight must be a nonnegative integer")
     if v < 0:
         raise ValueError("sl2c continuous coordinate needs v >= 0 (got %s)" % frac_str(v))
-    half_m, half_v = m / 2, v / 2
-    d = DiscreteParam(
-        cartan="complex",
-        dlambda=(half_m, half_m),
-        grading={},
-        final=True,
-        ktype_parity=None,
-    )
-    return LanglandsParam(d, (half_v, -half_v))
+    return LanglandsParam(_complex_discrete(m), _complex_nu(v))
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +524,16 @@ def parse_block(data: Union[bytes, str, Mapping]) -> Block:
 # ---------------------------------------------------------------------------
 # group models
 
-# one block in closed form: element specs (id, param, tau) and Q
+# one block in closed form: per element its id, the discrete part and nu of
+# its parameter, and its tau-invariant; and its Q
+Slot = Tuple[int, DiscreteParam, Tuple[Fraction, ...], frozenset]
+Form = Tuple[List[Slot], Dict[Tuple[int, int], IntPoly]]
+# the same block with its parameters built: element specs (id, param, tau)
 Layout = Tuple[List[Tuple[int, LanglandsParam, frozenset]], Dict[Tuple[int, int], IntPoly]]
 
 
-def _singleton(eid: int, param: LanglandsParam) -> Layout:
-    return [(eid, param, frozenset())], {(eid, eid): (1,)}
+def _singleton(eid: int, d: DiscreteParam, nu: Tuple[Fraction, ...]) -> Form:
+    return [(eid, d, nu, frozenset())], {(eid, eid): (1,)}
 
 
 class GroupModel:
@@ -561,13 +575,38 @@ class GroupModel:
             coords.sort(reverse=True)
         return tuple(coords)
 
-    def layout(self, ic: Tuple[Fraction, ...]) -> List[Layout]:
-        """The blocks at the canonical key ``ic`` in closed form: per block,
-        its element specs ``(id, param, tau)`` and its Q."""
+    def forms(self, ic: Tuple[Fraction, ...]) -> List[Form]:
+        """The blocks at the canonical key ``ic`` in closed form, in
+        partition order.  The one description of the built-in blocks:
+        ``layout`` and ``place`` both read it."""
         raise UnsupportedGroup("no built-in model for group %r" % self.name)
 
-    def partition(self, inf_char, shapes: Optional[dict] = None) -> List[Block]:
-        """The blocks of ``layout``, with lengths and orientation numbers.
+    def layout(self, ic: Tuple[Fraction, ...]) -> List[Layout]:
+        """Every block of ``forms`` with its parameters built."""
+        return [([(eid, LanglandsParam(d, nu), tau) for eid, d, nu, tau in slots], Q)
+                for slots, Q in self.forms(ic)]
+
+    def place(self, ic: Tuple[Fraction, ...],
+              g: LanglandsParam) -> Optional[Tuple[int, int, Layout]]:
+        """The index of the block of ``forms(ic)`` that holds ``g``, the
+        number of blocks, and the layout of that block alone, in which
+        ``g`` takes its own slot and only the other parameters are built;
+        None when no block holds ``g``.  A slot holds ``g`` when ``g`` is
+        real and has its discrete part and nu: ``LanglandsParam`` equality."""
+        forms = self.forms(ic)
+        if g.nu_im is None:
+            for i, (slots, Q) in enumerate(forms):
+                for eid, d, nu, _ in slots:
+                    if nu == g.nu and d == g.discrete:
+                        return i, len(forms), (
+                            [(e, g if e == eid else LanglandsParam(dd, n), tau)
+                             for e, dd, n, tau in slots], Q)
+        return None
+
+    def instantiate(self, ic: Tuple[Fraction, ...], i: int, layout: Layout,
+                    shapes: Optional[dict] = None) -> Block:
+        """Block ``i`` of the partition at the canonical key ``ic``, built
+        from its ``layout`` with lengths and orientation numbers.
 
         ``shapes`` maps a family key to the Cartan indices, lengths and
         orientation numbers of a block's elements, and its validated Q.  The
@@ -579,27 +618,31 @@ class GroupModel:
         read.  A block with a known shape takes it and is not validated
         again: ``_validate_block`` reads only ids, lengths, orientation
         numbers and Q."""
-        ic = self.key(inf_char)
-        layout = self.layout(ic)
+        specs, Q = layout
         family = (self.name,
-                  tuple((x.denominator, x.numerator % (2 * x.denominator), x > 0) for x in ic),
-                  tuple(x == y for x, y in zip(ic, ic[1:])))
-        out = []
-        for i, (specs, Q) in enumerate(layout):
-            shape = None if shapes is None else shapes.get(family + (i,))
-            if shape is None:
-                b = Block(self.name, ic, tuple(self.element(*s) for s in specs), Q)
-                if shapes is not None:
-                    shapes[family + (i,)] = (
-                        tuple((e.cartan, e.length, e.orient) for e in b.elements), b.Q)
-            else:
-                invariants, Q = shape
-                b = Block.__new__(Block)
-                b.__dict__.update(group=self.name, inf_char=ic, Q=Q, elements=tuple(
-                    BlockElement(eid, c, n, o, param, tau)
-                    for (eid, param, tau), (c, n, o) in zip(specs, invariants)))
-            out.append(b)
-        return out
+                  tuple((x.denominator, x.numerator % (2 * x.denominator), x.numerator > 0)
+                        for x in ic),
+                  tuple(x == y for x, y in zip(ic, ic[1:])), i)
+        shape = None if shapes is None else shapes.get(family)
+        if shape is None:
+            b = Block(self.name, ic, tuple(self.element(*s) for s in specs), Q)
+            if shapes is not None:
+                shapes[family] = (tuple((e.cartan, e.length, e.orient) for e in b.elements), b.Q)
+            return b
+        invariants, Q = shape
+        b = Block.__new__(Block)
+        b.__dict__.update(group=self.name, inf_char=ic, Q=Q, elements=tuple(
+            BlockElement(eid, c, n, o, param, tau)
+            for (eid, param, tau), (c, n, o) in zip(specs, invariants)))
+        return b
+
+    def partition(self, inf_char, shapes: Optional[dict] = None) -> List[Block]:
+        """Every block at ``inf_char``: each block of ``layout``, built by
+        ``instantiate``.  ``BlockProvider.find`` builds one block of the
+        same partition, by ``place`` and ``instantiate``."""
+        ic = self.key(inf_char)
+        return [self.instantiate(ic, i, layout, shapes)
+                for i, layout in enumerate(self.layout(ic))]
 
     def label(self, param: LanglandsParam) -> str:
         """The name of a block element, and of a term in the standard and
@@ -653,31 +696,31 @@ class _SL2R(GroupModel):
     def block_key(self, g: LanglandsParam) -> Tuple[Fraction, ...]:
         return (abs(g.gamma[0]),)
 
-    def layout(self, ic: Tuple[Fraction, ...]) -> List[Layout]:
+    def forms(self, ic: Tuple[Fraction, ...]) -> List[Form]:
         (k,) = ic
+        ps = (k,)
         if k == 0:
             # singular point: the spherical principal series and the two
             # limits of discrete series are all irreducible
             return [
-                _singleton(0, sl2r_ps_param(0, k)),
-                _singleton(1, sl2r_ds_param(1, k)),
-                _singleton(2, sl2r_ds_param(-1, k)),
+                _singleton(0, _SPLIT_DISCRETE[0], ps),
+                _singleton(1, _compact_discrete(1, k), _ZERO_NU),
+                _singleton(2, _compact_discrete(-1, k), _ZERO_NU),
             ]
         if k.denominator == 1:
             # reducible parity: spherical at odd k, nonspherical at even k
-            red_eps = 0 if int(k) % 2 == 1 else 1
-            other_eps = 1 - red_eps
+            red_eps = 0 if k.numerator % 2 == 1 else 1
             chain = (
                 [
-                    (0, sl2r_ds_param(1, k), frozenset({0})),
-                    (1, sl2r_ds_param(-1, k), frozenset({0})),
-                    (2, sl2r_ps_param(red_eps, k), frozenset()),
+                    (0, _compact_discrete(1, k), _ZERO_NU, frozenset({0})),
+                    (1, _compact_discrete(-1, k), _ZERO_NU, frozenset({0})),
+                    (2, _SPLIT_DISCRETE[red_eps], ps, frozenset()),
                 ],
                 {(0, 0): (1,), (1, 1): (1,), (2, 2): (1,), (0, 2): (1,), (1, 2): (1,)},
             )
-            return [chain, _singleton(3, sl2r_ps_param(other_eps, k))]
+            return [chain, _singleton(3, _SPLIT_DISCRETE[1 - red_eps], ps)]
         # nonintegral: two irreducible principal series
-        return [_singleton(0, sl2r_ps_param(0, k)), _singleton(1, sl2r_ps_param(1, k))]
+        return [_singleton(0, _SPLIT_DISCRETE[0], ps), _singleton(1, _SPLIT_DISCRETE[1], ps)]
 
     def label(self, param: LanglandsParam) -> str:
         d = param.discrete
@@ -752,7 +795,7 @@ class _SL2C(GroupModel):
     def block_key(self, g: LanglandsParam) -> Tuple[Fraction, ...]:
         return (2 * g.discrete.dlambda[0], 2 * g.nu[0])
 
-    def layout(self, ic: Tuple[Fraction, ...]) -> List[Layout]:
+    def forms(self, ic: Tuple[Fraction, ...]) -> List[Form]:
         a, b = ic
         if (
             a.denominator == 1
@@ -762,7 +805,8 @@ class _SL2C(GroupModel):
         ):
             # one 2-chain: I(b, a) has the J(a, b) constituent below
             return [(
-                [(0, sl2c_param(a, b), frozenset()), (1, sl2c_param(b, a), frozenset({0}))],
+                [(0, _complex_discrete(a), _complex_nu(b), frozenset()),
+                 (1, _complex_discrete(b), _complex_nu(a), frozenset({0}))],
                 {(0, 0): (1,), (1, 1): (1,), (0, 1): (1,)},
             )]
         coords = [(a, b)] if a.denominator == 1 else []
@@ -770,7 +814,8 @@ class _SL2C(GroupModel):
             coords.append((b, a))
         if not coords:
             raise ValueError("no sl2c parameter: neither coordinate is an integer")
-        return [_singleton(i, sl2c_param(mm, vv)) for i, (mm, vv) in enumerate(coords)]
+        return [_singleton(i, _complex_discrete(m), _complex_nu(v))
+                for i, (m, v) in enumerate(coords)]
 
     def label(self, param: LanglandsParam) -> str:
         return "PS(%s,%s)" % (
@@ -797,7 +842,7 @@ def group_cartan(group: str, name: str) -> CartanClass:
 def builtin_block(group: str, inf_char, shapes: Optional[dict] = None) -> List[Block]:
     """The full partition of B(chi) into blocks at this infinitesimal
     character, with lengths, orientation numbers, tau-invariants and Q in
-    closed form; ``shapes`` is the family memo of ``GroupModel.partition``."""
+    closed form; ``shapes`` is the family memo of ``GroupModel.instantiate``."""
     return group_model(group).partition(inf_char, shapes)
 
 
@@ -805,17 +850,19 @@ def builtin_block(group: str, inf_char, shapes: Optional[dict] = None) -> List[B
 # provider
 
 class BlockProvider:
-    """Lookup of the block partition keyed by (group, infinitesimal
-    character).  Registered libraries win; built-in groups resolve
-    analytically; a miss is a hard MissingBlock error.
+    """Lookup of blocks keyed by (group, infinitesimal character).
+    Registered libraries win; built-in groups resolve analytically; a miss
+    is a hard MissingBlock error.  ``get`` serves the partition at a key,
+    ``find`` the one block that holds a parameter.
 
     The provider owns three caches, each one empty when the provider is
-    created and private to it: the built-in partitions it has served, one
+    created and private to it: the built-in partitions it has served (None
+    for each block ``find`` has not built yet; ``get`` fills them in), one
     validated block shape per translation family (so a block is validated
     once per shape, not once per wall), and the results of
     ``deform_to_zero``.  A built-in partition depends only on its key and a
-    shape only on its family key, and ``get`` looks up a registered library
-    first, so ``register`` leaves both as they are.  The deformation memo
+    shape only on its family key, and ``get`` and ``find`` look up a
+    registered library first, so ``register`` leaves both as they are.  The deformation memo
     also holds every wall point $(\\Lambda, t_i\\nu)$ a deformation
     crossed, under the key a direct call uses: the crossing times of
     $t_i\\nu$ are exactly $\\{t/t_i : t \\le t_i\\}$, so the partial sum
@@ -829,7 +876,7 @@ class BlockProvider:
 
     def __init__(self):
         self._store: Dict[Tuple[str, Tuple[Fraction, ...]], List[Block]] = {}
-        self._builtin: Dict[Tuple[str, Tuple[Fraction, ...]], List[Block]] = {}
+        self._builtin: Dict[Tuple[str, Tuple[Fraction, ...]], List[Optional[Block]]] = {}
         self._shapes: Dict[tuple, tuple] = {}
         self._deformations: Dict[tuple, object] = {}
 
@@ -855,11 +902,43 @@ class BlockProvider:
             blocks = self._builtin.get(key)
             if blocks is None:
                 blocks = self._builtin[key] = builtin_block(group, inf_char, self._shapes)
+            elif None in blocks:
+                # a partition ``find`` began: keep the blocks it built
+                for i, blk in enumerate(builtin_block(group, inf_char, self._shapes)):
+                    if blocks[i] is None:
+                        blocks[i] = blk
             return blocks
         raise MissingBlock(
             "no block data for group %r at infinitesimal character %s"
             % (group, [frac_str(x) for x in key[1]])
         )
+
+    def find(self, group: str,
+             g: LanglandsParam) -> Optional[Tuple[Block, BlockElement, int]]:
+        """The block at ``g``'s key that holds ``g``, its element and its
+        index in the partition ``get`` serves there; None when no block
+        there holds ``g``.  A registered library is searched alone; else the
+        built-in blocks already built are searched, and only a miss builds
+        the block that holds ``g``."""
+        model = group_model(group)
+        ic = model.key(model.block_key(g))
+        key = (group, ic)
+        library = self._store.get(key)
+        blocks = library if library is not None else self._builtin.get(key, ())
+        for i, blk in enumerate(blocks):
+            e = None if blk is None else blk.find(g)
+            if e is not None:
+                return blk, e, i
+        if library is not None:
+            return None
+        placed = model.place(ic, g)
+        if placed is None:
+            return None
+        i, n, layout = placed
+        if not blocks:
+            blocks = self._builtin[key] = [None] * n
+        blk = blocks[i] = model.instantiate(ic, i, layout, self._shapes)
+        return blk, blk.find(g), i
 
     def deformation(self, key: tuple):
         """A remembered ``deform_to_zero`` result, or None."""

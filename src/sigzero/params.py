@@ -190,10 +190,11 @@ class Hyperplane:
     kind: str  # "reducibility" | "reorient_positive" | "reorient_negative"
 
 
-def _walls(rr: RestrictedRoot, d: DiscreteParam,
-           bound) -> Iterator[Tuple[Fraction, str]]:
+def _walls(rr: RestrictedRoot, d: DiscreteParam, bound,
+           reducible_only: bool = False) -> Iterator[Tuple[Fraction, str]]:
     """The walls (level, kind) of one restricted root with
-    0 < level <= bound, in increasing level.
+    0 < level <= bound, in increasing level; with ``reducible_only``, the
+    reducibility walls alone.
 
     A real root has every integer level: parity opposite to the grading
     gives reducibility, the same parity a positively reorienting wall.  A
@@ -203,7 +204,11 @@ def _walls(rr: RestrictedRoot, d: DiscreteParam,
         # grading +1 pairs with even integer parts, so reducibility sits at
         # odd levels; grading -1 swaps the parities.
         red_parity = 1 if d.grading.get(rr.root_index, 1) == 1 else 0
-        for n in range(1, math.floor(bound) + 1):
+        top = math.floor(bound)
+        # the reducibility levels alone start at the first level of their
+        # parity and step over the reorienting ones
+        levels = range(2 - red_parity, top + 1, 2) if reducible_only else range(1, top + 1)
+        for n in levels:
             yield (Fraction(n),
                    "reducibility" if n % 2 == red_parity else "reorient_positive")
     else:
@@ -238,8 +243,7 @@ def crossing_times(g: LanglandsParam, cartan: CartanClass) -> List[Fraction]:
     times = set()
     for rr in cartan.restricted:
         x = dot(g.nu, rr.covector)
-        times.update(level / x for level, kind in _walls(rr, g.discrete, x)
-                     if kind == "reducibility")
+        times.update(level / x for level, _ in _walls(rr, g.discrete, x, True))
     return sorted(times, reverse=True)
 
 

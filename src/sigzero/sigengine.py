@@ -338,16 +338,16 @@ def hs_rewrite(d: DiscreteParam, group: str,
 
 def _block_containing(provider: BlockProvider, group: str,
                       g: LanglandsParam) -> Tuple[Block, BlockElement, int]:
-    key = group_model(group).block_key(g)
-    blocks = provider.get(group, key)
-    for i, blk in enumerate(blocks):
-        e = blk.find(g)
-        if e is not None:
-            return blk, e, i
-    raise MissingBlock(
-        "no block at infinitesimal character %s contains the parameter %s"
-        % ([frac_str(Fraction(x)) for x in key], group_model(group).label_text(g))
-    )
+    """The block that holds g, its element and the block's index in the
+    partition at g's key, from ``BlockProvider.find``."""
+    found = provider.find(group, g)
+    if found is None:
+        key = group_model(group).block_key(g)
+        raise MissingBlock(
+            "no block at infinitesimal character %s contains the parameter %s"
+            % ([frac_str(Fraction(x)) for x in key], group_model(group).label_text(g))
+        )
+    return found
 
 
 def _terms(sc: SignatureChar, trace) -> Iterable[Tuple[LanglandsParam, WElem]]:

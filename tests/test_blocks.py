@@ -33,7 +33,8 @@ from sigzero.blocks import (
     split_components,
 )
 from sigzero.cli import main
-from sigzero.sigengine import deform_to_zero
+from sigzero.params import LanglandsParam, crossing_times
+from sigzero.sigengine import deform_to_zero, unitary_test
 from sigzero.errors import (
     InvariantViolation,
     MissingBlock,
@@ -248,33 +249,96 @@ def test_blocks_instantiated_from_shapes_equal_fresh_builds():
     assert groups == {"sl2r": 3 + 4 + 2 * 22, "sl2c": 3 + 3 + 6 + 10}
 
 
+def _count_calls(monkeypatch, calls, owner, name):
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+
+
 def test_cold_deformation_validates_once_per_shape(monkeypatch):
     calls = collections.Counter()
-
-    def counting(name):
-        fn = getattr(blocks, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(blocks, name, wrapper)
-
-    for name in ("builtin_block", "_validate_block", "length", "orientation_number"):
-        counting(name)
-    queries = [("sl2r", sl2r_ps_param(0, F(161, 2))), ("sl2c", sl2c_param(3, F(41, 2)))]
-    for group, g in queries:
+    # a wall is looked up by BlockProvider.find, which builds the one block
+    # holding the wall point
+    _count_calls(monkeypatch, calls, BlockProvider, "find")
+    for name in ("_validate_block", "length", "orientation_number"):
+        _count_calls(monkeypatch, calls, blocks, name)
+    # the shapes built: for sl2r the chain at odd k only, as no wall point
+    # lies in the singleton beside it; for sl2c two blocks
+    queries = [("sl2r", sl2r_ps_param(0, F(161, 2)), 1), ("sl2c", sl2c_param(3, F(41, 2)), 2)]
+    for group, g, shapes in queries:
         seen = []
         # a second fresh provider builds its first shapes again: no cache
         # outlives the provider that owns it
         for _ in range(2):
             calls.clear()
-            deform_to_zero(g, BlockProvider(), group)
+            p = BlockProvider()
+            deform_to_zero(g, p, group)
             seen.append(dict(calls))
         assert seen[0] == seen[1]
-        # 40 walls for sl2r, 18 for sl2c, each in one of two families
-        assert calls["builtin_block"] >= 18
-        assert calls["_validate_block"] == 2
+        # 40 walls for sl2r, 18 for sl2c
+        assert calls["find"] >= 18
+        assert calls["_validate_block"] == len(p._shapes) == shapes
         assert calls["length"] == calls["orientation_number"] <= 4
+
+
+def test_cold_deformation_builds_one_block_per_wall(monkeypatch):
+    calls = collections.Counter()
+    for name in ("instantiate", "partition"):
+        _count_calls(monkeypatch, calls, blocks.GroupModel, name)
+    g = sl2r_ps_param(0, F(161, 2))
+    deform_to_zero(g, BlockProvider())
+    # the odd levels 1, 3, ..., 79 below 161/2; no wall is the top point
+    walls = crossing_times(g, SL2R_SPLIT)
+    assert len(walls) == 40 and walls[0] < 1
+    assert calls == {"instantiate": 40}
+
+
+def test_find_agrees_with_the_partition():
+    for group, ic in _built_in_keys():
+        for i, blk in enumerate(builtin_block(group, ic)):
+            for e in blk.elements:
+                p = BlockProvider()
+                found, got, j = p.find(group, e.param)
+                assert (_fingerprint([found]), got, j) == (_fingerprint([blk]), e, i), (group, ic)
+                # a warm lookup serves the block it built
+                assert p.find(group, e.param)[0] is found
+
+
+def test_find_misses_what_no_block_holds():
+    p = BlockProvider()
+    # PS-(0) is the formal limit standard, in no block at 0; a parameter
+    # with an imaginary part equals no block element
+    assert p.find("sl2r", sl2r_ps_param(1, 0)) is None
+    g = sl2r_ps_param(0, 3)
+    assert p.find("sl2r", LanglandsParam(g.discrete, g.nu, (F(1),))) is None
+    assert p.find("sl2r", g)[2] == 0
+
+
+def test_get_completes_the_partition_find_began():
+    p = BlockProvider()
+    single, _, i = p.find("sl2r", sl2r_ps_param(1, 3))
+    assert i == 1
+    served = p.get("sl2r", (3,))
+    assert served[1] is single
+    assert _fingerprint(served) == _fingerprint(builtin_block("sl2r", (3,)))
+    assert p.get("sl2r", (3,)) is served
+    assert p.find("sl2r", sl2r_ds_param(1, 3))[0] is served[0]
+
+
+def test_found_builtin_block_never_shadows_a_library():
+    p = BlockProvider()
+    # a cold lookup caches the built-in singleton PS-(3)
+    single, _, _ = p.find("sl2r", sl2r_ps_param(1, 3))
+    assert p.find("sl2r", sl2r_ps_param(1, 3))[0] is single
+    # a library of the chain alone now holds no PS-(3)
+    p.register(builtin_block("sl2r", (3,))[:1])
+    with pytest.raises(MissingBlock) as err:
+        unitary_test(sl2r_ps_param(1, 3), p)
+    assert str(err.value) == (
+        "no block at infinitesimal character ['3'] contains the parameter PS-(3)")
 
 
 def test_register_wins_and_leaves_built_in_shapes_correct():

@@ -164,6 +164,29 @@ def test_crossing_times_sl2c():
     assert crossing_times(g, SL2C_CARTAN) == [F(1), F(1, 3)]
 
 
+def _times_read_off_hyperplanes(g, cart):
+    """The reducibility levels of each restricted root over its pairing
+    with nu, deduplicated and sorted descending."""
+    times = set()
+    for rr in cart.restricted:
+        x = sum(a * b for a, b in zip(g.nu, rr.covector))
+        times.update(h.level / x for h in hyperplanes(g.discrete, cart, x)
+                     if h.kind == "reducibility" and h.phi_covector == rr.covector)
+    return sorted(times, reverse=True)
+
+
+def test_crossing_times_are_the_reducibility_walls_of_the_arrangement():
+    # nu = n/d up to 200: a stride of 29, prime to every 2d, meets every
+    # residue of n mod 2d, and the top nu = 200 is taken for each d
+    for d in (1, 2, 3, 4, 7):
+        for n in sorted(set(range(0, 200 * d + 1, 29)) | {200 * d}):
+            nu = F(n, d)
+            params = [(sl2r_ps_param(eps, nu), SL2R_SPLIT) for eps in (0, 1)]
+            params += [(sl2c_param(m, nu), SL2C_CARTAN) for m in range(11)]
+            for g, cart in params:
+                assert crossing_times(g, cart) == _times_read_off_hyperplanes(g, cart), (g, cart)
+
+
 def test_param_json_round_trip():
     for g in (
         sl2r_ps_param(0, F(3, 2)),

@@ -16,7 +16,9 @@ QUERIES = [
     ("sl2c", blocks.sl2c_param(3, Fraction(17, 2))),
 ]
 
-# layers a cold deformation passes through, by their span names
+# layers a cold deformation or a partition lookup passes through, by their
+# span names: a wall reads one block through BlockProvider.find, and only
+# get serves a whole partition through builtin_block
 CALLED = [
     "blocks.provider_get",
     "blocks.builtin_block",
@@ -45,11 +47,14 @@ def test_traced_deformation_equals_untraced(monkeypatch):
         assert sigengine.deform_to_zero is not originals[0]
         traced = [tracer.run_op(i, lambda: _deform(group, g))
                   for i, (group, g) in enumerate(QUERIES)]
+        partition = tracer.run_op(len(QUERIES), lambda: blocks.BlockProvider().get("sl2r", (3,)))
     finally:
         tracer.uninstall()
     assert (sigengine.deform_to_zero, blocks.length, blocks.BlockProvider.get) == originals
     assert blocks.length is rootdata.length
     for (group, g), got, want in zip(QUERIES, traced, untraced):
         assert got.group == group and got == want
+    assert list(map(blocks.serialize_block, partition)) == list(
+        map(blocks.serialize_block, blocks.builtin_block("sl2r", (3,))))
     summary = tracer.summary()
     assert [name for name in CALLED if summary.get(name, (0,))[0] == 0] == []
