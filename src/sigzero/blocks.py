@@ -229,7 +229,7 @@ class Block:
     absent entries are zero, diagonal entries are the constant 1.  A block
     is validated once per shape, in ``__post_init__``, against every named
     invariant of ``_validate_block``; a built-in block instantiated from a
-    shape already validated (``GroupModel.partition``) skips it.  The
+    shape already validated (``GroupModel.instantiate``) skips it.  The
     engine relies on that and checks none of them again, so Q, which the
     blocks of one shape share, must not be mutated afterwards."""
 
@@ -528,8 +528,6 @@ def parse_block(data: Union[bytes, str, Mapping]) -> Block:
 # its parameter, and its tau-invariant; and its Q
 Slot = Tuple[int, DiscreteParam, Tuple[Fraction, ...], frozenset]
 Form = Tuple[List[Slot], Dict[Tuple[int, int], IntPoly]]
-# the same block with its parameters built: element specs (id, param, tau)
-Layout = Tuple[List[Tuple[int, LanglandsParam, frozenset]], Dict[Tuple[int, int], IntPoly]]
 
 
 def _singleton(eid: int, d: DiscreteParam, nu: Tuple[Fraction, ...]) -> Form:
@@ -539,11 +537,13 @@ def _singleton(eid: int, d: DiscreteParam, nu: Tuple[Fraction, ...]) -> Form:
 class GroupModel:
     """Everything the engine knows about one real group.  This base is a
     group known only through block files: no Cartans, no built-in blocks,
-    the label ``elt``, and a rewriting table for final parameters only.
-    The built-in models ``SL2R`` and ``SL2C`` add root datum, Cartans,
-    closed-form blocks, the block key of a parameter, labels, the
-    Hecht-Schmid table, equal rank, K-type tables and the principal series
-    line the CLI builds; a model is built in exactly when it has Cartans."""
+    the label ``elt``, the block key of a parameter read from its
+    infinitesimal character, and a rewriting table for final parameters
+    only.  The built-in models ``SL2R`` and ``SL2C`` add root datum,
+    Cartans, closed-form blocks, labels, the Hecht-Schmid table, equal
+    rank, K-type tables and the principal series line the CLI builds
+    (``SL2C`` also its own block key); a model is built in exactly when it
+    has Cartans."""
 
     equal_rank = False
     datum: RootDatum
@@ -575,38 +575,37 @@ class GroupModel:
             coords.sort(reverse=True)
         return tuple(coords)
 
+    def block_key(self, g: LanglandsParam) -> Tuple[Fraction, ...]:
+        """The key of the blocks that may hold ``g``, as a miss names it;
+        ``key`` of it is the canonical key."""
+        return self.key(g.gamma)
+
     def forms(self, ic: Tuple[Fraction, ...]) -> List[Form]:
         """The blocks at the canonical key ``ic`` in closed form, in
-        partition order.  The one description of the built-in blocks:
-        ``layout`` and ``place`` both read it."""
+        partition order: the one description of the built-in blocks, which
+        ``place`` reads and ``instantiate`` builds."""
         raise UnsupportedGroup("no built-in model for group %r" % self.name)
 
-    def layout(self, ic: Tuple[Fraction, ...]) -> List[Layout]:
-        """Every block of ``forms`` with its parameters built."""
-        return [([(eid, LanglandsParam(d, nu), tau) for eid, d, nu, tau in slots], Q)
-                for slots, Q in self.forms(ic)]
-
-    def place(self, ic: Tuple[Fraction, ...],
-              g: LanglandsParam) -> Optional[Tuple[int, int, Layout]]:
-        """The index of the block of ``forms(ic)`` that holds ``g``, the
-        number of blocks, and the layout of that block alone, in which
-        ``g`` takes its own slot and only the other parameters are built;
-        None when no block holds ``g``.  A slot holds ``g`` when ``g`` is
-        real and has its discrete part and nu: ``LanglandsParam`` equality."""
-        forms = self.forms(ic)
+    @staticmethod
+    def place(forms: List[Form], g: LanglandsParam) -> Optional[Tuple[int, int]]:
+        """The index of the block of ``forms`` that holds ``g`` and the id of
+        its slot that does; None when no block holds ``g``.  A slot holds
+        ``g`` when ``g`` is real and has its discrete part and nu:
+        ``LanglandsParam`` equality."""
         if g.nu_im is None:
-            for i, (slots, Q) in enumerate(forms):
+            for i, (slots, _) in enumerate(forms):
                 for eid, d, nu, _ in slots:
                     if nu == g.nu and d == g.discrete:
-                        return i, len(forms), (
-                            [(e, g if e == eid else LanglandsParam(dd, n), tau)
-                             for e, dd, n, tau in slots], Q)
+                        return i, eid
         return None
 
-    def instantiate(self, ic: Tuple[Fraction, ...], i: int, layout: Layout,
-                    shapes: Optional[dict] = None) -> Block:
+    def instantiate(self, ic: Tuple[Fraction, ...], i: int, form: Form,
+                    shapes: Optional[dict] = None,
+                    held: Optional[Tuple[int, LanglandsParam]] = None) -> Block:
         """Block ``i`` of the partition at the canonical key ``ic``, built
-        from its ``layout`` with lengths and orientation numbers.
+        from its closed ``form``: each slot's parameter, with lengths and
+        orientation numbers.  ``held`` is a slot id and the parameter
+        ``place`` found there, which that slot takes as it is.
 
         ``shapes`` maps a family key to the Cartan indices, lengths and
         orientation numbers of a block's elements, and its validated Q.  The
@@ -618,7 +617,10 @@ class GroupModel:
         read.  A block with a known shape takes it and is not validated
         again: ``_validate_block`` reads only ids, lengths, orientation
         numbers and Q."""
-        specs, Q = layout
+        slots, Q = form
+        hid, hg = held or (None, None)
+        specs = [(eid, hg if eid == hid else LanglandsParam(d, nu), tau)
+                 for eid, d, nu, tau in slots]
         family = (self.name,
                   tuple((x.denominator, x.numerator % (2 * x.denominator), x.numerator > 0)
                         for x in ic),
@@ -637,12 +639,11 @@ class GroupModel:
         return b
 
     def partition(self, inf_char, shapes: Optional[dict] = None) -> List[Block]:
-        """Every block at ``inf_char``: each block of ``layout``, built by
-        ``instantiate``.  ``BlockProvider.find`` builds one block of the
-        same partition, by ``place`` and ``instantiate``."""
+        """Every block at ``inf_char``: each block of ``forms``, built by
+        ``instantiate``."""
         ic = self.key(inf_char)
-        return [self.instantiate(ic, i, layout, shapes)
-                for i, layout in enumerate(self.layout(ic))]
+        return [self.instantiate(ic, i, form, shapes)
+                for i, form in enumerate(self.forms(ic))]
 
     def label(self, param: LanglandsParam) -> str:
         """The name of a block element, and of a term in the standard and
@@ -692,9 +693,6 @@ class _SL2R(GroupModel):
     datum = SL2R_DATUM
     cartans = (SL2R_COMPACT, SL2R_SPLIT)
     coords = 1
-
-    def block_key(self, g: LanglandsParam) -> Tuple[Fraction, ...]:
-        return (abs(g.gamma[0]),)
 
     def forms(self, ic: Tuple[Fraction, ...]) -> List[Form]:
         (k,) = ic
@@ -903,23 +901,24 @@ class BlockProvider:
             if blocks is None:
                 blocks = self._builtin[key] = builtin_block(group, inf_char, self._shapes)
             elif None in blocks:
-                # a partition ``find`` began: keep the blocks it built
-                for i, blk in enumerate(builtin_block(group, inf_char, self._shapes)):
+                # a partition ``find`` began: build only the blocks it has not
+                ic = key[1]
+                for i, form in enumerate(model.forms(ic)):
                     if blocks[i] is None:
-                        blocks[i] = blk
+                        blocks[i] = model.instantiate(ic, i, form, self._shapes)
             return blocks
         raise MissingBlock(
             "no block data for group %r at infinitesimal character %s"
             % (group, [frac_str(x) for x in key[1]])
         )
 
-    def find(self, group: str,
-             g: LanglandsParam) -> Optional[Tuple[Block, BlockElement, int]]:
+    def find(self, group: str, g: LanglandsParam) -> Tuple[Block, BlockElement, int]:
         """The block at ``g``'s key that holds ``g``, its element and its
-        index in the partition ``get`` serves there; None when no block
-        there holds ``g``.  A registered library is searched alone; else the
-        built-in blocks already built are searched, and only a miss builds
-        the block that holds ``g``."""
+        index in the partition ``get`` serves there.  A registered library
+        is searched alone; else the built-in blocks already built are
+        searched, and only a miss builds the block that holds ``g``, by
+        ``place`` and ``instantiate``.  When no block there holds ``g``,
+        raises MissingBlock naming ``block_key(g)``."""
         model = group_model(group)
         ic = model.key(model.block_key(g))
         key = (group, ic)
@@ -929,16 +928,19 @@ class BlockProvider:
             e = None if blk is None else blk.find(g)
             if e is not None:
                 return blk, e, i
-        if library is not None:
-            return None
-        placed = model.place(ic, g)
-        if placed is None:
-            return None
-        i, n, layout = placed
-        if not blocks:
-            blocks = self._builtin[key] = [None] * n
-        blk = blocks[i] = model.instantiate(ic, i, layout, self._shapes)
-        return blk, blk.find(g), i
+        if library is None and model.cartans:
+            forms = model.forms(ic)
+            placed = model.place(forms, g)
+            if placed is not None:
+                i, eid = placed
+                if not blocks:
+                    blocks = self._builtin[key] = [None] * len(forms)
+                blk = blocks[i] = model.instantiate(ic, i, forms[i], self._shapes, (eid, g))
+                return blk, blk.element(eid), i
+        raise MissingBlock(
+            "no block at infinitesimal character %s contains the parameter %s"
+            % ([frac_str(x) for x in model.block_key(g)], model.label_text(g))
+        )
 
     def deformation(self, key: tuple):
         """A remembered ``deform_to_zero`` result, or None."""

@@ -40,7 +40,6 @@ from .blocks import (
 from .errors import (
     BoundViolation,
     InvariantViolation,
-    MissingBlock,
     MissingParity,
     UnsupportedGroup,
     UnsupportedUnequalRank,
@@ -336,20 +335,6 @@ def hs_rewrite(d: DiscreteParam, group: str,
     return SignatureChar(group, "final_tempered", {g: W_ONE for g in tempered})
 
 
-def _block_containing(provider: BlockProvider, group: str,
-                      g: LanglandsParam) -> Tuple[Block, BlockElement, int]:
-    """The block that holds g, its element and the block's index in the
-    partition at g's key, from ``BlockProvider.find``."""
-    found = provider.find(group, g)
-    if found is None:
-        key = group_model(group).block_key(g)
-        raise MissingBlock(
-            "no block at infinitesimal character %s contains the parameter %s"
-            % ([frac_str(Fraction(x)) for x in key], group_model(group).label_text(g))
-        )
-    return found
-
-
 def _terms(sc: SignatureChar, trace) -> Iterable[Tuple[LanglandsParam, WElem]]:
     """The terms of sc as they are stored; in a traced call, in the order
     in which the result prints them, which the stream follows."""
@@ -439,7 +424,7 @@ def deform_to_zero(
     above, above_point = Fraction(1), g
     for pos, t in enumerate(times):
         gt = LanglandsParam(g.discrete, tuple(t * x for x in g.nu))
-        blk, e_gt, blk_idx = _block_containing(provider, group, gt)
+        blk, e_gt, blk_idx = provider.find(group, gt)
         delta = deform_step(blk, e_gt.id)
         # times is deduplicated and descending: the walls below t are the
         # ones after it
@@ -565,7 +550,7 @@ def unitary_test(
         return UnitaryResult("unitary", hs_rewrite(g.discrete, group),
                              "tempered parameter (nu = 0)")
 
-    blk, e_psi, _ = _block_containing(provider, group, g)
+    blk, e_psi, _ = provider.find(group, g)
     B = SignatureChar(group, "final_tempered")
     for child, w in irreducible_in_standards(blk, e_psi.id).terms.items():
         B.add_char(deform_to_zero(child, provider, group), w)

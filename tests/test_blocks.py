@@ -311,21 +311,57 @@ def test_find_misses_what_no_block_holds():
     p = BlockProvider()
     # PS-(0) is the formal limit standard, in no block at 0; a parameter
     # with an imaginary part equals no block element
-    assert p.find("sl2r", sl2r_ps_param(1, 0)) is None
+    with pytest.raises(MissingBlock) as err:
+        p.find("sl2r", sl2r_ps_param(1, 0))
+    assert str(err.value) == (
+        "no block at infinitesimal character ['0'] contains the parameter PS-(0)")
     g = sl2r_ps_param(0, 3)
-    assert p.find("sl2r", LanglandsParam(g.discrete, g.nu, (F(1),))) is None
+    with pytest.raises(MissingBlock) as err:
+        p.find("sl2r", LanglandsParam(g.discrete, g.nu, (F(1),)))
+    assert str(err.value) == (
+        "no block at infinitesimal character ['3'] contains the parameter PS+(3)")
     assert p.find("sl2r", g)[2] == 0
 
 
-def test_get_completes_the_partition_find_began():
+def test_find_serves_a_group_that_is_not_built_in():
+    # the sl2r:3 chain as the block file of a group known only through it
+    obj = block_to_json_obj(builtin_block("sl2r", (3,))[0])
+    obj["group"] = "psl2r"
+    library = split_components(parse_block(json.dumps(obj)))
     p = BlockProvider()
-    single, _, i = p.find("sl2r", sl2r_ps_param(1, 3))
-    assert i == 1
-    served = p.get("sl2r", (3,))
-    assert served[1] is single
-    assert _fingerprint(served) == _fingerprint(builtin_block("sl2r", (3,)))
-    assert p.get("sl2r", (3,)) is served
-    assert p.find("sl2r", sl2r_ds_param(1, 3))[0] is served[0]
+    p.register(library)
+    blk, e, i = p.find("psl2r", sl2r_ps_param(0, 3))
+    assert (blk, e.id, i) == (library[0], 2, 0)
+    with pytest.raises(MissingBlock) as err:
+        BlockProvider().find("psl2r", sl2r_ps_param(0, 3))
+    assert str(err.value) == (
+        "no block at infinitesimal character ['3'] contains the parameter elt")
+
+
+def test_get_completes_the_partition_find_began(monkeypatch):
+    calls = collections.Counter()
+    _count_calls(monkeypatch, calls, blocks.GroupModel, "instantiate")
+    # sl2r: chain and singleton, three singletons; sl2c: one 2-chain, one
+    # diagonal singleton, two singletons of mixed parity
+    keys = [("sl2r", (3,)), ("sl2r", (0,)), ("sl2c", (3, 1)), ("sl2c", (2, 2)),
+            ("sl2c", (3, 2))]
+    for group, ic in keys:
+        want = builtin_block(group, ic)
+        for i, blk in enumerate(want):
+            for e in blk.elements:
+                p = BlockProvider()
+                calls.clear()
+                found, _, j = p.find(group, e.param)
+                assert (j, calls["instantiate"]) == (i, 1)
+                # get builds only the blocks find did not
+                served = p.get(group, ic)
+                assert calls["instantiate"] == len(want)
+                assert served[i] is found
+                assert _fingerprint(served) == _fingerprint(want), (group, ic)
+                assert p.get(group, ic) is served
+                for k, other in enumerate(want):
+                    for e2 in other.elements:
+                        assert p.find(group, e2.param)[0] is served[k]
 
 
 def test_found_builtin_block_never_shadows_a_library():
