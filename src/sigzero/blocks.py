@@ -18,7 +18,6 @@ components is split into separate blocks by the loader.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -37,6 +36,8 @@ from .params import (
     DiscreteParam,
     LanglandsParam,
     RestrictedRoot,
+    canonical_json,
+    decode_json,
     frac_str,
     param_from_json,
     param_to_json,
@@ -228,10 +229,11 @@ class Block:
     Q maps (row id, col id) to ascending integer coefficient tuples;
     absent entries are zero, diagonal entries are the constant 1.  A block
     is validated once per shape, in ``__post_init__``, against every named
-    invariant of ``_validate_block``; a built-in block instantiated from a
-    shape already validated (``GroupModel.instantiate``) skips it.  The
-    engine relies on that and checks none of them again, so Q, which the
-    blocks of one shape share, must not be mutated afterwards."""
+    invariant of ``_validate_block``; a block derived from validated facts
+    (``_derived``: a built-in block instantiated from a known shape, a
+    component split from a validated block) skips it.  The engine relies
+    on that and checks none of them again, so Q, which the blocks of one
+    shape share, must not be mutated afterwards."""
 
     group: str
     inf_char: Tuple[Fraction, ...]
@@ -247,6 +249,17 @@ class Block:
                 Q[(int(r), int(c))] = v
         object.__setattr__(self, "Q", Q)
         _validate_block(self)
+
+    @classmethod
+    def _derived(cls, group: str, inf_char: Tuple[Fraction, ...],
+                 elements: Tuple[BlockElement, ...],
+                 Q: Mapping[Tuple[int, int], IntPoly]) -> "Block":
+        """A block made of facts already validated: an instance of a
+        validated shape, or a component of a validated block.  Q is taken
+        as it is and ``_validate_block`` is not run again."""
+        b = cls.__new__(cls)
+        b.__dict__.update(group=group, inf_char=inf_char, elements=elements, Q=Q)
+        return b
 
     def ids(self) -> Tuple[int, ...]:
         return tuple(e.id for e in self.elements)
@@ -364,7 +377,7 @@ def split_components(b: Block) -> List[Block]:
     for elems in comps.values():
         ids = {e.id for e in elems}
         Q = {k: v for k, v in b.Q.items() if k[0] in ids and k[1] in ids}
-        out.append(Block(group=b.group, inf_char=b.inf_char, elements=tuple(elems), Q=Q))
+        out.append(Block._derived(b.group, b.inf_char, tuple(elems), Q))
     out.sort(key=lambda blk: min(e.id for e in blk.elements))
     return out
 
@@ -457,7 +470,7 @@ def block_to_json_obj(b: Block) -> dict:
 
 def serialize_block(b: Block) -> str:
     """Canonical byte-deterministic JSON rendering."""
-    return json.dumps(block_to_json_obj(b), sort_keys=True, separators=(",", ":"))
+    return canonical_json(block_to_json_obj(b))
 
 
 def parse_block(data: Union[bytes, str, Mapping]) -> Block:
@@ -465,15 +478,7 @@ def parse_block(data: Union[bytes, str, Mapping]) -> Block:
 
     Raises SchemaError for structural problems and InvariantViolation (with
     the violated invariant named) for mathematical ones."""
-    try:
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        if isinstance(data, str):
-            data = json.loads(data)
-    except (ValueError, RecursionError) as e:
-        # bad UTF-8, JSONDecodeError, an over-long integer literal, or
-        # arrays nested deeper than the decoder's recursion limit
-        raise SchemaError("not valid JSON: %s" % e)
+    data = decode_json(data)
     if not isinstance(data, Mapping):
         raise SchemaError("block file must be a JSON object")
     for key in ("group", "inf_char", "elements", "Q"):
@@ -632,11 +637,9 @@ class GroupModel:
                 shapes[family] = (tuple((e.cartan, e.length, e.orient) for e in b.elements), b.Q)
             return b
         invariants, Q = shape
-        b = Block.__new__(Block)
-        b.__dict__.update(group=self.name, inf_char=ic, Q=Q, elements=tuple(
+        return Block._derived(self.name, ic, tuple(
             BlockElement(eid, c, n, o, param, tau)
-            for (eid, param, tau), (c, n, o) in zip(specs, invariants)))
-        return b
+            for (eid, param, tau), (c, n, o) in zip(specs, invariants)), Q)
 
     def partition(self, inf_char, shapes: Optional[dict] = None) -> List[Block]:
         """Every block at ``inf_char``: each block of ``forms``, built by

@@ -21,7 +21,6 @@ validation, 4 unsupported group or parameter.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -43,7 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .jantzen import jantzen_levels, level_signatures, parse_ratmatrix
-from .params import crossing_times, frac_str, hyperplanes, parse_frac
+from .params import canonical_json, crossing_times, frac_str, hyperplanes, parse_frac
 from .sigengine import SignatureChar, deform_to_zero, unitary_test
 
 BLOCK_PATH_VAR = "SIGZERO_BLOCK_PATH"
@@ -86,10 +85,6 @@ def _resolve_block_file(path: str) -> str:
     raise ValidationError("block file not found: %s" % path)
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _print_table(rows: Sequence[Sequence[str]]) -> None:
     if not rows:
         return
@@ -123,7 +118,7 @@ def cmd_block_load(args) -> int:
     key, comps = session.load_file(args.file)
     n = sum(len(c.elements) for c in comps)
     if args.format == "json":
-        print(_dumps({"key": key, "components": len(comps), "elements": n}))
+        print(canonical_json({"key": key, "components": len(comps), "elements": n}))
     else:
         print("loaded %s (%d components, %d elements)" % (key, len(comps), n))
     return 0
@@ -141,7 +136,7 @@ def cmd_block_show(args) -> int:
     group, ic = _parse_key(args.key)
     comps, label = session.provider.get(group, ic), group_model(group).label
     if args.format == "json":
-        print(_dumps([block_to_json_obj(c) for c in comps]))
+        print(canonical_json([block_to_json_obj(c) for c in comps]))
         return 0
     for i, c in enumerate(comps):
         print(
@@ -184,7 +179,7 @@ def _trace_sink(enabled: bool) -> Optional[Callable[[dict], None]]:
         return None
 
     def sink(rec: dict) -> None:
-        sys.stdout.write(_dumps(rec) + "\n")
+        sys.stdout.write(canonical_json(rec) + "\n")
 
     return sink
 
@@ -196,7 +191,7 @@ def cmd_signature(args) -> int:
         g, session.provider, group=args.group, trace=_trace_sink(args.trace)
     )
     if args.format == "json":
-        print(_dumps(sc.to_json_obj()))
+        print(canonical_json(sc.to_json_obj()))
     else:
         _print_table(_signature_rows(sc))
     return 0
@@ -208,7 +203,7 @@ def cmd_unitary(args) -> int:
     res = unitary_test(g, session.provider, group=args.group)
     if args.format == "json":
         print(
-            _dumps(
+            canonical_json(
                 {
                     "verdict": res.verdict,
                     "reason": res.reason,
@@ -222,10 +217,10 @@ def cmd_unitary(args) -> int:
     print("verdict: %s" % res.verdict)
     if res.reason:
         print("reason: %s" % res.reason)
-    bad = set(res.violations)
+    bad, epsilon = set(res.violations), res.epsilon
     rows = []
     for label, w in res.B.items():
-        eps = res.epsilon.get(label.text)
+        eps = epsilon.get(label.text)
         rows.append(
             [
                 label.text,
@@ -280,7 +275,7 @@ def cmd_scan(args) -> int:
         if prev < hi:
             facets.append(interval(prev, hi))
     if args.format == "json":
-        print(_dumps({"facets": facets}))
+        print(canonical_json({"facets": facets}))
         return 0
     rows = []
     for f in facets:
@@ -302,7 +297,7 @@ def cmd_hyperplanes(args) -> int:
     walls = hyperplanes(d, group_model(args.group).cartan(d.cartan), radius)
     if args.format == "json":
         print(
-            _dumps(
+            canonical_json(
                 {
                     "walls": [
                         {
@@ -357,7 +352,7 @@ def cmd_jantzen(args) -> int:
                 for r, d, vs in levels
             ],
         }
-        print(_dumps(out))
+        print(canonical_json(out))
         return 0
     rows = [["level", "dim", "basis"] + (["signature"] if symmetric else [])]
     for r, d, vs in levels:
@@ -389,21 +384,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _common() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument(
+def _common() -> Tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """Two parent parsers: --format alone, and --format with --block for
+    the commands that read blocks."""
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
         "--format",
         choices=("table", "json"),
         default="table",
         help="output rendering (default table)",
     )
-    p.add_argument(
+    blk = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    blk.add_argument(
         "--block",
         action="append",
         metavar="FILE",
         help="ingest a block-library file before running (repeatable)",
     )
-    return p
+    return fmt, blk
 
 
 def _param_opts(p: argparse.ArgumentParser, nu_required: bool = True) -> None:
@@ -422,7 +420,7 @@ def _param_opts(p: argparse.ArgumentParser, nu_required: bool = True) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common()
+    fmt, common = _common()
     parser = _Parser(prog="sigzero", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
 
@@ -452,12 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--to", required=True, help="segment end p/q")
     p_scan.set_defaults(func=cmd_scan)
 
-    p_hyp = sub.add_parser("hyperplanes", parents=[common], help="wall arrangement")
+    p_hyp = sub.add_parser("hyperplanes", parents=[fmt], help="wall arrangement")
     _param_opts(p_hyp, nu_required=False)
     p_hyp.add_argument("--radius", default="6", help="level bound p/q (default 6)")
     p_hyp.set_defaults(func=cmd_hyperplanes)
 
-    p_jan = sub.add_parser("jantzen", parents=[common], help="Jantzen levels of a matrix family")
+    p_jan = sub.add_parser("jantzen", parents=[fmt], help="Jantzen levels of a matrix family")
     p_jan.add_argument("file", help="RatMatrix JSON file")
     p_jan.add_argument("--at", required=True, help="evaluation point p/q")
     p_jan.set_defaults(func=cmd_jantzen)

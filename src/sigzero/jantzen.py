@@ -59,7 +59,6 @@ of the elimination it checks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -78,6 +77,7 @@ from .intpoly import (
     p_shift,
     p_trim,
 )
+from .params import decode_json
 from .sigring import WElem, W_ONE, W_S
 
 __all__ = [
@@ -184,15 +184,7 @@ RatMatrix = List[List[RatFn]]
 
 def parse_ratmatrix(data: Union[str, bytes, Sequence]) -> RatMatrix:
     """Square array of {"num": [...], "den": [...]} entries."""
-    try:
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        if isinstance(data, str):
-            data = json.loads(data)
-    except (ValueError, RecursionError) as e:
-        # bad UTF-8, JSONDecodeError, an over-long integer literal, or
-        # arrays nested deeper than the decoder's recursion limit
-        raise SchemaError("not valid JSON: %s" % e)
+    data = decode_json(data)
     if isinstance(data, Mapping) and "entries" in data:
         data = data["entries"]
     if not isinstance(data, Sequence) or not data:

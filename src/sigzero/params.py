@@ -21,12 +21,14 @@ through the origin, so signatures are constant near $\\nu = 0$.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from .errors import SchemaError
 from .rootdata import Involution, RootClass, _norm_sq_parts, _vec, dot
 
 __all__ = [
@@ -39,6 +41,8 @@ __all__ = [
     "crossing_times",
     "frac_str",
     "parse_frac",
+    "decode_json",
+    "canonical_json",
     "param_to_json",
     "param_from_json",
 ]
@@ -58,6 +62,26 @@ def parse_frac(text) -> Fraction:
         raise ValueError("not an exact rational: %r" % (text,))
     num, den = m.groups()
     return Fraction(int(num), int(den or 1))
+
+
+def decode_json(data):
+    """data as a JSON value: bytes are decoded as UTF-8 and text parsed;
+    anything else is taken as already decoded.  Raises SchemaError."""
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        if isinstance(data, str):
+            data = json.loads(data)
+    except (ValueError, RecursionError) as e:
+        # bad UTF-8, JSONDecodeError, an over-long integer literal, or
+        # arrays nested deeper than the decoder's recursion limit
+        raise SchemaError("not valid JSON: %s" % e)
+    return data
+
+
+def canonical_json(obj) -> str:
+    """The byte-deterministic JSON text of obj: sorted keys, no spaces."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def frac_str(x: Fraction) -> str:

@@ -1,8 +1,9 @@
 """Based root data with Cartan involutions.
 
-A root datum is the quadruple (X*, roots, X_*, coroots) with its integral
-pairing; a Cartan involution enters as an order-2 lattice map theta on X*
-permuting the roots.  Roots fall into three classes:
+A root datum is the quadruple (X*, roots, X_*, coroots), with X* and X_*
+written in dual bases so that their perfect pairing is the dot product; a
+Cartan involution enters as an order-2 lattice map theta on X* permuting
+the roots.  Roots fall into three classes:
 
     real       theta(alpha) = -alpha
     imaginary  theta(alpha) =  alpha
@@ -81,16 +82,12 @@ def _lex_positive(v: Sequence[Fraction]) -> bool:
 
 @dataclass(frozen=True)
 class RootDatum:
-    """Roots and coroots in dual lattices with an integer pairing matrix.
-
-    pairing is applied as <x, y> = x^T B y; the default None means the
-    standard dot product.
-    """
+    """Roots in X* and coroots in X_*, both written in dual bases, so that
+    the perfect pairing of X* and X_* is the dot product."""
 
     rank: int
     roots: Tuple[Vector, ...]
     coroots: Tuple[Vector, ...]
-    pairing: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "roots", tuple(_vec(r) for r in self.roots))
@@ -98,31 +95,17 @@ class RootDatum:
         if len(self.roots) != len(self.coroots):
             raise ValueError("roots and coroots must be in bijection")
         for i, (a, av) in enumerate(zip(self.roots, self.coroots)):
-            if self.pair(a, av) != 2:
+            if dot(a, av) != 2:
                 raise ValueError("pairing <alpha, alpha^vee> != 2 at index %d" % i)
         for a in self.roots:
             if tuple(-x for x in a) not in self.roots:
                 raise ValueError("root set not closed under negation")
         # <x, alpha_i^vee> = sum_j x_j F[i][j] / den with integer F and den > 0
-        funcs = [
-            c if self.pairing is None
-            else tuple(dot(row, c) for row in self.pairing)
-            for c in self.coroots
-        ]
-        den = math.lcm(*(x.denominator for f in funcs for x in f))
+        den = math.lcm(*(x.denominator for c in self.coroots for x in c))
         object.__setattr__(self, "_coroot_den", den)
         object.__setattr__(
-            self, "_coroot_num", tuple(tuple(int(x * den) for x in f) for f in funcs)
+            self, "_coroot_num", tuple(tuple(int(x * den) for x in c) for c in self.coroots)
         )
-
-    def pair(self, x: Sequence, y: Sequence) -> Fraction:
-        if self.pairing is None:
-            return dot(x, y)
-        out = Fraction(0)
-        for i, xi in enumerate(x):
-            for j, yj in enumerate(y):
-                out += Fraction(xi) * self.pairing[i][j] * Fraction(yj)
-        return out
 
     def pairings(self, v: Sequence) -> Tuple[List[int], int]:
         """<v, alpha_i^vee> for every root i, as integer numerators N_i over
@@ -131,24 +114,6 @@ class RootDatum:
         ints = [x.numerator * (dv // x.denominator) for x in v]
         nums = [sum(a * b for a, b in zip(ints, f)) for f in self._coroot_num]
         return nums, dv * self._coroot_den
-
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "roots": [[str(x) for x in r] for r in self.roots],
-            "coroots": [[str(x) for x in c] for c in self.coroots],
-            "pairing": None if self.pairing is None else [list(row) for row in self.pairing],
-        }
-
-    @staticmethod
-    def from_json(data: Mapping) -> "RootDatum":
-        pairing = data.get("pairing")
-        return RootDatum(
-            rank=int(data["rank"]),
-            roots=tuple(tuple(Fraction(x) for x in r) for r in data["roots"]),
-            coroots=tuple(tuple(Fraction(x) for x in c) for c in data["coroots"]),
-            pairing=None if pairing is None else tuple(tuple(int(x) for x in row) for row in pairing),
-        )
 
 
 @dataclass(frozen=True)
@@ -163,11 +128,7 @@ class Involution:
         )
 
     def apply(self, v: Sequence) -> Vector:
-        n = len(self.theta)
-        return tuple(
-            sum((Fraction(self.theta[i][j]) * Fraction(v[j]) for j in range(n)), Fraction(0))
-            for i in range(n)
-        )
+        return tuple(dot(row, v) for row in self.theta)
 
     def validate(self, rd: RootDatum) -> None:
         n = rd.rank
@@ -180,9 +141,6 @@ class Involution:
         for a in rd.roots:
             if self.apply(a) not in rd.roots:
                 raise InvalidInvolution("theta does not permute the roots")
-
-    def to_json(self) -> list:
-        return [list(row) for row in self.theta]
 
 
 @dataclass(frozen=True)
@@ -244,7 +202,7 @@ def length(rd: RootDatum, rc: RootClass, dgamma: Sequence,
     real_int_pos = [i for i in pos if rc.tags[i] == "real" and nums[i] % q == 0]
     for a in real_int_pos:
         for b in real_int_pos:
-            if a != b and rd.pair(rd.roots[a], rd.coroots[b]) != 0:
+            if a != b and dot(rd.roots[a], rd.coroots[b]) != 0:
                 raise UnsupportedRealSystem(
                     "real integral system is not a product of A1's")
     return n_pairs + len(real_int_pos)

@@ -169,6 +169,20 @@ def test_split_components():
     assert [sorted(p.ids()) for p in parts] == [[0, 1, 2], [3]]
 
 
+def test_file_block_is_validated_once(monkeypatch):
+    # a two-component file: the chain and the singleton at sl2r:2; its
+    # components are cut from the parsed block and not validated again
+    b3, single = builtin_block("sl2r", (2,))
+    text = serialize_block(Block(
+        b3.group, b3.inf_char, tuple(b3.elements) + tuple(single.elements),
+        {**b3.Q, **single.Q}))
+    calls = collections.Counter()
+    _count_calls(monkeypatch, calls, blocks, "_validate_block")
+    parts = split_components(parse_block(text))
+    assert calls["_validate_block"] == 1
+    assert list(map(serialize_block, parts)) == [serialize_block(b3), serialize_block(single)]
+
+
 # ---------------------------------------------------------------------------
 # provider
 

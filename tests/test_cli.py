@@ -16,7 +16,7 @@ from sigzero import cli, jantzen
 from sigzero.blocks import SL2R, Block, BlockProvider, builtin_block, serialize_block
 from sigzero.cli import main
 from sigzero.errors import DegenerateResidual, SingularFamily
-from sigzero.sigengine import deform_to_zero, unitary_test
+from sigzero.sigengine import SignatureChar, deform_to_zero, unitary_test
 from sigzero.jantzen import RatFn, ratmatrix_to_json_obj
 
 
@@ -76,6 +76,22 @@ def test_unitary_verdicts(capsys):
     assert rc == 0 and out.splitlines()[0] == "verdict: nonunitary"
     rc, out, _ = run(capsys, "unitary", "--parity", "-1", "--nu", "1/2")
     assert rc == 0 and out.splitlines()[0] == "verdict: nonunitary"
+
+
+def test_unitary_table_names_each_term_once(capsys, monkeypatch):
+    # the table and the parity bits each name the terms of B once, however
+    # many rows B has
+    calls = []
+    items = SignatureChar.items
+
+    def counting(self):
+        calls.append(self)
+        return items(self)
+
+    monkeypatch.setattr(SignatureChar, "items", counting)
+    rc, out, _ = run(capsys, "unitary", "--parity", "-1", "--nu", "161/2")
+    assert rc == 0 and len(out.splitlines()) > 40
+    assert len(calls) == 2
 
 
 def test_unitary_json(capsys):
@@ -141,6 +157,21 @@ def test_usage_error_exits_3(capsys):
     with pytest.raises(SystemExit) as e:
         main(["signature"])  # missing required --nu
     assert e.value.code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("hyperplanes",),
+    # found on SIGZERO_BLOCK_PATH, which jantzen FILE still reads
+    ("jantzen", "sym_mirrored.json", "--at", "1/2"),
+])
+def test_block_option_only_where_blocks_are_read(capsys, monkeypatch, argv):
+    monkeypatch.setenv("SIGZERO_BLOCK_PATH", FIXTURES)
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and out
+    with pytest.raises(SystemExit) as e:
+        main(list(argv) + ["--block", "/nonexistent.json"])
+    assert e.value.code == 3
+    assert "unrecognized arguments: --block" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def test_orientation_number_complex_pair():
 
 
 # ---------------------------------------------------------------------------
-# reference: Fraction pairings through rd.pair, theta applied root by root
+# reference: Fraction pairings through dot, theta applied root by root
 
 def _ref_neg_theta(rd, inv, i):
     return rd.roots.index(tuple(-x for x in inv.apply(rd.roots[i])))
@@ -143,7 +143,7 @@ def _ref_neg_theta(rd, inv, i):
 def _ref_length(rd, inv, rc, dgamma):
     pos = set()
     for i, root in enumerate(rd.roots):
-        v = rd.pair(dgamma, rd.coroots[i])
+        v = dot(dgamma, rd.coroots[i])
         if v > 0 or (v == 0 and next(x for x in root if x != 0) > 0):
             pos.add(i)
     pairs = {
@@ -153,7 +153,7 @@ def _ref_length(rd, inv, rc, dgamma):
     }
     real_integral = [
         i for i in pos
-        if rc.tags[i] == "real" and rd.pair(dgamma, rd.coroots[i]).denominator == 1
+        if rc.tags[i] == "real" and dot(dgamma, rd.coroots[i]).denominator == 1
     ]
     return len(pairs) + len(real_integral)
 
@@ -162,12 +162,12 @@ def _ref_orient(rd, inv, rc, grading, gamma):
     count = 0
     seen = set()
     for i, tag in enumerate(rc.tags):
-        v = rd.pair(gamma, rd.coroots[i])
+        v = dot(gamma, rd.coroots[i])
         if v <= 0 or v.denominator == 1:
             continue
         if tag == "complex":
             j = _ref_neg_theta(rd, inv, i)
-            if frozenset((i, j)) not in seen and rd.pair(gamma, rd.coroots[j]) > 0:
+            if frozenset((i, j)) not in seen and dot(gamma, rd.coroots[j]) > 0:
                 seen.add(frozenset((i, j)))
                 count += 1
         elif tag == "real":
@@ -205,14 +205,13 @@ def test_builtin_elements_match_reference():
     assert n > 500
 
 
-# rank 1 with <x, y> = 2xy, and rank 2 with twice the dot product: the
-# integer pairings must apply the matrix, not assume the dot product
-PAIRED_1 = RootDatum(rank=1, roots=((1,), (-1,)), coroots=((1,), (-1,)), pairing=((2,),))
+# rank 1 with alpha^vee = 2 alpha, and rank 2 with every coroot twice its
+# root: the integer pairings must read the coroots, not the roots
+PAIRED_1 = RootDatum(rank=1, roots=((1,), (-1,)), coroots=((2,), (-2,)))
 PAIRED_2 = RootDatum(
     rank=2,
     roots=((1, 0), (-1, 0), (0, 1), (0, -1)),
-    coroots=((1, 0), (-1, 0), (0, 1), (0, -1)),
-    pairing=((2, 0), (0, 2)),
+    coroots=((2, 0), (-2, 0), (0, 2), (0, -2)),
 )
 
 
@@ -230,7 +229,7 @@ def test_pairing_matrix(rd, theta, gammas):
     rc = classify_roots(rd, inv)
     for gamma in gammas:
         nums, q = rd.pairings(gamma)
-        assert [F(n, q) for n in nums] == [rd.pair(gamma, c) for c in rd.coroots]
+        assert [F(n, q) for n in nums] == [dot(gamma, c) for c in rd.coroots]
         assert length(rd, rc, gamma) == _ref_length(rd, inv, rc, gamma), gamma
         for grading in ({0: 1, 1: 1}, {0: -1, 1: -1}):
             zero = tuple(F(0) for _ in gamma)
@@ -238,7 +237,7 @@ def test_pairing_matrix(rd, theta, gammas):
                 rd, inv, rc, grading, gamma), (gamma, grading)
 
 
-def test_pairing_matrix_is_not_the_dot_product():
+def test_pairing_reads_the_coroots():
     rc = classify_roots(PAIRED_1, Involution(((-1,),)))
     # <(3/4), alpha^vee> = 3/2: integer part 1, not counted for grading +1
     assert orientation_number(PAIRED_1, rc, {0: 1}, (F(0),), (F(3, 4),)) == 0
