@@ -543,12 +543,11 @@ class GroupModel:
     """Everything the engine knows about one real group.  This base is a
     group known only through block files: no Cartans, no built-in blocks,
     the label ``elt``, the block key of a parameter read from its
-    infinitesimal character, and a rewriting table for final parameters
-    only.  The built-in models ``SL2R`` and ``SL2C`` add root datum,
-    Cartans, closed-form blocks, labels, the Hecht-Schmid table, equal
-    rank, K-type tables and the principal series line the CLI builds
-    (``SL2C`` also its own block key); a model is built in exactly when it
-    has Cartans."""
+    infinitesimal character, and no rewriting table.  The built-in models
+    ``SL2R`` and ``SL2C`` add root datum, Cartans, closed-form blocks,
+    labels, equal rank and the principal series line the CLI builds;
+    ``SL2R`` also the Hecht-Schmid table and K-type tables, ``SL2C`` its own
+    block key.  A model is built in exactly when it has Cartans."""
 
     equal_rank = False
     datum: RootDatum
@@ -641,13 +640,6 @@ class GroupModel:
             BlockElement(eid, c, n, o, param, tau)
             for (eid, param, tau), (c, n, o) in zip(specs, invariants)), Q)
 
-    def partition(self, inf_char, shapes: Optional[dict] = None) -> List[Block]:
-        """Every block at ``inf_char``: each block of ``forms``, built by
-        ``instantiate``."""
-        ic = self.key(inf_char)
-        return [self.instantiate(ic, i, form, shapes)
-                for i, form in enumerate(self.forms(ic))]
-
     def label(self, param: LanglandsParam) -> str:
         """The name of a block element, and of a term in the standard and
         irreducible bases."""
@@ -658,12 +650,12 @@ class GroupModel:
         return self.label(g)
 
     def hs_rewrite(self, d: DiscreteParam) -> Tuple[LanglandsParam, ...]:
-        """The final tempered parameters whose sum is $I(\\Lambda, 0)$."""
-        if d.final:
-            return (LanglandsParam(d, tuple(Fraction(0) for _ in d.dlambda)),)
+        """The Hecht-Schmid table: the final tempered parameters whose sum is
+        $I(\\Lambda, 0)$ for a nonfinal $\\Lambda$.  A final $\\Lambda$ is
+        its own rewrite (``sigengine.hs_rewrite``) and has no row here."""
         raise MissingRewriteTable(
-            "no rewriting table for nonfinal parameter on Cartan %r of group %r"
-            % (d.cartan, self.name)
+            "no rewriting table for %s parameter on Cartan %r of group %r"
+            % ("final" if d.final else "nonfinal", d.cartan, self.name)
         )
 
     def line(self, parity: int, m: int, nu: Fraction) -> LanglandsParam:
@@ -843,8 +835,11 @@ def group_cartan(group: str, name: str) -> CartanClass:
 def builtin_block(group: str, inf_char, shapes: Optional[dict] = None) -> List[Block]:
     """The full partition of B(chi) into blocks at this infinitesimal
     character, with lengths, orientation numbers, tau-invariants and Q in
-    closed form; ``shapes`` is the family memo of ``GroupModel.instantiate``."""
-    return group_model(group).partition(inf_char, shapes)
+    closed form: each block of ``GroupModel.forms`` at the canonical key,
+    built by ``GroupModel.instantiate``, whose family memo is ``shapes``."""
+    model = group_model(group)
+    ic = model.key(inf_char)
+    return [model.instantiate(ic, i, form, shapes) for i, form in enumerate(model.forms(ic))]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .blocks import (
     Block,
@@ -47,7 +47,6 @@ from .errors import (
 )
 from .intpoly import IntPoly, p_addmul, p_neg, p_trim
 from .params import (
-    DiscreteParam,
     LanglandsParam,
     crossing_times,
     frac_str,
@@ -77,31 +76,27 @@ W_S_MINUS_ONE = WElem(-1, 1)
 class StdLabel:
     """A term's parameter and the name ``SignatureChar.items`` renders."""
 
-    group: str
     text: str
     param: LanglandsParam = field(repr=False)
 
 
-Key = Union[LanglandsParam, int]
-
-
 class SignatureChar:
-    """Finite W-combination of basis elements, keyed by Langlands parameter
-    (standards or irreducibles of one block, final tempered parameters) or
-    by weight (K-types).  Only ``items`` renders names."""
+    """Finite W-combination of basis elements keyed by Langlands parameter:
+    standards or irreducibles of one block, or final tempered parameters.
+    Only ``items`` renders names."""
 
     __slots__ = ("group", "basis", "terms")
 
     def __init__(self, group: str, basis: str,
-                 terms: Optional[Dict[Key, WElem]] = None):
+                 terms: Optional[Dict[LanglandsParam, WElem]] = None):
         self.group = group
         self.basis = basis
-        self.terms: Dict[Key, WElem] = {}
+        self.terms: Dict[LanglandsParam, WElem] = {}
         if terms:
             for k, w in terms.items():
                 self.add(k, w)
 
-    def add(self, key: Key, w: WElem) -> None:
+    def add(self, key: LanglandsParam, w: WElem) -> None:
         cur = self.terms.get(key)
         new = w if cur is None else cur + w
         if new:
@@ -139,30 +134,20 @@ class SignatureChar:
         model = group_model(self.group)
         return model.label_text if self.basis == "final_tempered" else model.label
 
-    def items(self) -> List[Tuple[Union[StdLabel, int], WElem]]:
-        """Named terms by name (K-types by weight), ties in entry order."""
+    def items(self) -> List[Tuple[StdLabel, WElem]]:
+        """Named terms by name, ties in entry order."""
         name = self._namer()
-        out = [(k if isinstance(k, int) else StdLabel(self.group, name(k), k), w)
-               for k, w in self.terms.items()]
-        out.sort(key=lambda kv: kv[0] if isinstance(kv[0], int) else kv[0].text)
+        out = [(StdLabel(name(k), k), w) for k, w in self.terms.items()]
+        out.sort(key=lambda kv: kv[0].text)
         return out
 
     def to_json_obj(self) -> dict:
-        terms = []
-        for label, w in self.items():
-            if isinstance(label, int):
-                lab = {"n": label}
-            else:
-                lab = {"text": label.text, "param": param_to_json(label.param)}
-            terms.append({"label": lab, "w": w.to_json()})
+        terms = [{"label": {"text": label.text, "param": param_to_json(label.param)},
+                  "w": w.to_json()} for label, w in self.items()]
         return {"basis": self.basis, "group": self.group, "terms": terms}
 
     def __repr__(self) -> str:
-        inner = ", ".join(
-            "%s: %s" % (lab if isinstance(lab, int) else lab.text, w)
-            for lab, w in self.items()
-        )
-        return "{%s}" % inner
+        return "{%s}" % ", ".join("%s: %s" % (lab.text, w) for lab, w in self.items())
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +307,16 @@ def deform_step(b: Block, gamma) -> SignatureChar:
 # ---------------------------------------------------------------------------
 # deformation to nu = 0
 
-def hs_rewrite(d: DiscreteParam, group: str,
-               at_zero: Optional[LanglandsParam] = None) -> SignatureChar:
-    """Rewrite the standard $I(\\Lambda, 0)$ as a sum of final tempered
-    parameters, one per lowest K-type, each with coefficient 1.  A caller
-    holding the parameter $(\\Lambda, 0)$ passes it as ``at_zero``: for a
-    final $\\Lambda$ it is its own rewrite, and is reused, not rebuilt."""
-    if at_zero is not None and d.final:
-        tempered = (at_zero,)
-    else:
-        tempered = group_model(group).hs_rewrite(d)
-    return SignatureChar(group, "final_tempered", {g: W_ONE for g in tempered})
+def hs_rewrite(g: LanglandsParam, group: str) -> SignatureChar:
+    """Rewrite the standard $I(\\Lambda, 0)$, given by its parameter ``g``
+    at $\\nu = 0$, as a sum of final tempered parameters, one per lowest
+    K-type, each with coefficient 1.  A final $\\Lambda$ is its own
+    rewrite, ``g`` itself, reused and not rebuilt; a nonfinal one is
+    rewritten by the model's Hecht-Schmid table."""
+    if any(g.nu) or not g.is_real():
+        raise ValueError("hs_rewrite needs a parameter at nu = 0")
+    tempered = (g,) if g.discrete.final else group_model(group).hs_rewrite(g.discrete)
+    return SignatureChar(group, "final_tempered", {t: W_ONE for t in tempered})
 
 
 def _terms(sc: SignatureChar, trace) -> Iterable[Tuple[LanglandsParam, WElem]]:
@@ -406,7 +390,7 @@ def deform_to_zero(
             return hit.copy()
 
     if not any(g.nu):
-        out = hs_rewrite(g.discrete, group, g)
+        out = hs_rewrite(g, group)
         provider.remember_deformation(key, out)
         return out.copy()
 
@@ -547,7 +531,7 @@ def unitary_test(
         )
 
     if all(x == 0 for x in g.nu):
-        return UnitaryResult("unitary", hs_rewrite(g.discrete, group),
+        return UnitaryResult("unitary", hs_rewrite(g, group),
                              "tempered parameter (nu = 0)")
 
     blk, e_psi, _ = provider.find(group, g)
@@ -575,17 +559,19 @@ def unitary_test(
 # ---------------------------------------------------------------------------
 # K-type expansion (built-in tables)
 
-def ktype_signature(sc: SignatureChar, cutoff: int) -> SignatureChar:
+def ktype_signature(sc: SignatureChar, cutoff: int) -> Dict[int, WElem]:
     """Expand a final tempered signature character into K-type weights up to
-    |weight| <= cutoff; each tempered parameter contributes its coefficient
-    on every K-type of its half or full ladder."""
+    |weight| <= cutoff, as {weight: coefficient} in ascending weight with
+    zero coefficients dropped: the shape of ``jantzen.oracle_signature``.
+    Each tempered parameter contributes its coefficient on every K-type of
+    its half or full ladder."""
     support = group_model(sc.group).ktype_support
     if support is None:
         raise UnsupportedGroup("no built-in K-type table for group %r" % sc.group)
     if sc.basis != "final_tempered":
         raise ValueError("ktype_signature needs a final_tempered character")
-    out = SignatureChar(sc.group, "ktype")
+    acc: Dict[int, WElem] = {}
     for g, coef in sc.terms.items():
         for n in support(g, cutoff):
-            out.add(n, coef)
-    return out
+            acc[n] = acc.get(n, WElem(0, 0)) + coef
+    return {n: acc[n] for n in sorted(acc) if acc[n]}

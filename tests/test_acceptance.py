@@ -85,6 +85,15 @@ def test_criterion_2_oracle_equivalence():
           " at cutoff 8: PASS")
 
 
+def test_ktype_signature_is_a_weight_table_in_the_oracles_shape():
+    provider = BlockProvider()
+    for eps, parity in ((0, 1), (1, -1)):
+        for nu in GRID:
+            kt = ktype_signature(deform_to_zero(sl2r_ps_param(eps, nu), provider), 8)
+            assert type(kt) is dict and list(kt) == sorted(kt), (eps, nu)
+            assert kt == oracle_signature(parity, nu, 8), (eps, nu)
+
+
 def _identity_blocks():
     out = []
     for ic in ((0,), (1,), (2,), (3,), (F(1, 2),), (F(5, 2),)):

@@ -300,8 +300,8 @@ def test_cold_deformation_validates_once_per_shape(monkeypatch):
 
 def test_cold_deformation_builds_one_block_per_wall(monkeypatch):
     calls = collections.Counter()
-    for name in ("instantiate", "partition"):
-        _count_calls(monkeypatch, calls, blocks.GroupModel, name)
+    _count_calls(monkeypatch, calls, blocks.GroupModel, "instantiate")
+    _count_calls(monkeypatch, calls, blocks, "builtin_block")
     g = sl2r_ps_param(0, F(161, 2))
     deform_to_zero(g, BlockProvider())
     # the odd levels 1, 3, ..., 79 below 161/2; no wall is the top point

@@ -498,6 +498,19 @@ def test_library_without_the_parameter_exits_2(tmp_path, capsys, argv, rc_want):
                                "contains the parameter PS-(3)")
 
 
+def test_tempered_term_without_a_parity_bit_exits_3(tmp_path, capsys):
+    # the sl2r:1 chain with no K-type parity bit on DS+(1): J(PS+(1)) reads
+    # DS+(1) off the file, and no verdict is given without its bit
+    obj = json.loads(serialize_block(builtin_block("sl2r", (1,))[0]))
+    (ds_plus,) = [e for e in obj["elements"] if e["param"]["dlambda"] == ["1"]]
+    ds_plus["param"]["ktype_parity"] = None
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "unitary", "--nu", "1", "--block", str(path))
+    assert (rc, out) == (3, "")
+    assert err.strip() == "error: tempered parameter DS+(1) carries no K-type parity bit"
+
+
 def test_block_show_round_trip(capsys):
     rc, out1, _ = run(capsys, "block", "show", "sl2r:2", "--format", "json")
     assert rc == 0

@@ -271,12 +271,24 @@ def test_qc_entry_is_the_twist(coeffs, h):
 
 
 def test_hs_rewrite():
-    d0 = sl2r_ps_param(0, 0).discrete
-    assert as_dict(hs_rewrite(d0, "sl2r")) == {"PS0": W_ONE}
-    d1 = sl2r_ps_param(1, 0).discrete
-    assert as_dict(hs_rewrite(d1, "sl2r")) == {"LDS+": W_ONE, "LDS-": W_ONE}
+    g0 = sl2r_ps_param(0, 0)
+    assert as_dict(hs_rewrite(g0, "sl2r")) == {"PS0": W_ONE}
+    g1 = sl2r_ps_param(1, 0)
+    assert as_dict(hs_rewrite(g1, "sl2r")) == {"LDS+": W_ONE, "LDS-": W_ONE}
     with pytest.raises(MissingRewriteTable):
-        hs_rewrite(_nonfinal_sl2c(), "sl2c")
+        hs_rewrite(LanglandsParam(_nonfinal_sl2c(), (0, 0)), "sl2c")
+
+
+def test_hs_rewrite_takes_the_parameter_at_zero():
+    with pytest.raises(ValueError):
+        hs_rewrite(sl2r_ps_param(0, 1), "sl2r")
+    # a final parameter is its own rewrite, reused and not rebuilt; the
+    # model's Hecht-Schmid table has no row for it
+    g = sl2r_ps_param(0, 0)
+    (t,) = hs_rewrite(g, "sl2r").terms
+    assert t is g
+    with pytest.raises(MissingRewriteTable):
+        SL2R.hs_rewrite(g.discrete)
 
 
 def _nonfinal_sl2c():
