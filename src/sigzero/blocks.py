@@ -215,12 +215,6 @@ class BlockElement:
     param: LanglandsParam
     tau: Optional[frozenset] = None
 
-    def __post_init__(self):
-        if self.length < 0:
-            raise ValueError("length must be nonnegative")
-        if self.tau is not None:
-            object.__setattr__(self, "tau", frozenset(int(x) for x in self.tau))
-
 
 @dataclass(frozen=True, eq=False)
 class Block:
@@ -288,6 +282,9 @@ def _validate_block(b: Block) -> None:
         if e.id in seen:
             raise InvariantViolation("duplicate-id: element %d repeated" % e.id)
         seen.add(e.id)
+        if e.length < 0:
+            raise InvariantViolation(
+                "nonnegative-length: element %d has length %d" % (e.id, e.length))
     lengths = {e.id: e.length for e in b.elements}
     orients = [e.orient for e in b.elements]
     if orients and any((o - orients[0]) % 2 != 0 for o in orients):
@@ -414,10 +411,6 @@ def _json_list(x, what: str) -> list:
 def _parse_param(raw) -> LanglandsParam:
     if not isinstance(raw, Mapping):
         raise SchemaError("param must be an object")
-    dlambda = _json_list(raw.get("dlambda"), "param dlambda")
-    nu = _json_list(raw.get("nu"), "param nu")
-    if not dlambda or len(dlambda) != len(nu):
-        raise SchemaError("param dlambda and nu need one equal, nonzero length")
     try:
         param = param_from_json(raw)
     except (KeyError, TypeError, ValueError) as e:
@@ -501,18 +494,15 @@ def parse_block(data: Union[bytes, str, Mapping]) -> Block:
                 raise SchemaError("element missing key %r" % key)
         param = _parse_param(raw["param"])
         tau = raw.get("tau")
-        try:
-            elem = BlockElement(
-                id=_int_parse(raw["id"]),
-                cartan=_int_parse(raw["cartan"]),
-                length=_int_parse(raw["length"]),
-                orient=_int_parse(raw["orient"]),
-                param=param,
-                tau=None if tau is None else frozenset(
-                    _int_parse(x) for x in _json_list(tau, "tau")),
-            )
-        except ValueError as e:
-            raise SchemaError(str(e))
+        elem = BlockElement(
+            id=_int_parse(raw["id"]),
+            cartan=_int_parse(raw["cartan"]),
+            length=_int_parse(raw["length"]),
+            orient=_int_parse(raw["orient"]),
+            param=param,
+            tau=None if tau is None else frozenset(
+                _int_parse(x) for x in _json_list(tau, "tau")),
+        )
         _check_cartan(model, elem)
         elements.append(elem)
     Q = {}
@@ -668,14 +658,11 @@ class GroupModel:
         datum rather than tabulated."""
         d = param.discrete
         cart = self.cartan(d.cartan)
-        # one pairing with gamma serves both invariants
-        pairings = self.datum.pairings(param.gamma)
         return BlockElement(
             id=eid,
             cartan=self.cartans.index(cart),
-            length=length(self.datum, cart.root_class, param.gamma, pairings),
-            orient=orientation_number(self.datum, cart.root_class, d.grading,
-                                      d.dlambda, param.nu, pairings),
+            length=length(self.datum, cart.root_class, param.gamma),
+            orient=orientation_number(self.datum, cart.root_class, d.grading, param.gamma),
             param=param,
             tau=tau,
         )
@@ -858,13 +845,14 @@ class BlockProvider:
     once per shape, not once per wall), and the results of
     ``deform_to_zero``.  A built-in partition depends only on its key and a
     shape only on its family key, and ``get`` and ``find`` look up a
-    registered library first, so ``register`` leaves both as they are.  The deformation memo
-    also holds every wall point $(\\Lambda, t_i\\nu)$ a deformation
-    crossed, under the key a direct call uses: the crossing times of
-    $t_i\\nu$ are exactly $\\{t/t_i : t \\le t_i\\}$, so the partial sum
-    up to that wall is the direct answer, and each child entering at a wall
-    was held to the cap $|d\\lambda|^2 + t_{prev}^2|\\nu|^2$ that the
-    direct call uses.  Its entries depend on the registered libraries, so
+    registered library first, so ``register`` leaves both as they are.
+    The deformation memo holds parameters off $\\nu = 0$ only (a tempered
+    parameter is rewritten, not remembered): the queries and every wall
+    point $(\\Lambda, t_i\\nu)$ a deformation crossed, under the key a
+    direct call uses.  The crossing times of $t_i\\nu$ are exactly
+    $\\{t/t_i : t \\le t_i\\}$, so the partial sum up to that wall is the
+    direct answer, and each child entering at a wall was held to the cap
+    $|d\\lambda|^2 + t_{prev}^2|\\nu|^2$ that the direct call uses.  Its entries depend on the registered libraries, so
     ``register`` empties it: no answer depends on what was asked before a
     library arrived.  The caches are plain dicts without a lock: two
     threads sharing a provider can at worst compute the same value

@@ -184,6 +184,8 @@ class LanglandsParam:
 
     def __post_init__(self):
         nu, dl = _vec(self.nu), self.discrete.dlambda
+        if len(nu) != len(dl):
+            raise ValueError("dlambda and nu need one length")
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "gamma", nu if not any(dl) else dl if not any(nu)
                            else tuple(a + b for a, b in zip(dl, nu)))
@@ -289,12 +291,18 @@ def param_to_json(g: LanglandsParam) -> dict:
 
 def param_from_json(data: Mapping) -> LanglandsParam:
     """Inverse of param_to_json.  JSON types are taken as they are, never
-    coerced; DiscreteParam then checks the values."""
+    coerced; DiscreteParam and LanglandsParam then check the values."""
     cartan, ig = data["cartan"], data.get("imaginary_grading")
     grading = data.get("grading", {})
     final, parity = data.get("final", True), data.get("ktype_parity")
+    dlambda, nu, nu_im = data.get("dlambda"), data.get("nu"), data.get("nu_im")
     if not isinstance(cartan, str):
         raise ValueError("cartan must be a JSON string (got %r)" % (cartan,))
+    for name, v in (("dlambda", dlambda), ("nu", nu)):
+        if not (isinstance(v, list) and v):
+            raise ValueError("%s must be a nonempty JSON list (got %r)" % (name, v))
+    if nu_im is not None and not isinstance(nu_im, list):
+        raise ValueError("nu_im must be null or a JSON list (got %r)" % (nu_im,))
     if not (isinstance(grading, Mapping)
             and all(type(v) is int for v in grading.values())):
         raise ValueError("grading must be an object with the JSON integers 1 or -1")
@@ -307,15 +315,14 @@ def param_from_json(data: Mapping) -> LanglandsParam:
         raise ValueError("ktype_parity must be 0, 1 or null (got %r)" % (parity,))
     d = DiscreteParam(
         cartan=cartan,
-        dlambda=tuple(parse_frac(x) for x in data["dlambda"]),
+        dlambda=tuple(parse_frac(x) for x in dlambda),
         grading={int(i): v for i, v in grading.items()},
         imaginary_grading=None if ig is None else {int(i): v for i, v in ig.items()},
         final=final,
         ktype_parity=parity,
     )
-    nu_im = data.get("nu_im")
     return LanglandsParam(
         discrete=d,
-        nu=tuple(parse_frac(x) for x in data["nu"]),
+        nu=tuple(parse_frac(x) for x in nu),
         nu_im=None if nu_im is None else tuple(parse_frac(x) for x in nu_im),
     )

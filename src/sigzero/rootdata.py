@@ -21,10 +21,10 @@ parity selected by the $\\mathbb{Z}/2$ grading on real coroots.  Orientation
 numbers are locally constant in $\\nu$ and jump by 1 across single
 reorienting hyperplanes.
 
-Both take the Cartan's RootClass, whose -theta permutation of the roots is
-fixed when the Cartan is classified; neither applies theta itself.  All
-comparisons are exact: the pairings $\\langle\\gamma, \\alpha^\\vee\\rangle$
-are integer numerators over one common denominator.
+Both take $\\gamma$ and the Cartan's RootClass, whose -theta permutation of
+the roots is fixed when the Cartan is classified; neither applies theta
+itself.  All comparisons are exact: ``RootDatum.pairings`` gives each
+$\\langle\\gamma, \\alpha^\\vee\\rangle$ as an integer over one denominator.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from .errors import InvalidInvolution, UnsupportedRealSystem
 
@@ -177,20 +177,18 @@ def classify_roots(rd: RootDatum, inv: Involution) -> RootClass:
     return RootClass(tuple(tags), tuple(neg_theta))
 
 
-def length(rd: RootDatum, rc: RootClass, dgamma: Sequence,
-           pairings: Optional[Tuple[List[int], int]] = None) -> int:
-    """Length of a parameter at infinitesimal character dgamma, for the
+def length(rd: RootDatum, rc: RootClass, gamma: Sequence) -> int:
+    """Length of a parameter at infinitesimal character gamma, for the
     Cartan whose root classification is rc.
 
-    Counts complex pairs (alpha, -theta alpha) inside R^+(dgamma) and adds
+    Counts complex pairs (alpha, -theta alpha) inside R^+(gamma) and adds
     the number of A_1 factors of the real integral system, its positive
-    integral real roots.  R^+(dgamma) holds the roots with positive pairing;
+    integral real roots.  R^+(gamma) holds the roots with positive pairing;
     a singular root is positive when its coordinates are lexicographically
     positive.  A real integral system that is not a product of A_1's raises
-    UnsupportedRealSystem.  ``pairings`` is ``rd.pairings(dgamma)`` when
-    the caller has it already.
+    UnsupportedRealSystem.
     """
-    nums, q = pairings if pairings is not None else rd.pairings(dgamma)
+    nums, q = rd.pairings(gamma)
     pos = [
         i for i, n in enumerate(nums)
         if n > 0 or (n == 0 and _lex_positive(rd.roots[i]))
@@ -212,23 +210,19 @@ def orientation_number(
     rd: RootDatum,
     rc: RootClass,
     grading: Mapping[int, int],
-    dlambda: Sequence,
-    nu: Sequence,
-    pairings: Optional[Tuple[List[int], int]] = None,
+    gamma: Sequence,
 ) -> int:
-    """Orientation number of the parameter with gamma = dlambda + nu, for
-    the Cartan whose root classification is rc.
+    """Orientation number of the parameter at infinitesimal character
+    gamma = dlambda + nu, for the Cartan whose root classification is rc.
 
     Rule (a): complex pairs {alpha, -theta alpha}, nonintegral, with both
     pairings strictly positive.  Rule (b): real roots beta with
     <gamma, beta^vee> positive and nonintegral whose integer part is even
     when the grading on beta is +1 and odd when it is -1.  With the
     pairings N_i / q, the sign is that of N_i, integrality is N_i % q == 0
-    and the integer part is N_i // q.  ``pairings`` is those of gamma when
-    the caller has them already.
+    and the integer part is N_i // q.
     """
-    nums, q = pairings if pairings is not None else rd.pairings(
-        tuple(a + b for a, b in zip(dlambda, nu)))
+    nums, q = rd.pairings(gamma)
     count = len({frozenset((i, rc.neg_theta[i])) for i in rc.complex_indices()
                  if nums[i] > 0 and nums[i] % q and nums[rc.neg_theta[i]] > 0})
     for i in rc.real_indices():

@@ -367,8 +367,10 @@ def deform_to_zero(
     wall point crossed is a partial sum, equal to ``deform_to_zero(g_i)``
     on a fresh provider.  The provider remembers the result and every
     such wall point, and forgets them when a library is registered.  The
-    walk down the walls stops at the first wall point it remembers; a
-    traced call never reads the memo, so that its stream is complete.
+    walk down the walls stops at the first wall point it remembers, or at
+    $(\\Lambda, 0)$, which ``hs_rewrite`` answers.  A parameter at $\\nu =
+    0$ crosses no wall and reads no block: it is rewritten, not remembered.
+    A traced call never reads the memo, so that its stream is complete.
     Every call returns an object of its own, which the caller may change;
     the provider's entries are never handed out.  Each constituent below a
     wall is expanded by ``irreducible_in_standards``, which solves its one
@@ -383,16 +385,13 @@ def deform_to_zero(
     norms are integer fractions (numerator, denominator), so the bound
     compares integers.  A nonzero nu_im raises ValidationError."""
     _require_real(g)
+    if not any(g.nu):
+        return hs_rewrite(g, group)
     key = (group, g)
     if trace is None:
         hit = provider.deformation(key)
         if hit is not None:
             return hit.copy()
-
-    if not any(g.nu):
-        out = hs_rewrite(g, group)
-        provider.remember_deformation(key, out)
-        return out.copy()
 
     cart = group_model(group).cartan(g.discrete.cartan)
     dl2, (nu2_num, nu2_den) = g.discrete.dlambda_sq, _norm_sq_parts(g.nu)
@@ -457,12 +456,8 @@ def deform_to_zero(
                 break
         above, above_point = t, gt
 
-    out = below.copy() if below is not None else deform_to_zero(
-        LanglandsParam(g.discrete, tuple(Fraction(0) for _ in g.nu)),
-        provider,
-        group,
-        trace,
-    )
+    out = below.copy() if below is not None else hs_rewrite(
+        LanglandsParam(g.discrete, tuple(Fraction(0) for _ in g.nu)), group)
     # sum upward, remembering a copy of each partial sum under its point:
     # every entry is an object of its own, and so is the result
     for point, jump in reversed(crossed):

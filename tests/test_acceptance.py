@@ -254,7 +254,7 @@ def test_criterion_6_arrangement_properties():
 
         def ell_o(nu):
             return orientation_number(
-                SL2R_DATUM, SL2R_SPLIT.root_class, {0: grading}, (F(0),), (nu,)
+                SL2R_DATUM, SL2R_SPLIT.root_class, {0: grading}, (nu,)
             )
 
         for w in reorient:

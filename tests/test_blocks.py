@@ -20,6 +20,7 @@ from sigzero.blocks import (
     SL2R,
     SL2R_SPLIT,
     Block,
+    BlockElement,
     BlockProvider,
     block_to_json_obj,
     builtin_block,
@@ -623,6 +624,21 @@ def test_reject_negative_coefficients():
     )
     with pytest.raises(InvariantViolation, match="nonnegative-coefficients"):
         parse_block(obj)
+
+
+def test_reject_negative_length(tmp_path, capsys):
+    # element 0 of the sl2r:3 chain, DS+(3), given length -1
+    chain = builtin_block("sl2r", (3,))[0]
+    obj = block_to_json_obj(chain)
+    obj["elements"][0]["length"] = -1
+    path = tmp_path / "negative_length.json"
+    path.write_text(json.dumps(obj))
+    assert main(["block", "load", str(path)]) == 3
+    assert capsys.readouterr().err == "error: nonnegative-length: element 0 has length -1\n"
+    e0 = chain.elements[0]
+    bad = BlockElement(e0.id, e0.cartan, -1, e0.orient, e0.param, e0.tau)
+    with pytest.raises(InvariantViolation, match="nonnegative-length"):
+        Block("sl2r", chain.inf_char, (bad,) + chain.elements[1:], chain.Q)
 
 
 def test_reject_nonunit_diagonal():

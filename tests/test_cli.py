@@ -460,6 +460,20 @@ def test_unitary_with_unknown_cartan_in_block_exits_3(tmp_path, capsys):
     assert rc == 3 and "'bogus' is not a Cartan of sl2r" in err
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    # element 2 is PS+(5); JSON strings are not read as vectors
+    [("dlambda", "5"), ("dlambda", []), ("nu", ["5", "1"]), ("nu_im", "0")],
+)
+def test_block_load_malformed_vectors_exit_3(tmp_path, capsys, field, value):
+    obj = json.loads(_library_file(tmp_path).read_text())
+    obj["elements"][2]["param"][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    rc, _, err = run(capsys, "block", "load", str(bad))
+    assert rc == 3 and err.startswith("error: bad param: ")
+
+
 @pytest.mark.parametrize("nu_im", [["1/2", "3"], ["1/2"]])
 def test_block_load_imaginary_nu_exits_3(tmp_path, capsys, nu_im):
     obj = json.loads(_library_file(tmp_path).read_text())

@@ -1,12 +1,16 @@
 """Langlands parameters, arrangements and crossing times."""
 
 import json
+import os
+import pickle
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+import sigzero
 from sigzero.blocks import (
     SL2C_CARTAN,
     SL2R_SPLIT,
@@ -107,6 +111,47 @@ def test_nu_im_length_must_match_nu():
     for nu_im in ((F(1, 2), F(3)), (F(0), F(0)), ()):
         with pytest.raises(ValueError, match="one length"):
             LanglandsParam(g.discrete, g.nu, nu_im)
+
+
+def test_param_vectors_are_checked_where_the_param_is_built():
+    g = sl2r_ps_param(0, F(3, 2))
+    raw = param_to_json(g)
+    # a JSON string is not a list: "12" is not read as the coordinates 1, 2
+    for bad in (dict(raw, dlambda="12"), dict(raw, nu="3"), dict(raw, nu_im="0"),
+                dict(raw, dlambda=[], nu=[]), dict(raw, nu=[]),
+                dict(raw, nu=["3/2", "1"])):
+        with pytest.raises(ValueError):
+            param_from_json(bad)
+    with pytest.raises(ValueError, match="dlambda and nu need one length"):
+        LanglandsParam(g.discrete, (F(1), F(2)))
+
+
+# pickles the parameter PS+(7/2), its discrete part and the parameter's hash
+_PICKLER = """
+import pickle, sys
+from fractions import Fraction
+from sigzero.blocks import sl2r_ps_param
+g = sl2r_ps_param(0, Fraction(7, 2))
+sys.stdout.buffer.write(pickle.dumps((hash(g), g, g.discrete)))
+"""
+
+
+def test_unpickled_params_hash_as_this_process_does():
+    # a parameter's hash reads the string hash of its Cartan's name, which
+    # varies by process: a parameter pickled elsewhere must be hashed anew
+    g = sl2r_ps_param(0, F(7, 2))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sigzero.__file__)))
+    their_hashes = set()
+    for hashseed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _PICKLER], env=env,
+                             capture_output=True, check=True).stdout
+        their_hash, loaded, discrete = pickle.loads(out)
+        their_hashes.add(their_hash)
+        for fresh, back in ((g, loaded), (g.discrete, discrete)):
+            assert back == fresh and hash(back) == hash(fresh)
+            assert {fresh: 1}.get(back) == 1
+    assert len(their_hashes) == 2
 
 
 def test_hyperplanes_radius_is_inclusive():

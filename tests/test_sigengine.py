@@ -418,6 +418,28 @@ def fresh_deformations():
     return out
 
 
+def test_memo_holds_walks_only():
+    # every child entering at a wall of PS+(15/2) is tempered, and so is the
+    # bottom PS+(0) of its walk: each is rewritten, not remembered
+    p = BlockProvider()
+    deform_to_zero(sl2r_ps_param(0, F(15, 2)), p)
+    tempered = [sl2r_ds_param(sign, k) for sign in (1, -1) for k in (1, 3, 5, 7)]
+    for h in tempered + [sl2r_ps_param(0, F(0))]:
+        assert p.deformation(("sl2r", h)) is None, h
+    walks = [sl2r_ps_param(0, nu) for nu in (F(15, 2), F(7), F(5), F(3))]
+    for h in walks:
+        assert p.deformation(("sl2r", h)) is not None, h
+    assert len(p._deformations) == len(walks)
+    # a tempered parameter still gets an object of its own on every call
+    first, second = deform_to_zero(tempered[0], p), deform_to_zero(tempered[0], p)
+    assert first == second and first is not second
+    # the children PS(5,3) and PS(7,3) under PS(3,17/2) are not tempered
+    p = BlockProvider()
+    deform_to_zero(sl2c_param(3, F(17, 2)), p, "sl2c")
+    for m in (5, 7):
+        assert p.deformation(("sl2c", sl2c_param(m, 3))) is not None, m
+
+
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
 def test_shared_provider_matches_fresh_providers(fresh_deformations, order):
     queries = sorted(MEMO_QUERIES, key=lambda q: (q[1].nu, q[0], q[1].discrete.dlambda),
