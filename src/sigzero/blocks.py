@@ -227,12 +227,16 @@ class Block:
     (``_derived``: a built-in block instantiated from a known shape, a
     component split from a validated block) skips it.  The engine relies
     on that and checks none of them again, so Q, which the blocks of one
-    shape share, must not be mutated afterwards."""
+    shape share, must not be mutated afterwards.  The jump table ``jumps``,
+    which ``sigengine.deform_to_zero`` fills, is shared by the blocks of one
+    translation family (``GroupModel.instantiate``); every other block
+    starts with a table of its own."""
 
     group: str
     inf_char: Tuple[Fraction, ...]
     elements: Tuple[BlockElement, ...]
     Q: Mapping[Tuple[int, int], IntPoly] = field(default_factory=dict)
+    jumps: Dict[int, tuple] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "inf_char", _vec(self.inf_char))
@@ -247,12 +251,15 @@ class Block:
     @classmethod
     def _derived(cls, group: str, inf_char: Tuple[Fraction, ...],
                  elements: Tuple[BlockElement, ...],
-                 Q: Mapping[Tuple[int, int], IntPoly]) -> "Block":
+                 Q: Mapping[Tuple[int, int], IntPoly],
+                 jumps: Optional[Dict[int, tuple]] = None) -> "Block":
         """A block made of facts already validated: an instance of a
-        validated shape, or a component of a validated block.  Q is taken
-        as it is and ``_validate_block`` is not run again."""
+        validated shape, sharing its ``jumps``, or a component of a
+        validated block.  Q is taken as it is and ``_validate_block`` is
+        not run again."""
         b = cls.__new__(cls)
-        b.__dict__.update(group=group, inf_char=inf_char, elements=elements, Q=Q)
+        b.__dict__.update(group=group, inf_char=inf_char, elements=elements, Q=Q,
+                          jumps={} if jumps is None else jumps)
         return b
 
     def ids(self) -> Tuple[int, ...]:
@@ -602,15 +609,16 @@ class GroupModel:
         ``place`` found there, which that slot takes as it is.
 
         ``shapes`` maps a family key to the Cartan indices, lengths and
-        orientation numbers of a block's elements, and its validated Q.  The
-        key holds the group, the block's index, each coordinate's
-        denominator, numerator mod twice the denominator and sign, and the
-        ties between coordinates.  In both built-in models these fix the
-        sign and integrality of every pairing and the floor parity of every
-        real one, which is all that ``length`` and ``orientation_number``
-        read.  A block with a known shape takes it and is not validated
-        again: ``_validate_block`` reads only ids, lengths, orientation
-        numbers and Q."""
+        orientation numbers of a block's elements, its validated Q and the
+        jump table of the family's first block.  The key holds the group,
+        the block's index, each coordinate's denominator, numerator mod
+        twice the denominator and sign, and the ties between coordinates.
+        In both built-in models these fix the sign and integrality of every
+        pairing and the floor parity of every real one, which is all that
+        ``length`` and ``orientation_number`` read.  A block with a known
+        shape takes it, jump table included, and is not validated again:
+        ``_validate_block`` and the jumps read only ids, lengths,
+        orientation numbers and Q."""
         slots, Q = form
         hid, hg = held or (None, None)
         specs = [(eid, hg if eid == hid else LanglandsParam(d, nu), tau)
@@ -623,12 +631,13 @@ class GroupModel:
         if shape is None:
             b = Block(self.name, ic, tuple(self.element(*s) for s in specs), Q)
             if shapes is not None:
-                shapes[family] = (tuple((e.cartan, e.length, e.orient) for e in b.elements), b.Q)
+                shapes[family] = (tuple((e.cartan, e.length, e.orient) for e in b.elements),
+                                  b.Q, b.jumps)
             return b
-        invariants, Q = shape
+        invariants, Q, jumps = shape
         return Block._derived(self.name, ic, tuple(
             BlockElement(eid, c, n, o, param, tau)
-            for (eid, param, tau), (c, n, o) in zip(specs, invariants)), Q)
+            for (eid, param, tau), (c, n, o) in zip(specs, invariants)), Q, jumps)
 
     def label(self, param: LanglandsParam) -> str:
         """The name of a block element, and of a term in the standard and
@@ -842,10 +851,11 @@ class BlockProvider:
     created and private to it: the built-in partitions it has served (None
     for each block ``find`` has not built yet; ``get`` fills them in), one
     validated block shape per translation family (so a block is validated
-    once per shape, not once per wall), and the results of
-    ``deform_to_zero``.  A built-in partition depends only on its key and a
-    shape only on its family key, and ``get`` and ``find`` look up a
-    registered library first, so ``register`` leaves both as they are.
+    once per shape, not once per wall; the shape also holds the jump table
+    its blocks share), and the results of ``deform_to_zero``.  A built-in
+    partition depends only on its key and a shape only on its family key,
+    and ``get`` and ``find`` look up a registered library first, so
+    ``register`` leaves both as they are.
     The deformation memo holds parameters off $\\nu = 0$ only (a tempered
     parameter is rewritten, not remembered): the queries and every wall
     point $(\\Lambda, t_i\\nu)$ a deformation crossed, under the key a

@@ -26,6 +26,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import merge
+from itertools import groupby
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import SchemaError
@@ -265,12 +267,16 @@ def crossing_times(g: LanglandsParam, cartan: CartanClass) -> List[Fraction]:
     deduplicated and sorted descending.
 
     A root meets its walls at t = level / <nu, phi^vee>, so only the walls
-    with level <= <nu, phi^vee> count; nu = 0 meets none."""
-    times = set()
+    with level <= <nu, phi^vee> count; nu = 0 meets none.  Each root's
+    levels come out increasing and distinct, so its times do too: the
+    roots' times are merged and equal neighbours dropped."""
+    per_root = []
     for rr in cartan.restricted:
         x = dot(g.nu, rr.covector)
-        times.update(level / x for level, _ in _walls(rr, g.discrete, x, True))
-    return sorted(times, reverse=True)
+        per_root.append([level / x for level, _ in _walls(rr, g.discrete, x, True)])
+    times = [t for t, _ in groupby(merge(*per_root))]
+    times.reverse()
+    return times
 
 
 def param_to_json(g: LanglandsParam) -> dict:

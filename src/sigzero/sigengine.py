@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .blocks import (
     Block,
@@ -319,12 +319,35 @@ def hs_rewrite(g: LanglandsParam, group: str) -> SignatureChar:
     return SignatureChar(group, "final_tempered", {t: W_ONE for t in tempered})
 
 
-def _terms(sc: SignatureChar, trace) -> Iterable[Tuple[LanglandsParam, WElem]]:
-    """The terms of sc as they are stored; in a traced call, in the order
-    in which the result prints them, which the stream follows."""
-    if trace is None:
-        return sc.terms.items()
-    return [(label.param, w) for label, w in sc.items()]
+# a wall's jump before its s-flip, in positions of its block's elements:
+# per constituent Xi of the delta, its position, its coefficient and its
+# column of (Q^c)^{-1} at q = 1 as (child position, W) pairs
+Jump = Tuple[Tuple[int, WElem, Tuple[Tuple[int, WElem], ...]], ...]
+
+
+def _jump(blk: Block, e: BlockElement) -> Jump:
+    """The jump at the wall element ``e`` from the block's jump table; on a
+    miss, solved by ``deform_step`` and ``irreducible_in_standards`` and
+    stored in the element positions that the blocks sharing it have in common."""
+    jump = blk.jumps.get(e.id)
+    if jump is None:
+        pos = {x.param: i for i, x in enumerate(blk.elements)}
+        jump = blk.jumps[e.id] = tuple(
+            (pos[xi], coef, tuple((pos[child], w) for child, w in
+                                  irreducible_in_standards(blk, xi).terms.items()))
+            for xi, coef in deform_step(blk, e.id).terms.items())
+    return jump
+
+
+def _print_order(jump: Jump, elements: Tuple[BlockElement, ...], group: str) -> Jump:
+    """The jump, and each column, in the order a printed character lists
+    them and the trace follows: by name, ties in entry order."""
+    name = group_model(group).label
+
+    def key(entry):
+        return name(elements[entry[0]].param)
+    return tuple(sorted(((xp, coef, tuple(sorted(column, key=key)))
+                         for xp, coef, column in jump), key=key))
 
 
 def _less(x: Tuple[int, int], y: Tuple[int, int]) -> bool:
@@ -372,9 +395,12 @@ def deform_to_zero(
     0$ crosses no wall and reads no block: it is rewritten, not remembered.
     A traced call never reads the memo, so that its stream is complete.
     Every call returns an object of its own, which the caller may change;
-    the provider's entries are never handed out.  Each constituent below a
-    wall is expanded by ``irreducible_in_standards``, which solves its one
-    column of $(Q^c)^{-1}$ and no other column of the block.
+    the provider's entries are never handed out.  A wall's jump before its
+    flip reads only the block's ids, lengths, orientation numbers and Q, so
+    it is read from the jump table of the block holding the wall point,
+    which a translation family shares (``Block.jumps``): ``deform_step``
+    and ``irreducible_in_standards`` solve it once per table and wall
+    element.  A traced call reads the same table.
 
     Each standard entering at the wall $t_j$ must have $|d\\lambda'|^2$
     strictly between $|d\\lambda|^2$ and $|d\\lambda|^2 +
@@ -408,14 +434,13 @@ def deform_to_zero(
     for pos, t in enumerate(times):
         gt = LanglandsParam(g.discrete, tuple(t * x for x in g.nu))
         blk, e_gt, blk_idx = provider.find(group, gt)
-        delta = deform_step(blk, e_gt.id)
+        elements, jump = blk.elements, _jump(blk, e_gt)
         # times is deduplicated and descending: the walls below t are the
         # ones after it
-        if (len(times) - 1 - pos) % 2:
-            flipped = SignatureChar(group, "irreducible")
-            flipped.add_char(delta, W_S)
-            delta = flipped
+        flip = (len(times) - 1 - pos) % 2
         if trace is not None:
+            delta = SignatureChar(group, "irreducible", {
+                elements[xp].param: W_S * coef if flip else coef for xp, coef, _ in jump})
             trace(
                 {
                     "event": "crossing",
@@ -425,12 +450,16 @@ def deform_to_zero(
                     "delta": delta.to_json_obj(),
                 }
             )
+            jump = _print_order(jump, elements, group)
         p, q = above.numerator, above.denominator
         cap = (dl2[0] * nu2_den * q * q + nu2_num * dl2[1] * p * p,
                dl2[1] * nu2_den * q * q)
-        jump = []
-        for xi, coef in _terms(delta, trace):
-            for child, w in _terms(irreducible_in_standards(blk, xi), trace):
+        children = []
+        for _, coef, column in jump:
+            if flip:
+                coef = W_S * coef
+            for cp, w in column:
+                child = elements[cp].param
                 cdl2 = child.discrete.dlambda_sq
                 if not (_less(dl2, cdl2) and _less(cdl2, cap)):
                     raise BoundViolation(
@@ -448,8 +477,8 @@ def deform_to_zero(
                                                dl2[1] * nu2_den)),
                         }
                     )
-                jump.append((deform_to_zero(child, provider, group, trace), coef * w))
-        crossed.append((above_point, jump))
+                children.append((deform_to_zero(child, provider, group, trace), coef * w))
+        crossed.append((above_point, children))
         if trace is None:
             below = provider.deformation((group, gt))
             if below is not None:
@@ -460,8 +489,8 @@ def deform_to_zero(
         LanglandsParam(g.discrete, tuple(Fraction(0) for _ in g.nu)), group)
     # sum upward, remembering a copy of each partial sum under its point:
     # every entry is an object of its own, and so is the result
-    for point, jump in reversed(crossed):
-        for sub, coef in jump:
+    for point, children in reversed(crossed):
+        for sub, coef in children:
             out.add_char(sub, coef)
         provider.remember_deformation((group, point), out.copy())
     if not crossed:

@@ -495,15 +495,120 @@ def test_trace_follows_the_printed_order():
 
 def test_deform_step_cost_on_warm_provider(monkeypatch):
     """A warm query crosses only the walls above the highest wall point
-    that the provider remembers."""
+    that the provider remembers: it looks up no other wall point."""
     provider = BlockProvider()
     deform_to_zero(sl2r_ps_param(0, F(43, 2)), provider)
     calls = []
-    real_step = sigengine.deform_step
-    monkeypatch.setattr(sigengine, "deform_step",
-                        lambda b, g: calls.append(b.element(g).param.nu) or real_step(b, g))
+    real_find = BlockProvider.find
+    monkeypatch.setattr(BlockProvider, "find",
+                        lambda p, group, g: calls.append(g.nu) or real_find(p, group, g))
     deform_to_zero(sl2r_ps_param(0, F(45, 2)), provider)
     assert calls == [(F(21),)]
+
+
+# ---------------------------------------------------------------------------
+# jump tables: one solved jump per translation family and wall slot
+
+def _wall_by_wall(g, group="sl2r"):
+    """``deform_to_zero`` rebuilt with no memo and no jump table: at each
+    wall, ``deform_step`` and ``irreducible_in_standards`` on the block of
+    a freshly built partition that holds the wall point."""
+    if not any(g.nu):
+        return hs_rewrite(g, group)
+    model = group_model(group)
+    times = [t for t in crossing_times(g, model.cartan(g.discrete.cartan)) if t != 1]
+    out = hs_rewrite(LanglandsParam(g.discrete, tuple(F(0) for _ in g.nu)), group)
+    for pos, t in enumerate(times):
+        gt = LanglandsParam(g.discrete, tuple(t * x for x in g.nu))
+        (blk,) = [b for b in builtin_block(group, model.block_key(gt)) if b.find(gt)]
+        flip = W_S if (len(times) - 1 - pos) % 2 else W_ONE
+        for xi, coef in deform_step(blk, gt).terms.items():
+            for child, w in irreducible_in_standards(blk, xi).terms.items():
+                out.add_char(_wall_by_wall(child, group), flip * coef * w)
+    return out
+
+
+def _count_solves(monkeypatch):
+    """Record (jump table, wall element id) per deform_step call, and count
+    irreducible_in_standards calls."""
+    solved, columns = [], []
+    real_step, real_column = sigengine.deform_step, sigengine.irreducible_in_standards
+    monkeypatch.setattr(sigengine, "deform_step",
+                        lambda b, g: solved.append((id(b.jumps), g)) or real_step(b, g))
+    monkeypatch.setattr(sigengine, "irreducible_in_standards",
+                        lambda b, psi: columns.append(psi) or real_column(b, psi))
+    return solved, columns
+
+
+def test_cold_walk_solves_each_family_slot_once(monkeypatch):
+    g = sl2r_ps_param(0, F(161, 2))
+    want = _wall_by_wall(g)
+    solved, columns = _count_solves(monkeypatch)
+    p = BlockProvider()
+    assert deform_to_zero(g, p) == want
+    # 40 walls, all at the wall slot PS+(k) of the chain at odd k: one
+    # family, one slot, one delta of two constituents DS+(k), DS-(k)
+    assert len(crossing_times(g, group_model("sl2r").cartan("split"))) == 40
+    assert (len(solved), len(columns)) == (1, 2)
+    (shape,) = p._shapes.values()
+    assert solved == [(id(shape[2]), 2)]
+
+
+def test_cold_sl2c_walk_solves_no_family_slot_twice(monkeypatch):
+    g = sl2c_param(3, F(17, 2))
+    want = _wall_by_wall(g, "sl2c")
+    solved, _ = _count_solves(monkeypatch)
+    p = BlockProvider()
+    assert deform_to_zero(g, p, "sl2c") == want
+    assert len(solved) == len(set(solved))
+    assert {table for table, _ in solved} <= {id(shape[2]) for shape in p._shapes.values()}
+
+
+def _library_at_3(chain, single=None):
+    """The sl2r:3 chain with Q[DS+(3), PS+(3)] = 2 as one validated block;
+    with the singleton PS-(3) first when given, so that positions in the
+    block differ from those in its components."""
+    Q = dict(chain.Q)
+    Q[(0, 2)] = (2,)
+    elements = (single.elements if single else ()) + chain.elements
+    return Block(chain.group, chain.inf_char, elements, Q)
+
+
+def test_library_block_never_reads_a_family_table():
+    chain, _ = builtin_block("sl2r", (3,))
+    g = sl2r_ps_param(0, F(7, 2))
+    warm = BlockProvider()
+    # the odd-k chain family solves its wall slot, at 3 and at 1
+    deform_to_zero(sl2r_ps_param(0, F(9, 2)), warm)
+    assert as_dict(deform_to_zero(g, warm))["DS+(3)"] == ONE_MINUS_S
+    library = [_library_at_3(chain)]
+    warm.register(library)
+    fresh = BlockProvider()
+    fresh.register(library)
+    want = deform_to_zero(g, fresh)
+    assert as_dict(want)["DS+(3)"] == WElem(2, -2)
+    assert deform_to_zero(g, warm) == want
+
+
+def test_library_components_keep_tables_of_their_own():
+    chain, single = builtin_block("sl2r", (3,))
+    library = split_components(_library_at_3(chain, single))
+    assert len(library) == 2
+    assert library[0].jumps is not library[1].jumps
+    queries = [sl2r_ps_param(0, F(7, 2)), sl2r_ps_param(0, F(3)), sl2r_ps_param(1, F(3)),
+               sl2r_ps_param(0, F(11, 2)), sl2r_ps_param(1, F(9, 2))]
+    warm = BlockProvider()
+    for g in queries:
+        deform_to_zero(g, warm)
+        unitary_test(g, warm)
+    warm.register(library)
+    fresh = BlockProvider()
+    fresh.register(library)
+    for g in queries:
+        # PS+(3) is in the chain component, PS-(3) in the singleton
+        assert deform_to_zero(g, warm) == deform_to_zero(g, fresh), g
+        got, want = unitary_test(g, warm), unitary_test(g, fresh)
+        assert (got.verdict, got.B) == (want.verdict, want.B), g
 
 
 # ---------------------------------------------------------------------------
