@@ -577,8 +577,8 @@ class GroupModel:
         return tuple(coords)
 
     def block_key(self, g: LanglandsParam) -> Tuple[Fraction, ...]:
-        """The key of the blocks that may hold ``g``, as a miss names it;
-        ``key`` of it is the canonical key."""
+        """The canonical key of the blocks that may hold ``g``, which a miss
+        in ``BlockProvider.find`` names."""
         return self.key(g.gamma)
 
     def forms(self, ic: Tuple[Fraction, ...]) -> List[Form]:
@@ -600,8 +600,7 @@ class GroupModel:
                         return i, eid
         return None
 
-    def instantiate(self, ic: Tuple[Fraction, ...], i: int, form: Form,
-                    shapes: Optional[dict] = None,
+    def instantiate(self, ic: Tuple[Fraction, ...], i: int, form: Form, shapes: dict,
                     held: Optional[Tuple[int, LanglandsParam]] = None) -> Block:
         """Block ``i`` of the partition at the canonical key ``ic``, built
         from its closed ``form``: each slot's parameter, with lengths and
@@ -618,7 +617,7 @@ class GroupModel:
         ``length`` and ``orientation_number`` read.  A block with a known
         shape takes it, jump table included, and is not validated again:
         ``_validate_block`` and the jumps read only ids, lengths,
-        orientation numbers and Q."""
+        orientation numbers and Q; the family's first block is validated."""
         slots, Q = form
         hid, hg = held or (None, None)
         specs = [(eid, hg if eid == hid else LanglandsParam(d, nu), tau)
@@ -627,12 +626,11 @@ class GroupModel:
                   tuple((x.denominator, x.numerator % (2 * x.denominator), x.numerator > 0)
                         for x in ic),
                   tuple(x == y for x, y in zip(ic, ic[1:])), i)
-        shape = None if shapes is None else shapes.get(family)
+        shape = shapes.get(family)
         if shape is None:
             b = Block(self.name, ic, tuple(self.element(*s) for s in specs), Q)
-            if shapes is not None:
-                shapes[family] = (tuple((e.cartan, e.length, e.orient) for e in b.elements),
-                                  b.Q, b.jumps)
+            shapes[family] = (tuple((e.cartan, e.length, e.orient) for e in b.elements),
+                              b.Q, b.jumps)
             return b
         invariants, Q, jumps = shape
         return Block._derived(self.name, ic, tuple(
@@ -759,10 +757,7 @@ class _SL2R(GroupModel):
         """K-type weights up to |weight| <= cutoff of a final tempered
         parameter: the full even ladder or a half ladder."""
         if g.discrete.cartan == "split":
-            out = [0]
-            for n in range(2, cutoff + 1, 2):
-                out.extend((n, -n))
-            return sorted(out)
+            return sorted({s * n for n in range(0, cutoff + 1, 2) for s in (1, -1)})
         low = self.lowest_ktype(g)
         step = 2 if low > 0 else -2
         out = []
@@ -782,7 +777,7 @@ class _SL2C(GroupModel):
     coords = 2
 
     def block_key(self, g: LanglandsParam) -> Tuple[Fraction, ...]:
-        return (2 * g.discrete.dlambda[0], 2 * g.nu[0])
+        return self.key((2 * g.discrete.dlambda[0], 2 * g.nu[0]))
 
     def forms(self, ic: Tuple[Fraction, ...]) -> List[Form]:
         a, b = ic
@@ -832,9 +827,11 @@ def builtin_block(group: str, inf_char, shapes: Optional[dict] = None) -> List[B
     """The full partition of B(chi) into blocks at this infinitesimal
     character, with lengths, orientation numbers, tau-invariants and Q in
     closed form: each block of ``GroupModel.forms`` at the canonical key,
-    built by ``GroupModel.instantiate``, whose family memo is ``shapes``."""
+    built by ``GroupModel.instantiate``, whose family memo is ``shapes``,
+    or a fresh one: then each block, a family of its own, is validated."""
     model = group_model(group)
     ic = model.key(inf_char)
+    shapes = {} if shapes is None else shapes
     return [model.instantiate(ic, i, form, shapes) for i, form in enumerate(model.forms(ic))]
 
 
@@ -856,17 +853,17 @@ class BlockProvider:
     partition depends only on its key and a shape only on its family key,
     and ``get`` and ``find`` look up a registered library first, so
     ``register`` leaves both as they are.
-    The deformation memo holds parameters off $\\nu = 0$ only (a tempered
-    parameter is rewritten, not remembered): the queries and every wall
-    point $(\\Lambda, t_i\\nu)$ a deformation crossed, under the key a
-    direct call uses.  The crossing times of $t_i\\nu$ are exactly
+    The deformation memo holds the points above the walls that a walk
+    crossed, the query or a wall point $(\\Lambda, t_i\\nu)$, under the key
+    a direct call uses; a walk that crosses no wall is a rewrite and is
+    not remembered.  The crossing times of $t_i\\nu$ are exactly
     $\\{t/t_i : t \\le t_i\\}$, so the partial sum up to that wall is the
     direct answer, and each child entering at a wall was held to the cap
-    $|d\\lambda|^2 + t_{prev}^2|\\nu|^2$ that the direct call uses.  Its entries depend on the registered libraries, so
-    ``register`` empties it: no answer depends on what was asked before a
-    library arrived.  The caches are plain dicts without a lock: two
-    threads sharing a provider can at worst compute the same value
-    twice."""
+    $|d\\lambda|^2 + t_{prev}^2|\\nu|^2$ that the direct call uses.  Its
+    entries depend on the registered libraries, so ``register`` empties
+    it: no answer depends on what was asked before a library arrived.
+    The caches are plain dicts without a lock: two threads sharing a
+    provider can at worst compute the same value twice."""
 
     def __init__(self):
         self._store: Dict[Tuple[str, Tuple[Fraction, ...]], List[Block]] = {}
@@ -914,9 +911,9 @@ class BlockProvider:
         is searched alone; else the built-in blocks already built are
         searched, and only a miss builds the block that holds ``g``, by
         ``place`` and ``instantiate``.  When no block there holds ``g``,
-        raises MissingBlock naming ``block_key(g)``."""
+        raises MissingBlock naming that key."""
         model = group_model(group)
-        ic = model.key(model.block_key(g))
+        ic = model.block_key(g)
         key = (group, ic)
         library = self._store.get(key)
         blocks = library if library is not None else self._builtin.get(key, ())
@@ -935,7 +932,7 @@ class BlockProvider:
                 return blk, blk.element(eid), i
         raise MissingBlock(
             "no block at infinitesimal character %s contains the parameter %s"
-            % ([frac_str(x) for x in model.block_key(g)], model.label_text(g))
+            % ([frac_str(x) for x in ic], model.label_text(g))
         )
 
     def deformation(self, key: tuple):

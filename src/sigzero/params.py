@@ -215,7 +215,7 @@ class Hyperplane:
 
     phi_covector: Tuple[Fraction, ...]
     level: Fraction
-    kind: str  # "reducibility" | "reorient_positive" | "reorient_negative"
+    kind: str  # "reducibility" | "reorient_positive", as ``_walls`` yields them
 
 
 def _walls(rr: RestrictedRoot, d: DiscreteParam, bound,

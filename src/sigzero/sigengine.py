@@ -229,16 +229,6 @@ def _qc_inverse(b: Block) -> WPolyMatrix:
     return {(r, c): v for c in order for r, v in _solve_column(order, rows, c).items()}
 
 
-def _qc_column(b: Block, eid: int) -> Dict[int, WPoly]:
-    """Column eid of $(Q^c)^{-1}$ alone, as {row: nonzero entry}, solved
-    over the rows of $Q^c$ read from the integer Q.  When Q has no entry
-    above the diagonal in that column, the column is the unit vector and
-    nothing is solved."""
-    if all(c != eid or r == c for r, c in b.Q):
-        return {eid: WPoly.from_int_coeffs((1,))}
-    return _solve_column(_length_order(b), _qc_rows(b), eid)
-
-
 def signature_P(b: Block) -> WPolyMatrix:
     """$P^c_{\\Gamma,\\Psi} = (-1)^{\\ell(\\Psi)-\\ell(\\Gamma)}$ times the
     $(Q^c)^{-1}$ entry, computed by exact unitriangular inversion and checked
@@ -275,8 +265,9 @@ def irreducible_in_standards(b: Block, psi) -> SignatureChar:
     """Expansion $sig^c_{J(\\Psi)} = \\sum_\\Gamma W^c_{\\Gamma,\\Psi}
     \\, sig^c_{I(\\Gamma)}$ with $W^c = (Q^c)^{-1}$ at $q = 1$; forgetting
     $s$ recovers the character-formula row $M_{\\cdot,\\Psi}$.  Only the
-    column of $\\Psi$ is solved, by one back substitution."""
-    column = _qc_column(b, _resolve_element(b, psi).id)
+    column of $\\Psi$ is solved, by one back substitution over the rows
+    of $Q^c$ read from the integer Q, a unit column as any other."""
+    column = _solve_column(_length_order(b), _qc_rows(b), _resolve_element(b, psi).id)
     out = SignatureChar(b.group, "standard")
     for e in b.elements:
         if e.id in column:
@@ -388,11 +379,12 @@ def deform_to_zero(
     crossing times of $g_i$ are $\\{t/t_i : t \\le t_i\\}$, exactly, with
     the same number of walls below each.  So the limit from below at every
     wall point crossed is a partial sum, equal to ``deform_to_zero(g_i)``
-    on a fresh provider.  The provider remembers the result and every
-    such wall point, and forgets them when a library is registered.  The
-    walk down the walls stops at the first wall point it remembers, or at
-    $(\\Lambda, 0)$, which ``hs_rewrite`` answers.  A parameter at $\\nu =
-    0$ crosses no wall and reads no block: it is rewritten, not remembered.
+    on a fresh provider.  The provider remembers the point above each wall
+    a walk crosses, with its partial sum, and forgets them when a library
+    is registered.  The walk down the walls stops at the first wall point
+    it remembers, or at $(\\Lambda, 0)$, which ``hs_rewrite`` answers.  A
+    walk that crosses no wall ($\\nu = 0$ among them) reads no block: it is
+    rewritten, not remembered.
     A traced call never reads the memo, so that its stream is complete.
     Every call returns an object of its own, which the caller may change;
     the provider's entries are never handed out.  A wall's jump before its
@@ -493,8 +485,6 @@ def deform_to_zero(
         for sub, coef in children:
             out.add_char(sub, coef)
         provider.remember_deformation((group, point), out.copy())
-    if not crossed:
-        provider.remember_deformation(key, out.copy())
     return out
 
 

@@ -94,6 +94,17 @@ def test_ktype_signature_is_a_weight_table_in_the_oracles_shape():
             assert kt == oracle_signature(parity, nu, 8), (eps, nu)
 
 
+def test_ktype_signature_matches_the_oracle_at_every_cutoff():
+    # a negative cutoff holds no weight: not even the spherical weight 0
+    provider = BlockProvider()
+    for eps, parity in ((0, 1), (1, -1)):
+        for nu in (F(1, 2), F(3, 2), F(7, 2), F(9, 4), F(5)):
+            sc = deform_to_zero(sl2r_ps_param(eps, nu), provider)
+            for cutoff in range(-3, 13):
+                assert ktype_signature(sc, cutoff) == oracle_signature(
+                    parity, nu, cutoff), (eps, nu, cutoff)
+
+
 def _identity_blocks():
     out = []
     for ic in ((0,), (1,), (2,), (3,), (F(1, 2),), (F(5, 2),)):

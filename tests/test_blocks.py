@@ -353,6 +353,23 @@ def test_find_serves_a_group_that_is_not_built_in():
         "no block at infinitesimal character ['3'] contains the parameter elt")
 
 
+def test_find_computes_one_key(monkeypatch):
+    calls = collections.Counter()
+    _count_calls(monkeypatch, calls, blocks.GroupModel, "key")
+    for group, g in (("sl2r", sl2r_ps_param(0, 7)), ("sl2c", sl2c_param(3, 5))):
+        calls.clear()
+        BlockProvider().find(group, g)
+        assert calls["key"] == 1, group
+    # a miss names the canonical key, the order ``block show sl2c:3,1`` uses
+    (chain,) = builtin_block("sl2c", (3, 1))
+    p = BlockProvider()
+    p.register([Block("sl2c", chain.inf_char, chain.elements[:1], {(0, 0): (1,)})])
+    with pytest.raises(MissingBlock) as err:
+        p.find("sl2c", sl2c_param(1, 3))
+    assert str(err.value) == (
+        "no block at infinitesimal character ['3', '1'] contains the parameter PS(1,3)")
+
+
 def test_get_completes_the_partition_find_began(monkeypatch):
     calls = collections.Counter()
     _count_calls(monkeypatch, calls, blocks.GroupModel, "instantiate")

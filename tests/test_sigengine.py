@@ -440,6 +440,19 @@ def test_memo_holds_walks_only():
         assert p.deformation(("sl2c", sl2c_param(m, 3))) is not None, m
 
 
+def test_memo_holds_only_walks_that_crossed_a_wall():
+    # each query lies below its lowest wall: its walk crosses none and its
+    # answer is the rewrite at nu = 0, which reads no block
+    for group, g in (("sl2r", sl2r_ps_param(0, F(1, 2))),
+                     ("sl2r", sl2r_ps_param(1, F(3, 2))),
+                     ("sl2c", sl2c_param(0, F(1, 2)))):
+        p = BlockProvider()
+        first = deform_to_zero(g, p, group)
+        assert p._deformations == {}, g
+        second = deform_to_zero(g, p, group)
+        assert first == second and first is not second, g
+
+
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
 def test_shared_provider_matches_fresh_providers(fresh_deformations, order):
     queries = sorted(MEMO_QUERIES, key=lambda q: (q[1].nu, q[0], q[1].discrete.dlambda),

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import pytest
 
-from sigzero import sigengine
 from sigzero.blocks import (
     Block,
     BlockElement,
@@ -24,8 +23,9 @@ from sigzero.blocks import (
 )
 from sigzero.intpoly import p_add, p_mul, p_neg
 from sigzero.sigengine import (
-    _qc_column,
     _qc_inverse,
+    _qc_rows,
+    _solve_column,
     irreducible_in_standards,
     signature_P,
     signature_Q,
@@ -158,23 +158,4 @@ def test_on_demand_columns_match_the_full_inverse():
     for b in blocks:
         want = qc_columns(b)
         for e in b.elements:
-            assert _qc_column(b, e.id) == want[e.id]
-
-
-def test_unit_vector_column_never_enters_the_back_substitution(monkeypatch):
-    (chain, _) = builtin_block("sl2r", (F(3),))
-    solve = sigengine._solve_column
-    solved = []
-
-    def counting(order, rows, col):
-        solved.append(col)
-        return solve(order, rows, col)
-
-    monkeypatch.setattr(sigengine, "_solve_column", counting)
-    bottom, top = chain.elements[:2], chain.elements[2]
-    for e in bottom:  # DS+(3) and DS-(3): no Q entry above them
-        assert _qc_column(chain, e.id) == {e.id: WPoly.from_int_coeffs((1,))}
-    assert solved == []
-    # the column above them is solved, through the patched name
-    assert len(_qc_column(chain, top.id)) == 3
-    assert solved == [top.id]
+            assert _solve_column(_order(b), _qc_rows(b), e.id) == want[e.id]
