@@ -127,13 +127,12 @@ SL2C_CARTAN = CartanClass(
 _ZERO = Fraction(0)
 
 
-# the discrete parts of the spherical (eps = 0: grading +1, final) and the
-# nonspherical (eps = 1: grading -1, nonfinal) principal series, which every
-# such parameter shares
-_SPLIT_DISCRETE = tuple(
-    DiscreteParam(cartan="split", dlambda=(_ZERO,), grading={0: 1 if eps == 0 else -1},
-                  final=(eps == 0), ktype_parity=(0 if eps == 0 else None))
-    for eps in (0, 1))
+# the arguments of the discrete parts of the spherical (eps = 0: grading +1,
+# final) and the nonspherical (eps = 1: grading -1, nonfinal) principal
+# series, and the parts themselves, which every such parameter shares
+_SPLIT_ARGS = tuple(("split", (_ZERO,), {0: 1 if eps == 0 else -1}, None, eps == 0,
+                     0 if eps == 0 else None) for eps in (0, 1))
+_SPLIT_DISCRETE = tuple(DiscreteParam(*args) for args in _SPLIT_ARGS)
 _ZERO_NU = (_ZERO,)
 
 
@@ -151,18 +150,11 @@ def sl2r_ps_param(eps: int, nu: Fraction) -> LanglandsParam:
     return LanglandsParam(_SPLIT_DISCRETE[eps], (nu,))
 
 
-def _compact_discrete(sign: int, k: Fraction) -> DiscreteParam:
-    """The discrete part of ``sl2r_ds_param(sign, k)``."""
+def _compact_args(sign: int, k: Fraction) -> tuple:
+    """The arguments of the discrete part of ``sl2r_ds_param(sign, k)``."""
     lowest = sign * (k.numerator + 1)
     parity = 0 if lowest % 2 == 0 else (0 if lowest > 0 else 1)
-    return DiscreteParam(
-        cartan="compact",
-        dlambda=(k if sign == 1 else -k,),
-        grading={},
-        imaginary_grading={0: "noncompact"},
-        final=True,
-        ktype_parity=parity,
-    )
+    return ("compact", (k if sign == 1 else -k,), {}, {0: "noncompact"}, True, parity)
 
 
 def sl2r_ds_param(sign: int, k: Fraction) -> LanglandsParam:
@@ -175,18 +167,13 @@ def sl2r_ds_param(sign: int, k: Fraction) -> LanglandsParam:
     k = k if type(k) is Fraction else Fraction(k)
     if sign not in (1, -1) or k.numerator < 0 or k.denominator != 1:
         raise ValueError("discrete series needs sign +-1 and integer k >= 0")
-    return LanglandsParam(_compact_discrete(sign, k), _ZERO_NU)
+    return LanglandsParam(DiscreteParam(*_compact_args(sign, k)), _ZERO_NU)
 
 
-def _complex_discrete(m: Fraction) -> DiscreteParam:
-    half_m = m / 2
-    return DiscreteParam(cartan="complex", dlambda=(half_m, half_m), grading={},
-                         final=True, ktype_parity=None)
-
-
-def _complex_nu(v: Fraction) -> Tuple[Fraction, Fraction]:
-    half_v = v / 2
-    return (half_v, -half_v)
+def _complex_args(half_m: Fraction) -> tuple:
+    """The arguments of the discrete part of ``sl2c_param(m, v)``, from
+    m/2."""
+    return ("complex", (half_m, half_m), {}, None, True, None)
 
 
 def sl2c_param(m: Fraction, v: Fraction) -> LanglandsParam:
@@ -197,23 +184,38 @@ def sl2c_param(m: Fraction, v: Fraction) -> LanglandsParam:
         raise ValueError("sl2c discrete weight must be a nonnegative integer")
     if v < 0:
         raise ValueError("sl2c continuous coordinate needs v >= 0 (got %s)" % frac_str(v))
-    return LanglandsParam(_complex_discrete(m), _complex_nu(v))
+    half_v = v / 2
+    return LanglandsParam(DiscreteParam(*_complex_args(m / 2)), (half_v, -half_v))
 
 
 # ---------------------------------------------------------------------------
 # data structures
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class BlockElement:
     """One parameter in a block with its length, orientation number, and
-    optional tau-invariant (ids of simple integral roots)."""
+    optional tau-invariant (ids of simple integral roots).  It checks
+    nothing itself (``_validate_block`` checks a whole block); its one
+    ``__init__`` sets each attribute once."""
 
     id: int
     cartan: int
     length: int
     orient: int
     param: LanglandsParam
-    tau: Optional[frozenset] = None
+    tau: Optional[frozenset]
+
+    def __init__(self, id: int, cartan: int, length: int, orient: int,
+                 param: LanglandsParam, tau: Optional[frozenset] = None):
+        _set(self, "id", id)
+        _set(self, "cartan", cartan)
+        _set(self, "length", length)
+        _set(self, "orient", orient)
+        _set(self, "param", param)
+        _set(self, "tau", tau)
 
 
 @dataclass(frozen=True, eq=False)
@@ -526,14 +528,22 @@ def parse_block(data: Union[bytes, str, Mapping]) -> Block:
 # ---------------------------------------------------------------------------
 # group models
 
-# one block in closed form: per element its id, the discrete part and nu of
-# its parameter, and its tau-invariant; and its Q
-Slot = Tuple[int, DiscreteParam, Tuple[Fraction, ...], frozenset]
+# one block in closed form: per element its id, the arguments of the
+# discrete part of its parameter (``DiscreteParam.args``), its nu and its
+# tau-invariant; and its Q
+Slot = Tuple[int, tuple, Tuple[Fraction, ...], frozenset]
 Form = Tuple[List[Slot], Dict[Tuple[int, int], IntPoly]]
 
+# the tau-invariants and Q of the closed forms; a block copies its Q when
+# it is validated and shares its shape's otherwise, so these are only read
+_NO_TAU, _TAU_0 = frozenset(), frozenset({0})
+_UNIT_Q = tuple({(eid, eid): (1,)} for eid in range(4))
+_SL2R_CHAIN_Q = {(0, 0): (1,), (1, 1): (1,), (2, 2): (1,), (0, 2): (1,), (1, 2): (1,)}
+_SL2C_CHAIN_Q = {(0, 0): (1,), (1, 1): (1,), (0, 1): (1,)}
 
-def _singleton(eid: int, d: DiscreteParam, nu: Tuple[Fraction, ...]) -> Form:
-    return [(eid, d, nu, frozenset())], {(eid, eid): (1,)}
+
+def _singleton(eid: int, args: tuple, nu: Tuple[Fraction, ...]) -> Form:
+    return [(eid, args, nu, _NO_TAU)], _UNIT_Q[eid]
 
 
 class GroupModel:
@@ -584,19 +594,22 @@ class GroupModel:
     def forms(self, ic: Tuple[Fraction, ...]) -> List[Form]:
         """The blocks at the canonical key ``ic`` in closed form, in
         partition order: the one description of the built-in blocks, which
-        ``place`` reads and ``instantiate`` builds."""
+        ``place`` reads and ``instantiate`` builds.  A slot gives its
+        parameter as the arguments of its discrete part and its nu, so
+        that no ``DiscreteParam`` is built to read a form."""
         raise UnsupportedGroup("no built-in model for group %r" % self.name)
 
     @staticmethod
     def place(forms: List[Form], g: LanglandsParam) -> Optional[Tuple[int, int]]:
         """The index of the block of ``forms`` that holds ``g`` and the id of
         its slot that does; None when no block holds ``g``.  A slot holds
-        ``g`` when ``g`` is real and has its discrete part and nu:
-        ``LanglandsParam`` equality."""
+        ``g`` when ``g`` is real and has its nu and the arguments of its
+        discrete part, which is ``LanglandsParam`` equality."""
         if g.nu_im is None:
+            args = g.discrete.args()
             for i, (slots, _) in enumerate(forms):
-                for eid, d, nu, _ in slots:
-                    if nu == g.nu and d == g.discrete:
+                for eid, slot_args, nu, _ in slots:
+                    if nu == g.nu and slot_args == args:
                         return i, eid
         return None
 
@@ -605,7 +618,8 @@ class GroupModel:
         """Block ``i`` of the partition at the canonical key ``ic``, built
         from its closed ``form``: each slot's parameter, with lengths and
         orientation numbers.  ``held`` is a slot id and the parameter
-        ``place`` found there, which that slot takes as it is.
+        ``place`` found there, which that slot takes as it is, so a wall
+        lookup builds the parameters of the other slots only.
 
         ``shapes`` maps a family key to the Cartan indices, lengths and
         orientation numbers of a block's elements, its validated Q and the
@@ -620,8 +634,8 @@ class GroupModel:
         orientation numbers and Q; the family's first block is validated."""
         slots, Q = form
         hid, hg = held or (None, None)
-        specs = [(eid, hg if eid == hid else LanglandsParam(d, nu), tau)
-                 for eid, d, nu, tau in slots]
+        specs = [(eid, hg if eid == hid else LanglandsParam(DiscreteParam(*args), nu), tau)
+                 for eid, args, nu, tau in slots]
         family = (self.name,
                   tuple((x.denominator, x.numerator % (2 * x.denominator), x.numerator > 0)
                         for x in ic),
@@ -685,29 +699,28 @@ class _SL2R(GroupModel):
 
     def forms(self, ic: Tuple[Fraction, ...]) -> List[Form]:
         (k,) = ic
-        ps = (k,)
         if k == 0:
             # singular point: the spherical principal series and the two
             # limits of discrete series are all irreducible
             return [
-                _singleton(0, _SPLIT_DISCRETE[0], ps),
-                _singleton(1, _compact_discrete(1, k), _ZERO_NU),
-                _singleton(2, _compact_discrete(-1, k), _ZERO_NU),
+                _singleton(0, _SPLIT_ARGS[0], ic),
+                _singleton(1, _compact_args(1, k), _ZERO_NU),
+                _singleton(2, _compact_args(-1, k), _ZERO_NU),
             ]
         if k.denominator == 1:
             # reducible parity: spherical at odd k, nonspherical at even k
             red_eps = 0 if k.numerator % 2 == 1 else 1
             chain = (
                 [
-                    (0, _compact_discrete(1, k), _ZERO_NU, frozenset({0})),
-                    (1, _compact_discrete(-1, k), _ZERO_NU, frozenset({0})),
-                    (2, _SPLIT_DISCRETE[red_eps], ps, frozenset()),
+                    (0, _compact_args(1, k), _ZERO_NU, _TAU_0),
+                    (1, _compact_args(-1, k), _ZERO_NU, _TAU_0),
+                    (2, _SPLIT_ARGS[red_eps], ic, _NO_TAU),
                 ],
-                {(0, 0): (1,), (1, 1): (1,), (2, 2): (1,), (0, 2): (1,), (1, 2): (1,)},
+                _SL2R_CHAIN_Q,
             )
-            return [chain, _singleton(3, _SPLIT_DISCRETE[1 - red_eps], ps)]
+            return [chain, _singleton(3, _SPLIT_ARGS[1 - red_eps], ic)]
         # nonintegral: two irreducible principal series
-        return [_singleton(0, _SPLIT_DISCRETE[0], ps), _singleton(1, _SPLIT_DISCRETE[1], ps)]
+        return [_singleton(0, _SPLIT_ARGS[0], ic), _singleton(1, _SPLIT_ARGS[1], ic)]
 
     def label(self, param: LanglandsParam) -> str:
         d = param.discrete
@@ -781,25 +794,28 @@ class _SL2C(GroupModel):
 
     def forms(self, ic: Tuple[Fraction, ...]) -> List[Form]:
         a, b = ic
+        # the key holds 2 dlambda_1 and 2 nu_1; a slot's parameter holds
+        # their halves
+        half_a, half_b = a / 2, b / 2
         if (
             a.denominator == 1
             and b.denominator == 1
             and a > b
-            and (a - b) % 2 == 0
+            and (a.numerator - b.numerator) % 2 == 0
         ):
             # one 2-chain: I(b, a) has the J(a, b) constituent below
             return [(
-                [(0, _complex_discrete(a), _complex_nu(b), frozenset()),
-                 (1, _complex_discrete(b), _complex_nu(a), frozenset({0}))],
-                {(0, 0): (1,), (1, 1): (1,), (0, 1): (1,)},
+                [(0, _complex_args(half_a), (half_b, -half_b), _NO_TAU),
+                 (1, _complex_args(half_b), (half_a, -half_a), _TAU_0)],
+                _SL2C_CHAIN_Q,
             )]
-        coords = [(a, b)] if a.denominator == 1 else []
+        halves = [(half_a, half_b)] if a.denominator == 1 else []
         if b.denominator == 1 and b != a:
-            coords.append((b, a))
-        if not coords:
+            halves.append((half_b, half_a))
+        if not halves:
             raise ValueError("no sl2c parameter: neither coordinate is an integer")
-        return [_singleton(i, _complex_discrete(m), _complex_nu(v))
-                for i, (m, v) in enumerate(coords)]
+        return [_singleton(i, _complex_args(half_m), (half_v, -half_v))
+                for i, (half_m, half_v) in enumerate(halves)]
 
     def label(self, param: LanglandsParam) -> str:
         return "PS(%s,%s)" % (
@@ -846,7 +862,8 @@ class BlockProvider:
 
     The provider owns three caches, each one empty when the provider is
     created and private to it: the built-in partitions it has served (None
-    for each block ``find`` has not built yet; ``get`` fills them in), one
+    for each block ``find`` has not built yet, and an empty list at a key
+    where ``find`` placed nothing; ``get`` fills them in), one
     validated block shape per translation family (so a block is validated
     once per shape, not once per wall; the shape also holds the jump table
     its blocks share), and the results of ``deform_to_zero``.  A built-in
@@ -872,14 +889,24 @@ class BlockProvider:
         self._deformations: Dict[tuple, object] = {}
 
     def register(self, blocks: Sequence[Block]) -> None:
+        """File the blocks of one library under their common key.  A list
+        whose blocks lie at two keys, or a key already registered, raises
+        ValueError, and nothing is stored."""
         if not blocks:
             return
-        group = blocks[0].group
-        key = (group, group_model(group).key(blocks[0].inf_char))
+        keys = [(b.group, group_model(b.group).key(b.inf_char)) for b in blocks]
+        key = keys[0]
+        for other in keys:
+            if other != key:
+                raise ValueError(
+                    "one block library at two keys: %s at %s and %s at %s"
+                    % (key[0], [frac_str(x) for x in key[1]],
+                       other[0], [frac_str(x) for x in other[1]])
+                )
         if key in self._store:
             raise ValueError(
                 "duplicate block library for %s at %s"
-                % (group, [frac_str(x) for x in key[1]])
+                % (key[0], [frac_str(x) for x in key[1]])
             )
         self._store[key] = list(blocks)
         self._deformations.clear()
@@ -891,7 +918,7 @@ class BlockProvider:
             return self._store[key]
         if model.cartans:
             blocks = self._builtin.get(key)
-            if blocks is None:
+            if not blocks:
                 blocks = self._builtin[key] = builtin_block(group, inf_char, self._shapes)
             elif None in blocks:
                 # a partition ``find`` began: build only the blocks it has not
@@ -910,24 +937,28 @@ class BlockProvider:
         index in the partition ``get`` serves there.  A registered library
         is searched alone; else the built-in blocks already built are
         searched, and only a miss builds the block that holds ``g``, by
-        ``place`` and ``instantiate``.  When no block there holds ``g``,
-        raises MissingBlock naming that key."""
+        ``place`` and ``instantiate``: its other slots get parameters of
+        their own, and ``g``'s slot takes ``g``.  While no library is
+        registered, the key is hashed once: the partition's list is looked
+        up and, on a cold key, filed by one ``setdefault``.  When no block
+        there holds ``g``, raises MissingBlock naming that key."""
         model = group_model(group)
         ic = model.block_key(g)
         key = (group, ic)
-        library = self._store.get(key)
-        blocks = library if library is not None else self._builtin.get(key, ())
+        library = self._store.get(key) if self._store else None
+        built_in = library is None and model.cartans
+        blocks = self._builtin.setdefault(key, []) if built_in else library or ()
         for i, blk in enumerate(blocks):
             e = None if blk is None else blk.find(g)
             if e is not None:
                 return blk, e, i
-        if library is None and model.cartans:
+        if built_in:
             forms = model.forms(ic)
             placed = model.place(forms, g)
             if placed is not None:
                 i, eid = placed
                 if not blocks:
-                    blocks = self._builtin[key] = [None] * len(forms)
+                    blocks.extend([None] * len(forms))
                 blk = blocks[i] = model.instantiate(ic, i, forms[i], self._shapes, (eid, g))
                 return blk, blk.element(eid), i
         raise MissingBlock(

@@ -24,10 +24,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
 from itertools import groupby
+from types import MappingProxyType
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import SchemaError
@@ -134,70 +135,94 @@ class CartanClass:
     restricted: Tuple[RestrictedRoot, ...]
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class DiscreteParam:
     """Discrete part Lambda: Cartan class id, d lambda, gradings, finality,
     and the optional K-type parity bit epsilon.
 
-    ``dlambda_sq`` is $|d\\lambda|^2$ as (numerator, denominator) integers,
-    computed once, for the recursion bound."""
+    The one ``__init__`` checks the values and sets each attribute once:
+    ``dlambda`` as a tuple of Fractions, ``grading`` as a dict of its own,
+    ``dlambda_sq``, $|d\\lambda|^2$ as (numerator, denominator) integers
+    for the recursion bound, and the hash.  ``args()`` gives the arguments
+    that rebuild it, in the order its fields are compared."""
 
     cartan: str
     dlambda: Tuple[Fraction, ...]
-    grading: Mapping[int, int] = field(default_factory=dict)
-    imaginary_grading: Optional[Mapping[int, str]] = None
-    final: bool = True
-    ktype_parity: Optional[int] = None
+    grading: Mapping[int, int]
+    imaginary_grading: Optional[Mapping[int, str]]
+    final: bool
+    ktype_parity: Optional[int]
 
-    def __post_init__(self):
-        dl, grading = _vec(self.dlambda), dict(self.grading)
-        object.__setattr__(self, "dlambda", dl)
-        object.__setattr__(self, "grading", grading)
+    def __init__(self, cartan: str, dlambda: Sequence,
+                 grading: Mapping[int, int] = MappingProxyType({}),
+                 imaginary_grading: Optional[Mapping[int, str]] = None,
+                 final: bool = True, ktype_parity: Optional[int] = None):
+        dl, grading = _vec(dlambda), dict(grading)
         for i, g in grading.items():
             if g not in (1, -1):
                 raise ValueError("grading values must be +-1 (root %d)" % i)
-        if self.final and -1 in grading.values():
+        if final and -1 in grading.values():
             raise ValueError("final discrete parameter must have grading +1 "
                              "on every real root")
-        if self.ktype_parity not in (None, 0, 1):
+        if ktype_parity not in (None, 0, 1):
             raise ValueError("ktype_parity must be 0, 1, or None")
-        object.__setattr__(self, "dlambda_sq", _norm_sq_parts(dl))
-        object.__setattr__(self, "_hash", hash((
-            self.cartan, dl, tuple(sorted(grading.items())), self.final, self.ktype_parity)))
+        _set(self, "cartan", cartan)
+        _set(self, "dlambda", dl)
+        _set(self, "grading", grading)
+        _set(self, "imaginary_grading", imaginary_grading)
+        _set(self, "final", final)
+        _set(self, "ktype_parity", ktype_parity)
+        _set(self, "dlambda_sq", _norm_sq_parts(dl))
+        _set(self, "_hash", hash((
+            cartan, dl, tuple(sorted(grading.items())), final, ktype_parity)))
 
     def __hash__(self) -> int:
         return self._hash
 
+    def args(self) -> tuple:
+        """The arguments that rebuild this discrete part, which equal those
+        of another exactly when the two parts are equal."""
+        return (self.cartan, self.dlambda, self.grading, self.imaginary_grading,
+                self.final, self.ktype_parity)
+
     def __reduce__(self):  # rebuild when unpickled: string hashes vary by process
-        return DiscreteParam, (self.cartan, self.dlambda, self.grading,
-                               self.imaginary_grading, self.final, self.ktype_parity)
+        return DiscreteParam, self.args()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LanglandsParam:
     """Full parameter (Lambda, nu), nu exact rational, optionally with an
     imaginary part nu_im; an all-zero nu_im is stored as None, so a real
-    parameter has one representation.  ``gamma`` is the infinitesimal
-    character $d\\lambda + \\nu$, computed once."""
+    parameter has one representation.  The one ``__init__`` checks the
+    vector lengths and sets each attribute once: ``nu`` as a tuple of
+    Fractions, ``gamma``, the infinitesimal character
+    $d\\lambda + \\nu$, and the hash."""
 
     discrete: DiscreteParam
     nu: Tuple[Fraction, ...]
-    nu_im: Optional[Tuple[Fraction, ...]] = None
+    nu_im: Optional[Tuple[Fraction, ...]]
 
-    def __post_init__(self):
-        nu, dl = _vec(self.nu), self.discrete.dlambda
+    def __init__(self, discrete: DiscreteParam, nu: Sequence,
+                 nu_im: Optional[Sequence] = None):
+        nu, dl = _vec(nu), discrete.dlambda
         if len(nu) != len(dl):
             raise ValueError("dlambda and nu need one length")
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "gamma", nu if not any(dl) else dl if not any(nu)
-                           else tuple(a + b for a, b in zip(dl, nu)))
-        if self.nu_im is not None:
-            nu_im = _vec(self.nu_im)
-            if len(nu_im) != len(self.nu):
+        if nu_im is not None:
+            nu_im = _vec(nu_im)
+            if len(nu_im) != len(nu):
                 raise ValueError("nu_im and nu need one length")
-            object.__setattr__(self, "nu_im", nu_im if any(nu_im) else None)
+            if not any(nu_im):
+                nu_im = None
+        _set(self, "discrete", discrete)
+        _set(self, "nu", nu)
+        _set(self, "nu_im", nu_im)
+        _set(self, "gamma", nu if not any(dl) else dl if not any(nu)
+             else tuple(a + b for a, b in zip(dl, nu)))
         # hashed once: parameters key the memo and every signature term
-        object.__setattr__(self, "_hash", hash((self.discrete, self.nu, self.nu_im)))
+        _set(self, "_hash", hash((discrete, nu, nu_im)))
 
     def __hash__(self) -> int:
         return self._hash

@@ -4,6 +4,7 @@ serialization and invariant enforcement."""
 import collections
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -34,7 +35,7 @@ from sigzero.blocks import (
     split_components,
 )
 from sigzero.cli import main
-from sigzero.params import LanglandsParam, crossing_times
+from sigzero.params import DiscreteParam, LanglandsParam, crossing_times
 from sigzero.sigengine import deform_to_zero, unitary_test
 from sigzero.errors import (
     InvariantViolation,
@@ -311,6 +312,18 @@ def test_cold_deformation_builds_one_block_per_wall(monkeypatch):
     assert calls == {"instantiate": 40}
 
 
+def test_cold_sl2c_walk_builds_one_discrete_part_per_find(monkeypatch):
+    # a wall point's own slot takes the wall point: a chain's lookup builds
+    # the discrete part of the other slot only
+    g = sl2c_param(3, F(41, 2))
+    calls = collections.Counter()
+    _count_calls(monkeypatch, calls, BlockProvider, "find")
+    _count_calls(monkeypatch, calls, DiscreteParam, "__init__")
+    deform_to_zero(g, BlockProvider(), "sl2c")
+    assert calls["find"] == 18
+    assert calls["__init__"] <= calls["find"]
+
+
 def test_find_agrees_with_the_partition():
     for group, ic in _built_in_keys():
         for i, blk in enumerate(builtin_block(group, ic)):
@@ -407,6 +420,51 @@ def test_found_builtin_block_never_shadows_a_library():
         unitary_test(sl2r_ps_param(1, 3), p)
     assert str(err.value) == (
         "no block at infinitesimal character ['3'] contains the parameter PS-(3)")
+
+
+def test_register_refuses_blocks_at_two_keys():
+    chain5 = builtin_block("sl2r", (5,))[0]
+    Q = dict(chain5.Q)
+    Q[(0, 2)] = (2,)
+    doubled = Block(chain5.group, chain5.inf_char, chain5.elements, Q)
+    g = sl2r_ps_param(0, F(11, 2))
+    p = BlockProvider()
+    want = deform_to_zero(g, p)
+    for library, text in (
+            ([builtin_block("sl2r", (3,))[0], doubled],
+             "one block library at two keys: sl2r at ['3'] and sl2r at ['5']"),
+            ([doubled, Block("psl2r", chain5.inf_char, chain5.elements, chain5.Q)],
+             "one block library at two keys: sl2r at ['5'] and psl2r at ['5']")):
+        with pytest.raises(ValueError) as err:
+            p.register(library)
+        assert str(err.value) == text
+    # nothing was stored: the walk still crosses the built-in chain at 5
+    assert p._store == {} and deform_to_zero(g, p) == want
+    p.register([doubled])
+    got = {lab.text: w for lab, w in deform_to_zero(g, p).items()}
+    assert (got["DS+(5)"].p, got["DS+(5)"].q) == (-2, 2)
+
+
+def test_block_element_compares_hashes_prints_and_replaces_by_fields():
+    g, h = sl2r_ps_param(0, F(3)), sl2r_ps_param(1, F(3))
+    e = BlockElement(2, 1, 1, 0, g, frozenset())
+    assert e == BlockElement(id=2, cartan=1, length=1, orient=0,
+                             param=sl2r_ps_param(0, F(3)), tau=frozenset())
+    assert hash(e) == hash((2, 1, 1, 0, g, frozenset()))
+    assert e != BlockElement(2, 1, 1, 0, h, frozenset())
+    assert e != BlockElement(2, 1, 1, 0, g) and BlockElement(2, 1, 1, 0, g).tau is None
+    assert e != (2, 1, 1, 0, g, frozenset())
+    assert repr(e) == (
+        "BlockElement(id=2, cartan=1, length=1, orient=0, param=LanglandsParam("
+        "discrete=DiscreteParam(cartan='split', dlambda=(Fraction(0, 1),), "
+        "grading={0: 1}, imaginary_grading=None, final=True, ktype_parity=0), "
+        "nu=(Fraction(3, 1),), nu_im=None), tau=frozenset())")
+    moved = dataclasses.replace(e, param=h, tau=frozenset({0}))
+    assert (moved.id, moved.cartan, moved.length, moved.orient, moved.param, moved.tau) == (
+        2, 1, 1, 0, h, frozenset({0}))
+    assert dataclasses.replace(e) == e and e.param is g
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.length = 3
 
 
 def test_register_wins_and_leaves_built_in_shapes_correct():

@@ -1,5 +1,6 @@
 """Langlands parameters, arrangements and crossing times."""
 
+import dataclasses
 import json
 import os
 import pickle
@@ -80,6 +81,47 @@ def test_discrete_param_final_consistency():
         DiscreteParam(
             cartan="split", dlambda=(F(0),), grading={0: -1}, final=True
         )
+
+
+def test_discrete_param_checks_keep_their_texts():
+    # the grading values are checked first, then finality, then the parity bit
+    cases = [
+        (dict(grading={0: 2}), "grading values must be +-1 (root 0)"),
+        (dict(grading={3: 0}, final=False, ktype_parity=7),
+         "grading values must be +-1 (root 3)"),
+        (dict(grading={0: -1}),
+         "final discrete parameter must have grading +1 on every real root"),
+        (dict(grading={0: -1}, ktype_parity=2),
+         "final discrete parameter must have grading +1 on every real root"),
+        (dict(ktype_parity=2), "ktype_parity must be 0, 1, or None"),
+        (dict(grading={0: -1}, final=False, ktype_parity=-1),
+         "ktype_parity must be 0, 1, or None"),
+    ]
+    for kwargs, text in cases:
+        with pytest.raises(ValueError) as err:
+            DiscreteParam("split", (F(0),), **kwargs)
+        assert str(err.value) == text, kwargs
+
+
+def test_params_keep_their_defaults_repr_and_frozen_fields():
+    grading = {0: 1}
+    d = DiscreteParam("split", (0,), grading)
+    grading[0] = -1
+    # dlambda becomes Fractions and the grading a dict of its own
+    assert (d.dlambda, d.grading, d.imaginary_grading, d.final, d.ktype_parity) == (
+        (F(0),), {0: 1}, None, True, None)
+    assert type(d.dlambda[0]) is F and type(d.grading) is dict
+    assert DiscreteParam("split", (0,)).grading == {}
+    assert DiscreteParam("split", (0,)) != d
+    g = sl2c_param(3, F(5, 2))
+    assert repr(g) == (
+        "LanglandsParam(discrete=DiscreteParam(cartan='complex', dlambda=(Fraction(3, 2), "
+        "Fraction(3, 2)), grading={}, imaginary_grading=None, final=True, "
+        "ktype_parity=None), nu=(Fraction(5, 4), Fraction(-5, 4)), nu_im=None)")
+    assert g.gamma == (F(11, 4), F(1, 4)) and F(*g.discrete.dlambda_sq) == F(9, 2)
+    for obj, name in ((g, "nu"), (g.discrete, "final")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
 
 
 def test_nonspherical_zero_nu_is_the_formal_limit():
