@@ -25,16 +25,24 @@ $c$ are $\\geq v_c$ and all of them sum to $D$, so each of $c$ is $< N_c$.
 ``_local`` makes $D$ and the expansion in one pass over the components,
 once per elimination; the elimination itself checks its orders against $D$.
 The elimination pivots on minimal valuation over the whole family,
-row-major on ties.  The Schur complement never leaves the pivot's
-component; division by a pivot of valuation $v$ keeps absolute precision
-$N_c - v \\geq 1$ and the update keeps $N_c$, so every entry that can win
-or tie a pivot is read exactly and an entry that truncates to zero is never
-one: the truncation is exact, and the pivot order is that of any higher
-precision.  Orders, residual signs (the factor $b > 0$ between $U$ and
-$t - t_0$ keeps them) and the adapted basis (the column operations modulo
-$U$, in their order) are those of the elimination over $\\mathbb{Q}(t)$.
-In the symmetric elimination a strictly off-diagonal minimum $(i, j)$ adds
-row and column $j$ to row and column $i$; this joins a component with its
+row-major on ties, on integers alone: each component is expanded times the
+least positive integer that clears its denominators.  The Schur complement
+never leaves the pivot's component; a quotient by a pivot of valuation $v$
+has absolute precision $N_c - v \\geq 1$ and the update keeps $N_c$, so
+every entry that can win or tie a pivot is read exactly and an entry that
+truncates to zero is never one.  A row $i$ meeting the pivot becomes
+$\\lambda a_i - a_{ik} \\lambda a_k / a_{kk}$, $\\lambda > 0$ the least
+integer making the quotient integral, divided by its content: a unit
+multiple of the Schur-complement row, so valuations, the pivot order and
+the quotients $a_{kj} / a_{kk}$ (whose values at $U^0$ build the adapted
+basis) do not change.  The symmetric elimination updates the block its
+pivot's row reaches with one $\\lambda$ and one content, a congruence up
+to a positive factor, which keeps residual signs, as does $b > 0$ in
+$U = b(t - t_0)$.  Orders, signs and bases are those of the elimination
+over $\\mathbb{Q}(t)$, and each row (block) is the least integer multiple of
+its rational value, so the integers grow as those rationals do, not by
+doubling at every step.  A strictly off-diagonal minimum $(i, j)$ adds row
+and column $j$ to row and column $i$, joining a component with its
 transpose, which has the same $v_c$ and $n_c$, so the same $N_c$.
 
 The oracle diagonalizes the long intertwining operator of SL(2,R) principal
@@ -61,7 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import DegenerateResidual, SchemaError, SingularFamily
@@ -285,32 +293,42 @@ def _bareiss_order(L: RatMatrix, t0: Fraction) -> Optional[int]:
 
 def _lead(c: Sequence) -> int:
     """Index of the first nonzero coefficient."""
-    return next(i for i, x in enumerate(c) if x)
+    for i, x in enumerate(c):
+        if x:
+            return i
 
 
-def _norm(x):
-    """A Fraction with denominator 1 as an int, which is cheaper to use."""
-    return x.numerator if x.denominator == 1 else x
+def _series(num: Sequence[int], den: Sequence[int], P: int, e: int = 1):
+    """(x, d) with num / (e den) = x / d modulo U^P, for den[0] != 0 and e
+    > 0: P integers and d > 0 with no common factor.  Coefficient r of num
+    / den has denominator den[0]^(r+1), so every division below is exact."""
+    c0 = den[0]
+    if len(den) == 1:
+        x, d = list(num[:P]) + [0] * (P - len(num)), c0 * e
+    else:
+        d, x = c0 ** P, []
+        for r in range(P):
+            acc = d * num[r] if r < len(num) else 0
+            for s in range(1, min(r, len(den) - 1) + 1):
+                acc -= den[s] * x[r - s]
+            x.append(acc // c0)
+        d *= e
+    g = gcd(d, *x) if d > 0 else -gcd(d, *x)
+    if g != 1:
+        x, d = [c // g for c in x], d // g
+    return x, d
 
 
-def _inverse(c: Sequence, prec: int) -> list:
-    """1/c modulo U^prec, for c[0] != 0."""
-    inv = [_norm(Fraction(1, c[0]))]
-    for r in range(1, prec):
-        acc = sum(c[s] * inv[r - s] for s in range(1, min(r, len(c) - 1) + 1))
-        inv.append(_norm(-acc * inv[0]))
-    return inv
-
-
-def _sub_mul(x, y: list, q: list, W: int):
-    """x - y q modulo U^(m+W), for x and y over U^m .. U^(m+W-1) and q over
-    U^0 ..: W = N - m coefficients for the precision N of a component."""
-    out = list(x) if x is not None else [0] * W
-    for s, c in enumerate(y):
+def _sub_mul(x, s: int, y: list, q: list, W: int):
+    """s x - y q modulo U^(m+W), for x and y over U^m .. U^(m+W-1), x None
+    for zero, and q over U^0 ..: W = N - m coefficients for the precision N
+    of a component."""
+    out = [0] * W if x is None else list(x) if s == 1 else [s * c for c in x]
+    for i, c in enumerate(y):
         if c:
-            for r, d in enumerate(q[: W - s]):
+            for r, d in enumerate(q[: W - i]):
                 if d:
-                    out[s + r] -= c * d
+                    out[i + r] -= c * d
     return out if any(out) else None
 
 
@@ -321,7 +339,8 @@ def _local(L: RatMatrix, t0: Fraction) -> Optional[Tuple[int, int, list]]:
     holds the entries of L expanded at t0, m = min(0, least entry
     valuation): an entry of component c is kept modulo U^N_c, N_c = D -
     sum_c' n_c' v_c' + v_c + 1 (v_c its least entry valuation, n_c its
-    number of rows), as its N_c - m coefficients."""
+    number of rows), as its N_c - m coefficients, and all of c is scaled by
+    the least positive integer that makes them integers."""
     D = 0
     comps = []
     for rows, cols in _components(L):
@@ -344,15 +363,21 @@ def _local(L: RatMatrix, t0: Fraction) -> Optional[Tuple[int, int, list]]:
     m = min([0] + [v for _, v, _ in comps])
     N0 = D - sum(k * v for k, v, _ in comps) + 1
     a: list = [[None] * len(L) for _ in L]
+    b = t0.denominator
     for _, v, cells in comps:
         W = N0 + v - m
+        kept = []
         for i, j, pn, vn, pd, vd, dd in cells:
             lo = vn - vd - m
             if lo < W:
                 # f = b^dd pn / pd as U^(vn - vd) times a unit series
-                scale = -_norm(Fraction(t0.denominator) ** dd)
-                q = [_norm(scale * x) for x in _inverse(pd[vd:], W - lo)]
-                a[i][j] = _sub_mul(None, ([0] * lo + list(pn[vn:]))[:W], q, W)
+                e = b ** abs(dd)
+                num = [c * e for c in pn[vn:]] if dd > 0 else pn[vn:]
+                x, d = _series(num, pd[vd:], W - lo, e if dd < 0 else 1)
+                kept.append((i, j, lo, x, d))
+        scale = lcm(*(d for _, _, _, _, d in kept))
+        for i, j, lo, x, d in kept:
+            a[i][j] = [0] * lo + (x if d == scale else [scale // d * c for c in x])
     return D, m, a
 
 
@@ -364,17 +389,35 @@ def _pivot(a: list, k: int):
     return min(cells, default=None)
 
 
-def _quotients(a: list, k: int) -> list:
-    """a[k][j] / a[k][k] for j > k (None otherwise) over U^0 .. U^(N-v-1):
-    a quotient by a pivot of valuation v has absolute precision N - v, for
-    the precision N of the pivot's component."""
+def _eliminate(a: list, k: int, groups) -> Tuple[int, list]:
+    """Clear the pivot a_kk of valuation v from each group (rows, cols):
+    a_ij becomes lam a_ij - a_ik q_j, then the group is divided by the gcd
+    of its coefficients.  (lam, q): q_j = lam a_kj / a_kk for j > k over U^0
+    .. U^(W-v-1) (absolute precision N - v), lam > 0 least making it
+    integral, W the width of the pivot's component."""
     p = a[k][k]
     lo, W = _lead(p), len(p)
-    q = [-x for x in _inverse(p[lo:], W - lo)]
-    return [
-        None if j <= k or x is None else _sub_mul(None, x[lo:], q, W - lo)
+    inv, lam = _series((1,), p[lo:], W - lo)
+    r = [-c for c in inv]
+    q = [
+        None if j <= k or x is None else _sub_mul(None, 1, x[lo:], r, W - lo)
         for j, x in enumerate(a[k])
     ]
+    for rows, cols in groups:
+        for i in rows:
+            row, y = a[i], a[i][k]
+            for j in cols:
+                if y is not None and q[j] is not None:
+                    row[j] = _sub_mul(row[j], lam, y, q[j], W)
+                elif row[j] is not None and lam != 1:
+                    row[j] = [lam * c for c in row[j]]
+        g = gcd(*(c for i in rows for j in cols if a[i][j] is not None for c in a[i][j]))
+        for i in rows if g > 1 else ():
+            row = a[i]
+            for j in cols:
+                if row[j] is not None:
+                    row[j] = [c // g for c in row[j]]
+    return lam, q
 
 
 def jantzen_levels(
@@ -403,21 +446,18 @@ def jantzen_levels(
         if pj != k:
             for row in a + C:
                 row[k], row[pj] = row[pj], row[k]
-        # clearing the pivot row only changes C; clearing the pivot column
-        # leaves the Schur complement a_ij - a_ik a_kj / a_kk, inside the
-        # pivot's component and at its precision
-        q = _quotients(a, k)
-        W = len(a[k][k])
+        # clearing the pivot row only changes C, by the exact multipliers
+        # a_kj / a_kk at U^0; clearing the pivot column leaves each row i >
+        # k that meets it a positive integer times its Schur complement row,
+        # inside the pivot's component and at its precision
+        rows = [i for i in range(k + 1, n) if a[i][k] is not None]
+        lam, q = _eliminate(a, k, [((i,), range(k + 1, n)) for i in rows])
         for j in range(k + 1, n):
-            if q[j] is None:
-                continue
-            f = q[j][0]
-            if f:
+            if q[j] is not None and q[j][0]:
+                f = q[j][0]
+                f = f // lam if f % lam == 0 else Fraction(f, lam)
                 for row in C:
                     row[j] -= f * row[k]
-            for i in range(k + 1, n):
-                if a[i][k] is not None:
-                    a[i][j] = _sub_mul(a[i][j], a[i][k], q[j], W)
         orders[k] = v + m
     if D != sum(orders):
         raise SingularFamily(
@@ -465,22 +505,25 @@ def level_signatures(L: RatMatrix, t0) -> List[Tuple[int, WElem]]:
             W = len(a[i0][j0])
             for c in range(k, n):
                 if a[j0][c] is not None:
-                    a[i0][c] = _sub_mul(a[i0][c], a[j0][c], [-1], W)
+                    a[i0][c] = _sub_mul(a[i0][c], 1, a[j0][c], [-1], W)
             for r in range(k, n):
                 if a[r][j0] is not None:
-                    a[r][i0] = _sub_mul(a[r][i0], a[r][j0], [-1], W)
+                    a[r][i0] = _sub_mul(a[r][i0], 1, a[r][j0], [-1], W)
             pi = i0
         if pi != k:
             a[k], a[pi] = a[pi], a[k]
             for row in a:
                 row[k], row[pi] = row[pi], row[k]
-        q = _quotients(a, k)
-        W = len(a[k][k])
-        for i in range(k + 1, n):
-            if a[i][k] is not None:
-                for j in range(i, n):
-                    if q[j] is not None:
-                        a[i][j] = a[j][i] = _sub_mul(a[i][j], a[i][k], q[j], W)
+        # the same update by a congruence: the block B of indices > k that
+        # the pivot's row reaches in the trailing support becomes a
+        # positive integer times its Schur complement, which keeps every
+        # residual sign
+        B, todo = set(), [k]
+        while todo:
+            row = a[todo.pop()]
+            todo += [j for j in range(k + 1, n) if row[j] is not None and j not in B]
+            B.update(todo)
+        _eliminate(a, k, [(B, B)])
         w = W_ONE if a[k][k][v] > 0 else W_S
         levels[v + m] = levels.get(v + m, WElem(0, 0)) + w
     total = sum(r * w.forget() for r, w in levels.items())

@@ -141,6 +141,13 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
         # 2, a 3x3 block with an off-diagonal pole, and a 1x1 entry of
         # order 2 that ties the pair
         ("sym_mirrored.json", "1/2", "sym_mirrored_at_1_2.out.json"),
+        # not symmetric, pentadiagonal 8x8 at t0 = 2: a multi-step
+        # elimination with planted leading coefficients 2 and -3, non-unit
+        # pivots and rational basis entries
+        ("banded8.json", "2", "banded8_at_2.out.json"),
+        # symmetric 8x8 at t0 = -2/3 with denominators: two hyperbolic
+        # pairs send the congruence elimination down its off-diagonal branch
+        ("sym_offdiag.json", "-2/3", "sym_offdiag_at_-2_3.out.json"),
     ],
 )
 def test_jantzen_json_golden(capsys, family, at, golden):

@@ -734,11 +734,16 @@ def test_intertwining_order_counts_ktypes_above_the_wall(cutoff):
 # + v_c + 1; the levels, the bases in their order, the signatures and the
 # errors must not change.
 
+def _norm(x):
+    """A Fraction with denominator 1 as an int, which is cheaper to use."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def _ref_inverse(c, prec):
-    inv = [jantzen._norm(F(1, c[0]))]
+    inv = [_norm(F(1, c[0]))]
     for r in range(1, prec):
         acc = sum(c[s] * inv[r - s] for s in range(1, min(r, len(c) - 1) + 1))
-        inv.append(jantzen._norm(-acc * inv[0]))
+        inv.append(_norm(-acc * inv[0]))
     return inv
 
 
@@ -767,8 +772,8 @@ def _ref_expand(L, t0, D):
     for (i, j), (pn, vn, pd, vd, dd) in shifted.items():
         lo = vn - vd - m
         if lo < W:
-            scale = -jantzen._norm(F(t0.denominator) ** dd)
-            q = [jantzen._norm(scale * x) for x in _ref_inverse(pd[vd:], W - lo)]
+            scale = -_norm(F(t0.denominator) ** dd)
+            q = [_norm(scale * x) for x in _ref_inverse(pd[vd:], W - lo)]
             a[i][j] = _ref_sub_mul(None, ([0] * lo + list(pn[vn:]))[:W], q, W)
     return m, W, a
 
@@ -1029,3 +1034,116 @@ def test_intertwining_and_oracles_climb_one_ladder(monkeypatch):
                 calls.clear()
                 run()
                 assert len(calls) <= cutoff // 2
+
+
+# ---------------------------------------------------------------------------
+# the integer elimination against the Fraction references, on the shapes the
+# benchmark's jantzen-families workload runs
+
+def _banded(rng, n, t0, symmetric):
+    """A D B with D planted (orders alternating 0, 1, leading coefficients
+    in {1, -1, 2, -3}), A unit lower and B unit upper bidiagonal with linear
+    entries, and A = B^T when symmetric."""
+    D, _ = _planted_diag(rng, [i % 2 for i in range(n)], t0)
+    B = [[RAT_ONE if i == j else RAT_ZERO for j in range(n)] for i in range(n)]
+    A = [[RAT_ONE if i == j else RAT_ZERO for j in range(n)] for i in range(n)]
+    for i in range(1, n):
+        B[i - 1][i] = RatFn((rng.randint(-2, 2), rng.choice((-1, 1))))
+        A[i][i - 1] = RatFn((rng.randint(-2, 2), rng.choice((-1, 1))))
+    if symmetric:
+        A = _transpose(B)
+    return _matmul(_matmul(A, D), B)
+
+
+_WORKLOAD_POINTS = [F(0), F(1), F(-1), F(2), F(1, 2), F(-2, 3)]
+
+
+@pytest.mark.parametrize("t0", _WORKLOAD_POINTS)
+def test_banded_levels_match_the_fraction_references(t0):
+    rng = random.Random("banded %s" % t0)
+    for n in [6, 6, 7, 7, 8, 8, 9, 10]:
+        L = _banded(rng, n, t0, symmetric=False)
+        got = jantzen_levels(L, t0)
+        assert got == _ref_levels(L, t0) == _reference_levels(L, t0)
+        assert sorted(r for r, d, _ in got for _ in range(d)) == sorted(
+            i % 2 for i in range(n))
+
+
+@pytest.mark.parametrize("t0", _WORKLOAD_POINTS)
+def test_symmetric_banded_levels_and_signatures_match_the_fraction_references(t0):
+    rng = random.Random("symmetric banded %s" % t0)
+    for n in [6, 6, 7, 7, 8, 8, 9, 10]:
+        L = _banded(rng, n, t0, symmetric=True)
+        assert L == _transpose(L)
+        _assert_same_as_reference(L, t0)
+
+
+# ---------------------------------------------------------------------------
+# growth of the integers the eliminations hold
+#
+# Each row (each symmetric block) is kept as an integer multiple of its
+# Schur complement and divided by its content after every update.  On the
+# two families below, the Fraction elimination this one replaced held
+# numerators and denominators of at most 610 bits (the banded n = 14
+# family, jantzen_levels) and 175 bits (the symmetric 12 x 12, both
+# eliminations).  An integer row carries its common denominator times its
+# numerators, so the bound is three times that; the integers reach 1,689
+# and 452 bits.  Without the content division they reach 52,210 and 9,444
+# bits, and grow with every step.
+
+def _banded_n14():
+    """The family of test_banded_family_n14_degree_two."""
+    rng = random.Random(14)
+    n, t0 = 14, F(-2, 3)
+    D, _ = _planted_diag(rng, [i % 3 for i in range(n)], t0)
+    A = [[RAT_ONE if i == j else RAT_ZERO for j in range(n)] for i in range(n)]
+    B = [[RAT_ONE if i == j else RAT_ZERO for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for d in (1, 2):
+            if i - d >= 0:
+                A[i][i - d] = RatFn((rng.randint(-2, 2), rng.choice((-1, 1))))
+                B[i - d][i] = RatFn((rng.randint(-2, 2), rng.choice((-1, 1))))
+    return _matmul(_matmul(A, D), B)
+
+
+def _symmetric_n12():
+    """U^T D U, 12 x 12 at t0 = -2/3: planted orders 0..2 and twelve
+    elementary operations, some with denominators."""
+    rng = random.Random("growth 0")
+    t0 = F(-2, 3)
+    D, _ = _planted_diag(rng, [i % 3 for i in range(12)], t0)
+    U = _unimodular(rng, 12, t0, 12)
+    return _matmul(_matmul(_transpose(U), D), U)
+
+
+def _bounded_sub_mul(monkeypatch, bits):
+    """Wrap jantzen._sub_mul to fail as soon as an integer it takes or
+    returns has more than the given number of bits."""
+    sub_mul = jantzen._sub_mul
+
+    def checked(*args):
+        out = sub_mul(*args)
+        for x in args[:-1] + (out,):
+            for c in [x] if isinstance(x, int) else x or ():
+                assert abs(c).bit_length() <= bits, abs(c).bit_length()
+        return out
+
+    monkeypatch.setattr(jantzen, "_sub_mul", checked)
+
+
+def test_banded_n14_elimination_integers_stay_bounded(monkeypatch):
+    L = _banded_n14()
+    _bounded_sub_mul(monkeypatch, 3 * 610)
+    ls = jantzen_levels(L, F(-2, 3))
+    assert [(r, d) for r, d, _ in ls] == [(0, 5), (1, 5), (2, 4)]
+
+
+def test_symmetric_n12_elimination_integers_stay_bounded(monkeypatch):
+    L = _symmetric_n12()
+    t0 = F(-2, 3)
+    assert any(f.den != (1,) for row in L for f in row)
+    _bounded_sub_mul(monkeypatch, 3 * 175)
+    ls = jantzen_levels(L, t0)
+    sig = level_signatures(L, t0)
+    assert [(r, d) for r, d, _ in ls] == [(r, w.forget()) for r, w in sig]
+    assert sum(r * d for r, d, _ in ls) == 12 // 3 * (0 + 1 + 2)
