@@ -164,7 +164,7 @@ def sl2r_ds_param(sign: int, k: Fraction) -> LanglandsParam:
     The K-type parity bit distinguishes the two half-ladders in the odd
     sector: lowest K-type sign(k+1) positive gives 0, negative gives 1;
     even-sector lowest K-types always carry 0."""
-    k = k if type(k) is Fraction else Fraction(k)
+    k = parse_frac(k)
     if sign not in (1, -1) or k.numerator < 0 or k.denominator != 1:
         raise ValueError("discrete series needs sign +-1 and integer k >= 0")
     return LanglandsParam(DiscreteParam(*_compact_args(sign, k)), _ZERO_NU)
@@ -179,7 +179,7 @@ def _complex_args(half_m: Fraction) -> tuple:
 def sl2c_param(m: Fraction, v: Fraction) -> LanglandsParam:
     """SL(2,C) parameter (m, v): discrete weight m (a nonnegative integer),
     continuous coordinate v >= 0; dlambda = (m/2, m/2), nu = (v/2, -v/2)."""
-    m, v = Fraction(m), Fraction(v)
+    m, v = parse_frac(m), parse_frac(v)
     if m < 0 or m.denominator != 1:
         raise ValueError("sl2c discrete weight must be a nonnegative integer")
     if v < 0:
@@ -191,31 +191,18 @@ def sl2c_param(m: Fraction, v: Fraction) -> LanglandsParam:
 # ---------------------------------------------------------------------------
 # data structures
 
-_set = object.__setattr__
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class BlockElement:
     """One parameter in a block with its length, orientation number, and
     optional tau-invariant (ids of simple integral roots).  It checks
-    nothing itself (``_validate_block`` checks a whole block); its one
-    ``__init__`` sets each attribute once."""
+    nothing itself (``_validate_block`` checks a whole block)."""
 
     id: int
     cartan: int
     length: int
     orient: int
     param: LanglandsParam
-    tau: Optional[frozenset]
-
-    def __init__(self, id: int, cartan: int, length: int, orient: int,
-                 param: LanglandsParam, tau: Optional[frozenset] = None):
-        _set(self, "id", id)
-        _set(self, "cartan", cartan)
-        _set(self, "length", length)
-        _set(self, "orient", orient)
-        _set(self, "param", param)
-        _set(self, "tau", tau)
+    tau: Optional[frozenset] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -677,13 +664,13 @@ class GroupModel:
                 tau: Optional[frozenset]) -> BlockElement:
         """Element with length and orientation number computed from the root
         datum rather than tabulated."""
-        d = param.discrete
+        d, gamma = param.discrete, param.gamma
         cart = self.cartan(d.cartan)
         return BlockElement(
             id=eid,
             cartan=self.cartans.index(cart),
-            length=length(self.datum, cart.root_class, param.gamma),
-            orient=orientation_number(self.datum, cart.root_class, d.grading, param.gamma),
+            length=length(self.datum, cart.root_class, gamma),
+            orient=orientation_number(self.datum, cart.root_class, d.grading, gamma),
             param=param,
             tau=tau,
         )

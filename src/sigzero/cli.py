@@ -68,7 +68,7 @@ class Session:
         self.provider.register(comps)
         key = "%s:%s" % (
             blk.group,
-            ",".join(frac_str(Fraction(x)) for x in blk.inf_char),
+            ",".join(frac_str(x) for x in blk.inf_char),
         )
         return key, comps
 
@@ -141,7 +141,7 @@ def cmd_block_show(args) -> int:
     for i, c in enumerate(comps):
         print(
             "component %d: %d elements at %s"
-            % (i, len(c.elements), ",".join(frac_str(Fraction(x)) for x in c.inf_char))
+            % (i, len(c.elements), ",".join(frac_str(x) for x in c.inf_char))
         )
         rows = [["id", "label", "length", "orient", "tau"]]
         for e in c.elements:
@@ -294,32 +294,16 @@ def cmd_hyperplanes(args) -> int:
     if radius < 0:
         raise ValidationError("--radius must be >= 0 (got %s)" % frac_str(radius))
     d = _line(args, Fraction(0)).discrete
-    walls = hyperplanes(d, group_model(args.group).cartan(d.cartan), radius)
+    walls = [
+        {"level": frac_str(h.level), "kind": h.kind,
+         "covector": [frac_str(x) for x in h.phi_covector]}
+        for h in hyperplanes(d, group_model(args.group).cartan(d.cartan), radius)
+    ]
     if args.format == "json":
-        print(
-            canonical_json(
-                {
-                    "walls": [
-                        {
-                            "level": frac_str(h.level),
-                            "kind": h.kind,
-                            "covector": [frac_str(x) for x in h.phi_covector],
-                        }
-                        for h in walls
-                    ]
-                }
-            )
-        )
+        print(canonical_json({"walls": walls}))
         return 0
     rows = [["level", "kind", "covector"]]
-    for h in walls:
-        rows.append(
-            [
-                frac_str(h.level),
-                h.kind,
-                "(%s)" % ",".join(frac_str(x) for x in h.phi_covector),
-            ]
-        )
+    rows += [[w["level"], w["kind"], "(%s)" % ",".join(w["covector"])] for w in walls]
     _print_table(rows)
     return 0
 
@@ -334,35 +318,19 @@ def cmd_jantzen(args) -> int:
     )
     sigs = dict(level_signatures(mat, t0)) if symmetric else {}
     D = sum(r * d for r, d, _ in levels)
+    rendered = [
+        {"r": r, "dim": d, "basis": [[frac_str(x) for x in v] for v in vs],
+         **({"signature": list(sigs[r].to_json())} if r in sigs else {})}
+        for r, d, vs in levels
+    ]
     if args.format == "json":
-        out = {
-            "D": D,
-            "symmetric": symmetric,
-            "levels": [
-                {
-                    "r": r,
-                    "dim": d,
-                    "basis": [[frac_str(x) for x in v] for v in vs],
-                    **(
-                        {"signature": list(sigs[r].to_json())}
-                        if r in sigs
-                        else {}
-                    ),
-                }
-                for r, d, vs in levels
-            ],
-        }
-        print(canonical_json(out))
+        print(canonical_json({"D": D, "symmetric": symmetric, "levels": rendered}))
         return 0
     rows = [["level", "dim", "basis"] + (["signature"] if symmetric else [])]
-    for r, d, vs in levels:
-        basis = "; ".join(
-            "(%s)" % ",".join(frac_str(x) for x in v) for v in vs
-        )
-        row = [str(r), str(d), basis]
-        if symmetric:
-            row.append(str(sigs[r]))
-        rows.append(row)
+    for lv in rendered:
+        basis = "; ".join("(%s)" % ",".join(v) for v in lv["basis"])
+        rows.append([str(lv["r"]), str(lv["dim"]), basis]
+                    + ([str(sigs[lv["r"]])] if symmetric else []))
     _print_table(rows)
     print("D = %d" % D)
     return 0

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
@@ -32,7 +31,7 @@ from types import MappingProxyType
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import SchemaError
-from .rootdata import Involution, RootClass, _norm_sq_parts, _vec, dot
+from .rootdata import Involution, RootClass, _norm_sq_parts, _vec, dot, parse_frac
 
 __all__ = [
     "CartanClass",
@@ -49,23 +48,6 @@ __all__ = [
     "param_to_json",
     "param_from_json",
 ]
-
-_FRAC_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
-
-
-def parse_frac(text) -> Fraction:
-    """Parse an exact rational from 'p', 'p/q', or an int; floats and
-    booleans rejected."""
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
-    if isinstance(text, Fraction):
-        return text
-    m = _FRAC_RE.match(text.strip()) if isinstance(text, str) else None
-    if m is None:
-        raise ValueError("not an exact rational: %r" % (text,))
-    num, den = m.groups()
-    return Fraction(int(num), int(den or 1))
-
 
 def decode_json(data):
     """data as a JSON value: bytes are decoded as UTF-8 and text parsed;
@@ -198,8 +180,8 @@ class LanglandsParam:
     imaginary part nu_im; an all-zero nu_im is stored as None, so a real
     parameter has one representation.  The one ``__init__`` checks the
     vector lengths and sets each attribute once: ``nu`` as a tuple of
-    Fractions, ``gamma``, the infinitesimal character
-    $d\\lambda + \\nu$, and the hash."""
+    Fractions and the hash.  The infinitesimal character ``gamma`` is
+    computed where it is read."""
 
     discrete: DiscreteParam
     nu: Tuple[Fraction, ...]
@@ -219,8 +201,6 @@ class LanglandsParam:
         _set(self, "discrete", discrete)
         _set(self, "nu", nu)
         _set(self, "nu_im", nu_im)
-        _set(self, "gamma", nu if not any(dl) else dl if not any(nu)
-             else tuple(a + b for a, b in zip(dl, nu)))
         # hashed once: parameters key the memo and every signature term
         _set(self, "_hash", hash((discrete, nu, nu_im)))
 
@@ -229,6 +209,14 @@ class LanglandsParam:
 
     def __reduce__(self):  # rebuild when unpickled: string hashes vary by process
         return LanglandsParam, (self.discrete, self.nu, self.nu_im)
+
+    @property
+    def gamma(self) -> Tuple[Fraction, ...]:
+        """The infinitesimal character $d\\lambda + \\nu$: ``nu`` itself
+        when $d\\lambda = 0$, ``dlambda`` itself when $\\nu = 0$."""
+        nu, dl = self.nu, self.discrete.dlambda
+        return nu if not any(dl) else dl if not any(nu) else tuple(
+            a + b for a, b in zip(dl, nu))
 
     def is_real(self) -> bool:
         return self.nu_im is None

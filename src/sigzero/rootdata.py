@@ -30,6 +30,7 @@ $\\langle\\gamma, \\alpha^\\vee\\rangle$ as an integer over one denominator.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Mapping, Sequence, Tuple
@@ -49,12 +50,29 @@ __all__ = [
 Vector = Tuple[Fraction, ...]
 
 
+_FRAC_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+
+
+def parse_frac(text) -> Fraction:
+    """Parse an exact rational from 'p', 'p/q', or an int; floats and
+    booleans rejected."""
+    if isinstance(text, int) and not isinstance(text, bool):
+        return Fraction(text)
+    if isinstance(text, Fraction):
+        return text
+    m = _FRAC_RE.match(text.strip()) if isinstance(text, str) else None
+    if m is None:
+        raise ValueError("not an exact rational: %r" % (text,))
+    num, den = m.groups()
+    return Fraction(int(num), int(den or 1))
+
+
 def _vec(v: Sequence) -> Vector:
-    """v as a tuple of Fractions; a tuple of Fractions is returned as it
-    is, so values already exact are never wrapped again."""
+    """v as a tuple of Fractions read by ``parse_frac``; a tuple of
+    Fractions is returned as it is, so exact values are never wrapped again."""
     for x in v:
         if type(x) is not Fraction:
-            return tuple(Fraction(x) for x in v)
+            return tuple(parse_frac(x) for x in v)
     return v if type(v) is tuple else tuple(v)
 
 

@@ -437,7 +437,7 @@ def deform_to_zero(
                 {
                     "event": "crossing",
                     "t": frac_str(t),
-                    "inf_char": [frac_str(Fraction(x)) for x in blk.inf_char],
+                    "inf_char": [frac_str(x) for x in blk.inf_char],
                     "block": blk_idx,
                     "delta": delta.to_json_obj(),
                 }

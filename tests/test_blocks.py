@@ -445,6 +445,20 @@ def test_register_refuses_blocks_at_two_keys():
     assert (got["DS+(5)"].p, got["DS+(5)"].q) == (-2, 2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: sl2r_ps_param(0, 0.1),
+    lambda: sl2c_param(3, 0.5),
+    lambda: sl2c_param(3.0, 1),
+    lambda: sl2r_ds_param(1, 3.0),
+    lambda: BlockProvider().get("sl2r", 0.5),
+    lambda: LanglandsParam(DiscreteParam("split", (0,)), (0.5,)),
+], ids=["ps-nu", "sl2c-v", "sl2c-m", "ds-k", "provider-key", "nu"])
+def test_parameter_constructors_refuse_floats(build):
+    # as every reader does: a float is not an exact rational
+    with pytest.raises(ValueError, match="^not an exact rational: "):
+        build()
+
+
 def test_block_element_compares_hashes_prints_and_replaces_by_fields():
     g, h = sl2r_ps_param(0, F(3)), sl2r_ps_param(1, F(3))
     e = BlockElement(2, 1, 1, 0, g, frozenset())

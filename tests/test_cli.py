@@ -160,6 +160,22 @@ def test_jantzen_json_golden(capsys, family, at, golden):
         assert out == fh.read()
 
 
+@pytest.mark.parametrize(
+    "family, at, golden",
+    [
+        ("sym_mirrored.json", "1/2", "sym_mirrored_at_1_2.out.txt"),
+        ("banded8.json", "2", "banded8_at_2.out.txt"),
+        # a signature column and rational basis entries
+        ("sym_offdiag.json", "-2/3", "sym_offdiag_at_-2_3.out.txt"),
+    ],
+)
+def test_jantzen_table_golden(capsys, family, at, golden):
+    rc, out, _ = run(capsys, "jantzen", os.path.join(FIXTURES, family), "--at=" + at)
+    assert rc == 0
+    with open(os.path.join(FIXTURES, golden)) as fh:
+        assert out == fh.read()
+
+
 def test_usage_error_exits_3(capsys):
     with pytest.raises(SystemExit) as e:
         main(["signature"])  # missing required --nu

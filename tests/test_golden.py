@@ -60,6 +60,10 @@ CLI_CASES = (
     + _both_formats("scan_p-1_0_4", ["scan", "--parity", "-1", "--from", "0", "--to", "4"])
     + _both_formats("hyperplanes_sl2r", ["hyperplanes"])
     + _both_formats("hyperplanes_sl2c_m1", ["hyperplanes", "--group", "sl2c", "--m", "1"])
+    # half-integer levels, and a header row over no walls
+    + _both_formats("hyperplanes_sl2c_m3_r17_2",
+                    ["hyperplanes", "--group", "sl2c", "--m", "3", "--radius", "17/2"])
+    + _both_formats("hyperplanes_r0", ["hyperplanes", "--radius", "0"])
     + [
         case
         for key in ("sl2r:0", "sl2r:2", "sl2r:5/2", "sl2c:3,1", "sl2c:1/2,1")

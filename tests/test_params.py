@@ -322,3 +322,18 @@ def test_fraction_coordinates_are_kept_not_rebuilt():
     assert ds.gamma is ds.discrete.dlambda and ds.gamma == (F(3),)
     assert ps.gamma is ps.nu and ps.gamma == nu
     assert frac_str(F(-6, 4)) == "-3/2" and frac_str(2) == "2"
+
+
+def test_gamma_is_computed_only_when_read(monkeypatch):
+    adds = []
+    add = F.__add__
+
+    def counted(a, b):
+        adds.append((a, b))
+        return add(a, b)
+
+    monkeypatch.setattr(F, "__add__", counted)
+    g = LanglandsParam(DiscreteParam("complex", (F(3, 2), F(3, 2))), (F(41, 4), F(-41, 4)))
+    assert adds == []
+    assert g.gamma == (F(47, 4), F(-35, 4))
+    assert len(adds) == 2
