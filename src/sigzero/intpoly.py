@@ -133,7 +133,10 @@ def p_at(p: IntPoly, t0: Fraction) -> Fraction:
 
 def p_shift(p: IntPoly, t0: Fraction) -> IntPoly:
     """Coefficients in U of b^deg p(t0 + U/b), an integer polynomial: the
-    Taylor expansion of p at t0 in U = b t - a, by Horner in a + U."""
+    Taylor expansion of p at t0 in U = b t - a, by Horner in a + U; p
+    itself for a constant and at t0 = 0, where U = t."""
+    if len(p) < 2 or not t0:
+        return p
     a, b = t0.numerator, t0.denominator
     out: list = []
     for k, c in enumerate(reversed(p)):

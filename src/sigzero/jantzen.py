@@ -11,12 +11,19 @@ computation.  For symmetric families the same elimination done by congruence
 preserves the residual forms, whose signs give the layer signatures.
 
 No rational-function arithmetic runs in the filtration.  $\\det L$ is
-exact and computed apart from the elimination: Bareiss over $\\mathbb{Z}[t]$
-on each connected component of the support of $L$ (row $i$ is linked to
-column $j$ when $L_{ij} \\neq 0$), each row scaled by the product of its
-distinct denominators, orders read by integer synthetic division by $bt - a$
-($t_0 = a/b$) and added up.  A component with more rows than columns, or
-fewer, or $\\det L \\equiv 0$ means a singular family.  Each entry of a
+exact and computed apart from the elimination: Bareiss over $\\mathbb{Z}[t]$,
+with first-nonzero pivoting, on each connected component of the support of
+$L$ (row $i$ is linked to column $j$ when $L_{ij} \\neq 0$), orders read by
+integer synthetic division by $bt - a$ ($t_0 = a/b$) and added up.  Each
+row is scaled by the product of its distinct denominators, which takes no
+division: an entry's numerator is multiplied by the product of the row's
+other denominators, and a row whose denominators are all 1 is used as it
+is.  An update $(p\\,r_{ij} - c\\,r_{kj}) / p_{prev}$ is accumulated in one
+list of coefficients, skipped where both products vanish, and divided
+exactly by the previous pivot unless that pivot is 1.  A $1 \\times 1$
+component has order $ord_{t_0} num - ord_{t_0} den$, read off its entry.
+A component with more rows than columns, or fewer, or
+$\\det L \\equiv 0$ means a singular family.  Each entry of a
 component $c$ is then expanded as $U^e$ times a unit power series in
 $U = bt - a$ modulo $U^{N_c}$,
 $N_c = D - \\sum_{c'} n_{c'} v_{c'} + v_c + 1$, with $v_c$ the least entry
@@ -69,6 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -76,6 +84,7 @@ from .errors import DegenerateResidual, SchemaError, SingularFamily
 from .intpoly import (
     IntPoly,
     p_add,
+    p_addmul,
     p_at,
     p_divexact,
     p_gcd,
@@ -86,6 +95,7 @@ from .intpoly import (
     p_trim,
 )
 from .params import decode_json
+from .rootdata import parse_frac
 from .sigring import WElem, W_ONE, W_S
 
 __all__ = [
@@ -160,21 +170,21 @@ class RatFn:
         """Order of vanishing at t0 (negative at a pole, None for 0)."""
         if not self:
             return None
-        t0 = Fraction(t0)
+        t0 = parse_frac(t0)
         return p_ord(self.num, t0)[0] - p_ord(self.den, t0)[0]
 
     def residual(self, t0: Fraction) -> Fraction:
         """Value of (t-t0)^{-val} f at t0; nonzero for nonzero f."""
         if not self:
             raise ZeroDivisionError("zero function has no residual")
-        t0 = Fraction(t0)
+        t0 = parse_frac(t0)
         vn, n = p_ord(self.num, t0)
         vd, d = p_ord(self.den, t0)
         # num/den = (b t - a)^(vn - vd) n/d and b t - a = b (t - t0)
         return Fraction(t0.denominator) ** (vn - vd) * p_at(n, t0) / p_at(d, t0)
 
     def evaluate(self, t0: Fraction) -> Fraction:
-        t0 = Fraction(t0)
+        t0 = parse_frac(t0)
         dv = p_at(self.den, t0)
         if dv == 0:
             raise ZeroDivisionError("pole at t0")
@@ -188,6 +198,8 @@ RAT_ZERO = RatFn((), (1,))
 RAT_ONE = RatFn((1,), (1,))
 
 RatMatrix = List[List[RatFn]]
+
+_ONE: IntPoly = (1,)
 
 
 def parse_ratmatrix(data: Union[str, bytes, Sequence]) -> RatMatrix:
@@ -265,17 +277,26 @@ def _components(L: RatMatrix) -> List[Tuple[List[int], List[int]]]:
 def _bareiss_order(L: RatMatrix, t0: Fraction) -> Optional[int]:
     """ord_{t0} det L, or None when det L vanishes identically, for a
     nonempty L: Bareiss over Z[t], with first-nonzero pivoting, on L with
-    each row scaled by the product of its distinct denominators."""
+    each row scaled by the product of its distinct denominators, that is
+    each numerator times the product of the row's other ones.  A 1 x 1 L
+    is read off its entry."""
     n = len(L)
+    if n == 1:
+        f = L[0][0]
+        return p_ord(f.num, t0)[0] - p_ord(f.den, t0)[0] if f else None
     M = []
     scaling = 0
     for row in L:
-        P: IntPoly = (1,)
-        for d in {f.den for f in row}:
-            P = p_mul(P, d)
-        scaling += p_ord(P, t0)[0]
-        M.append([p_divexact(p_mul(f.num, P), f.den) for f in row])
-    prev: IntPoly = (1,)
+        dens = {f.den for f in row} - {_ONE}
+        if not dens:
+            M.append([f.num for f in row])
+            continue
+        # num/den times the product of all is num times that of the others
+        other = {d: reduce(p_mul, dens - {d}, _ONE) for d in dens}
+        other[_ONE] = reduce(p_mul, dens)
+        scaling += p_ord(other[_ONE], t0)[0]
+        M.append([p_mul(f.num, other[f.den]) for f in row])
+    prev = _ONE
     for k in range(n):
         piv = next((i for i in range(k, n) if M[i][k]), None)
         if piv is None:
@@ -283,10 +304,15 @@ def _bareiss_order(L: RatMatrix, t0: Fraction) -> Optional[int]:
         M[k], M[piv] = M[piv], M[k]
         rk, p = M[k], M[k][k]
         for ri in M[k + 1:]:
-            c = ri[k]
+            c = p_neg(ri[k])
             for j in range(k + 1, n):
-                x = p_add(p_mul(p, ri[j]), p_neg(p_mul(c, rk[j])))
-                ri[j] = p_divexact(x, prev) if x else x
+                # p r_ij - c r_kj in one list, then exactly divided by prev
+                x, y = ri[j], rk[j]
+                if x or (c and y):
+                    acc: list = []
+                    p_addmul(acc, p, x)
+                    p_addmul(acc, c, y)
+                    ri[j] = p_trim(acc) if prev == _ONE else p_divexact(acc, prev)
         prev = p
     return p_ord(M[-1][-1], t0)[0] - scaling
 
@@ -425,7 +451,7 @@ def jantzen_levels(
 ) -> List[Tuple[int, int, List[Tuple[Fraction, ...]]]]:
     """Layers (level r, dim E^r/E^{r+1}, basis vectors at t0) of the Jantzen
     filtration of L at t0, certified by D = ord det = sum r dim."""
-    t0 = Fraction(t0)
+    t0 = parse_frac(t0)
     n = len(L)
     local = _local(L, t0)
     if local is None:
@@ -477,7 +503,7 @@ def level_signatures(L: RatMatrix, t0) -> List[Tuple[int, WElem]]:
     """Signatures of the residual forms on the Jantzen layers of a symmetric
     family, via congruence diagonalization over the local ring at t0,
     certified by D = ord det = sum r dim."""
-    t0 = Fraction(t0)
+    t0 = parse_frac(t0)
     n = len(L)
     if any(L[i][j] != L[j][i] for i in range(n) for j in range(i)):
         raise ValueError("level_signatures needs a symmetric family")
@@ -591,7 +617,7 @@ def oracle_signature(parity: int, nu, cutoff: int) -> Dict[int, WElem]:
     """Sign of the c-form per K-type as 1 or s, as a limit from below: near
     nu, c_n = g (t - nu)^r with g(nu) != 0, so its sign just below nu is
     (-1)^r sign g(nu), with r its valuation and g(nu) its residual."""
-    nu = Fraction(nu)
+    nu = parse_frac(nu)
     out: Dict[int, WElem] = {}
     kt = sl2_ktypes(parity, cutoff)
     c = _c_ladder(parity, cutoff)
@@ -609,7 +635,7 @@ def oracle_unitary(parity: int, nu, cutoff: int = 8) -> bool:
     The raw odd-parity operator is antisymmetric across the half-ladders
     (a_{-n} = -a_n), so the normalized oracle value is negated on n < 0.  At
     nu = 0 the operator degenerates and the form is the definite one."""
-    nu = Fraction(nu)
+    nu = parse_frac(nu)
     if nu == 0:
         return True
     signs = set()

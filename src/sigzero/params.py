@@ -71,8 +71,8 @@ def canonical_json(obj) -> str:
 
 def frac_str(x: Fraction) -> str:
     """Canonical rendering: lowest terms, '/' only when the denominator is
-    not 1."""
-    return str(x if type(x) is Fraction else Fraction(x))
+    not 1; x is read by ``parse_frac``."""
+    return str(x if type(x) is Fraction else parse_frac(x))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -385,6 +386,39 @@ def test_oracle_signature_runs_no_elimination(monkeypatch):
     assert not calls
 
 
+def _sym_pole():
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "sym_pole.json")
+    with open(path, "rb") as fh:
+        return parse_ratmatrix(fh.read())
+
+
+@pytest.mark.parametrize("call", [
+    lambda L: jantzen_levels(L, 0.1),
+    lambda L: level_signatures(L, 0.5),
+    lambda L: jantzen_levels(L, "0.5"),
+    lambda L: L[0][0].valuation(0.5),
+    lambda L: L[0][0].residual(0.5),
+    lambda L: L[0][0].evaluate(0.1),
+    lambda L: oracle_signature(1, 2.0, 6),
+    lambda L: oracle_unitary(-1, 0.5),
+], ids=["levels", "signatures", "decimal-string", "valuation", "residual",
+        "evaluate", "oracle-signature", "oracle-unitary"])
+def test_points_are_exact_rationals(call):
+    # as the parameter constructors do: a float, or a decimal string, is
+    # refused rather than expanded at its binary value
+    with pytest.raises(ValueError, match="^not an exact rational: "):
+        call(_sym_pole())
+
+
+def test_points_read_as_fractions_ints_and_strings():
+    L = _sym_pole()
+    want = jantzen_levels(L, F(1, 2))
+    assert jantzen_levels(L, "1/2") == want
+    assert level_signatures(L, "1/2") == level_signatures(L, F(1, 2))
+    assert oracle_signature(1, 3, 6) == oracle_signature(1, F(3), 6)
+    assert T_MINUS_1.valuation(1) == 1 and T_MINUS_1.evaluate("3/2") == F(1, 2)
+
+
 def test_oracle_unitary_classification():
     for nu, want in [
         (0, True),
@@ -722,6 +756,110 @@ def test_intertwining_order_counts_ktypes_above_the_wall(cutoff):
         kt = sl2_ktypes(parity, cutoff)
         for k in walls:
             assert _det_order(L, F(k)) == sum(1 for n in kt if abs(n) > k)
+
+
+# ---------------------------------------------------------------------------
+# the Bareiss order against the dense reference, and the work it skips
+
+def _random_entry(rng, t0, dens):
+    """Zero, or a few-term numerator times (t - t0)^e over a denominator
+    drawn from dens, some of which have poles at t0."""
+    if rng.random() < 0.25:
+        return RAT_ZERO
+    num = RatFn(tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 3))))
+    return (num or RAT_ONE) * _pow(_t_minus(t0), rng.randint(0, 2)) / rng.choice(dens)
+
+
+def _random_family(rng, n, t0):
+    """An n x n family whose rows mix repeated and distinct denominators;
+    about one in four has a row that is a multiple of another, so det L = 0."""
+    u = _t_minus(t0)
+    dens = [RAT_ONE, RAT_ONE, u, u * u, RatFn((3, 1)), RatFn((1, 2)), RatFn((-1, 0, 2))]
+    L = [[_random_entry(rng, t0, dens) for _ in range(n)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.25:
+        i, j = rng.sample(range(n), 2)
+        c = _random_entry(rng, t0, dens) or RAT_ONE
+        L[i] = [c * f for f in L[j]]
+    return L
+
+
+@pytest.mark.parametrize("t0", [F(0), F(2), F(1, 2), F(-2, 3)])
+def test_bareiss_order_matches_the_dense_reference(t0):
+    rng = random.Random("bareiss %s" % t0)
+    seen = set()
+    for _ in range(120):
+        n = rng.randint(1, 5)
+        L = _random_family(rng, n, t0)
+        want = _dense_det_order(L, t0)
+        assert jantzen._bareiss_order(L, t0) == want, (L, t0)
+        seen.add("singular" if want is None else "pole" if want < 0 else
+                 "zero" if want > 0 else "unit")
+        if n == 1 and L[0][0] and L[0][0].valuation(t0) < 0:
+            seen.add("1x1 pole")
+    assert seen == {"singular", "pole", "zero", "unit", "1x1 pole"}
+
+
+def _horner_shift(p, t0):
+    """b^deg p(t0 + U/b) in U, by Horner over Fractions in V = U/b."""
+    q = []
+    for c in reversed(p):
+        q = [t0 * x + y for x, y in zip(q + [0], [0] + q)]
+        q[0] += c
+    deg, b = max(len(p) - 1, 0), t0.denominator
+    out = [x * b ** (deg - k) for k, x in enumerate(q)]
+    assert all(x.denominator == 1 for x in map(F, out))
+    return tuple(int(x) for x in out)
+
+
+def test_p_shift_matches_horner():
+    rng = random.Random("p_shift")
+    polys = [(), (7,), (-3,), (0, 1), (2, -1, 3)] + [
+        tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 5))) + (rng.choice((-2, 1, 3)),)
+        for _ in range(20)
+    ]
+    for t0 in (F(0), F(2), F(-3), F(1, 2), F(-2, 3), F(5, 7)):
+        for p in polys:
+            got = p_shift(p, t0)
+            assert got == _horner_shift(p, t0), (p, t0)
+            # a constant, and any p at t0 = 0 where U = t, come back as they are
+            if len(p) < 2 or t0 == 0:
+                assert got is p
+
+
+def _record(monkeypatch, name):
+    """Wrap jantzen.<name> to record the arguments of each call."""
+    fn, calls = getattr(jantzen, name), []
+    monkeypatch.setattr(jantzen, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
+def test_bareiss_divides_only_by_the_previous_pivot(monkeypatch):
+    # with every denominator 1, the scaling leaves each row as it is, and
+    # an exact division by the previous pivot happens only from step 1 on:
+    # at most (n - 1 - k)^2 divisions at step k >= 1, none by 1
+    rng = random.Random("bareiss divisions")
+    for n in (2, 3, 4, 5, 6):
+        L = [[RatFn((rng.randint(-4, 4), rng.choice((-2, -1, 1, 3))))
+              for _ in range(n)] for _ in range(n)]
+        want = _dense_det_order(L, F(1))
+        divs = _record(monkeypatch, "p_divexact")
+        assert jantzen._bareiss_order(L, F(1)) == want
+        assert all(d != (1,) for _, d in divs)
+        bound = sum((n - 1 - k) ** 2 for k in range(1, n))
+        assert (0 < len(divs) <= bound) if n > 2 else not divs
+        monkeypatch.undo()
+
+
+def test_one_by_one_components_multiply_and_divide_nothing(monkeypatch):
+    # the intertwining diagonal is thirteen 1 x 1 components, each order
+    # read off its entry's numerator and denominator
+    L = sl2_intertwining(1, 12)
+    want = jantzen_levels(L, 5)
+    pole = [[RAT_ONE / _t_minus(F(1, 2)) / RatFn((3, 1))]]
+    muls, divs = _record(monkeypatch, "p_mul"), _record(monkeypatch, "p_divexact")
+    assert jantzen_levels(L, 5) == want
+    assert jantzen._bareiss_order(pole, F(1, 2)) == -1
+    assert not muls and not divs
 
 
 # ---------------------------------------------------------------------------

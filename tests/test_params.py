@@ -76,6 +76,14 @@ def test_frac_str_round_trip():
         assert parse_frac(frac_str(x)) == x
 
 
+def test_frac_str_refuses_floats():
+    # a float is not printed at its binary value, nor a decimal string read
+    assert frac_str(5) == "5" and frac_str("-6/4") == "-3/2"
+    for x in (0.1, 0.5, "0.5"):
+        with pytest.raises(ValueError, match="^not an exact rational: "):
+            frac_str(x)
+
+
 def test_discrete_param_final_consistency():
     with pytest.raises(ValueError):
         DiscreteParam(
