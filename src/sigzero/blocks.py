@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedGroup,
     ValidationError,
 )
-from .intpoly import IntPoly, p_addmul, p_neg, p_trim
+from .intpoly import IntPoly, p_pack, p_slot_bits, p_trim, p_unpack
 from .params import (
     CartanClass,
     DiscreteParam,
@@ -326,28 +326,26 @@ def invert_multiplicity(b: Block) -> Dict[Tuple[int, int], IntPoly]:
 
     Returns P with $(-1)^{\\ell(\\Psi)-\\ell(\\Gamma)} P_{\\Gamma,\\Psi}$
     equal to $Q^{-1}$, so that the q = 1 specializations satisfy
-    $\\sum_\\Gamma m_{\\Xi,\\Gamma} M_{\\Gamma,\\Psi} = \\delta_{\\Xi,\\Psi}$."""
+    $\\sum_\\Gamma m_{\\Xi,\\Gamma} M_{\\Gamma,\\Psi} = \\delta_{\\Xi,\\Psi}$.
+    Each column is solved at $q = 2^{bits}$ (``intpoly.p_slot_bits``) down
+    the length order, each unknown pushed into the rows of its column of Q."""
     order = _length_order(b)
     lengths = {e.id: e.length for e in b.elements}
-    # back substitution over the nonzero entries of each row only
-    rows: Dict[int, List[Tuple[int, IntPoly]]] = {}
-    for (r, c), q in b.Q.items():
-        if r != c:
-            rows.setdefault(r, []).append((c, q))
-    X: Dict[Tuple[int, int], IntPoly] = {}
+    bits = p_slot_bits(order, b.Q)
+    cols: Dict[int, List[Tuple[int, int]]] = {}
+    for (r, k), q in b.Q.items():
+        if r != k:
+            cols.setdefault(k, []).append((r, p_pack(q, bits)))
+    P: Dict[Tuple[int, int], IntPoly] = {}
     for j, c in enumerate(order):
-        X[(c, c)] = (1,)
-        for r in reversed(order[:j]):
-            acc: List[int] = []
-            for k, q in rows.get(r, ()):
-                x = X.get((k, c))
-                if x is not None:
-                    p_addmul(acc, q, x)
-            v = p_trim(acc)
-            if v:
-                X[(r, c)] = p_neg(v)
-    return {(r, c): p_neg(v) if (lengths[c] - lengths[r]) % 2 else v
-            for (r, c), v in X.items()}
+        acc = {c: 1}
+        for k in reversed(order[:j + 1]):
+            x = acc.get(k)
+            if x:
+                P[(k, c)] = p_unpack(-x if (lengths[c] - lengths[k]) % 2 else x, bits)
+                for r, q in cols.get(k, ()):
+                    acc[r] = acc.get(r, 0) - q * x
+    return P
 
 
 def split_components(b: Block) -> List[Block]:

@@ -2,10 +2,11 @@
 coefficients ascending in t, trailing zeros trimmed (zero is ``()``).
 
 Block Q-matrices and both components of a ``sigring.WPoly`` in $W[q]$ use
-the ring operations; the unitriangular solvers accumulate their sums of
-products in place, in one list per entry, with ``p_addmul``.  The rational functions and the Jantzen filtrations of
-``jantzen`` also use exact division, a primitive gcd, and the order, value
-and Taylor expansion at a rational point $t_0 = a/b$ ($b > 0$,
+the ring operations; the unitriangular solvers run on values at $q =
+2^{bits}$ (Kronecker substitution, ``p_pack``) read back as balanced digits
+(``p_unpack``) at the slot width ``p_slot_bits`` proves exact.  ``jantzen``
+also uses ``p_addmul``, exact division, a primitive gcd, and the order,
+value and Taylor expansion at a rational point $t_0 = a/b$ ($b > 0$,
 $\\gcd(a, b) = 1$), all in integer arithmetic.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import List, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 IntPoly = Tuple[int, ...]
 
@@ -59,6 +60,41 @@ def p_addmul(acc: List[int], a: Sequence[int], b: Sequence[int]) -> None:
         if x:
             for j, y in enumerate(b, i):
                 acc[j] += x * y
+
+
+def p_pack(a: Sequence[int], bits: int) -> int:
+    """a(2^bits), one bits-wide slot per coefficient; a(1) at bits = 0."""
+    v = 0
+    for c in reversed(a):
+        v = (v << bits) + c
+    return v
+
+
+def p_unpack(v: int, bits: int) -> IntPoly:
+    """The trimmed a with a(2^bits) = v and balanced digits in [-2^(bits-1),
+    2^(bits-1)), ``p_pack``'s inverse there; every v has one for bits >= 2."""
+    out, half, mask = [], 1 << (bits - 1), (1 << bits) - 1
+    while v:
+        out.append(((v + half) & mask) - half)
+        v = (v - out[-1]) >> bits
+    return tuple(out)
+
+
+def p_slot_bits(order: Sequence[int], entries: Mapping[Tuple[int, int], IntPoly]) -> int:
+    """A slot width at which ``p_unpack`` reads each entry of $X = N^{-1}$, N
+    unitriangular in ``order`` with off-diagonal ``entries``, over Z[q] or
+    W[q] ($\\|a + bs\\| = \\|a\\|_1 + \\|b\\|_1$).  Proof: $U_r = 1 + \\sum_k
+    \\|N_{rk}\\|_1 U_k$ from the end of the order back bounds $\\|X_{rc}\\|_1$,
+    as $X_{cc} = 1$, $X_{rc} = -\\sum_k N_{rk} X_{kc}$ and the L1 norm is
+    submultiplicative, so each coefficient is below $2^{bits-1} > \\max U$ in
+    size.  $Q^c = s^h Q(sq)$ has Q's norms, $Q_{rk}(1)$ (Q is nonnegative)."""
+    pos = {x: i for i, x in enumerate(order)}
+    U = dict.fromkeys(order, 1)
+    # by column, last first: U[k] is complete before it is read
+    for (r, k), a in sorted(entries.items(), key=lambda e: pos[e[0][1]], reverse=True):
+        if r != k:
+            U[r] += sum(map(abs, a)) * U[k]
+    return max(U.values(), default=1).bit_length() + 1
 
 
 def p_divexact(a: Sequence[int], b: Sequence[int]) -> IntPoly:

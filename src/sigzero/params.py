@@ -264,8 +264,8 @@ def hyperplanes(
     d: DiscreteParam, cartan: CartanClass, radius
 ) -> List[Hyperplane]:
     """All potential reducibility and reorienting walls with
-    0 < level <= radius, sorted by level."""
-    radius = Fraction(radius)
+    0 < level <= radius, sorted by level; radius is read by ``parse_frac``."""
+    radius = parse_frac(radius)
     walls = [
         Hyperplane(rr.covector, level, kind)
         for rr in cartan.restricted
@@ -290,6 +290,16 @@ def crossing_times(g: LanglandsParam, cartan: CartanClass) -> List[Fraction]:
     times = [t for t, _ in groupby(merge(*per_root))]
     times.reverse()
     return times
+
+
+def _walls_below(g: LanglandsParam, cartan: CartanClass) -> int:
+    """The number of g's crossing times below 1 in rank one, none of them
+    built: the reducibility levels below x = <nu, phi^vee> run from the
+    first level of ``_walls`` in steps of 2 for a real root, 1 for a complex."""
+    (rr,) = cartan.restricted
+    x = dot(g.nu, rr.covector)
+    first = next((level for level, _ in _walls(rr, g.discrete, x, True)), x)
+    return -((first - x) // (2 if rr.kind == "real" else 1))
 
 
 def param_to_json(g: LanglandsParam) -> dict:

@@ -45,9 +45,10 @@ from .errors import (
     UnsupportedUnequalRank,
     ValidationError,
 )
-from .intpoly import IntPoly, p_addmul, p_neg, p_trim
+from .intpoly import IntPoly, p_pack, p_slot_bits, p_trim, p_unpack
 from .params import (
     LanglandsParam,
+    _walls_below,
     crossing_times,
     frac_str,
     param_to_json,
@@ -154,7 +155,7 @@ class SignatureChar:
 # W[q] block matrices
 
 WPolyMatrix = Dict[Tuple[int, int], WPoly]
-QcRows = Dict[int, List[Tuple[int, IntPoly, IntPoly]]]
+QcCols = Dict[int, List[Tuple[int, int, int]]]
 
 
 def signature_Q(b: Block) -> WPolyMatrix:
@@ -181,74 +182,57 @@ def _qc_entry(coeffs: IntPoly, h: int) -> Tuple[IntPoly, IntPoly]:
             p_trim([c if (i + h) % 2 else 0 for i, c in enumerate(coeffs)]))
 
 
-def _qc_rows(b: Block) -> QcRows:
-    """The nonzero off-diagonal entries of each row of $Q^c$, read from the
-    integer Q as (column, Q_e, Q_o) by ``_qc_entry``."""
+def _qc_cols(b: Block, bits: int) -> QcCols:
+    """The off-diagonal entries of each column of $Q^c$ by ``_qc_entry``, as
+    (row, Q_e, Q_o) packed at $q = 2^{bits}$, or at q = 1 for bits = 0."""
     orient = {e.id: e.orient for e in b.elements}
-    rows: QcRows = {}
+    cols: QcCols = {}
     for (r, k), coeffs in b.Q.items():
-        if r == k:
-            continue
-        # the block's orientation numbers share one parity
-        q_e, q_o = _qc_entry(coeffs, (orient[r] - orient[k]) // 2)
-        if q_e or q_o:
-            rows.setdefault(r, []).append((k, q_e, q_o))
-    return rows
+        if r != k:
+            # the block's orientation numbers share one parity
+            q_e, q_o = _qc_entry(coeffs, (orient[r] - orient[k]) // 2)
+            cols.setdefault(k, []).append((r, p_pack(q_e, bits), p_pack(q_o, bits)))
+    return cols
 
 
-def _solve_column(order: List[int], rows: QcRows, col: int) -> Dict[int, WPoly]:
-    """Column col of $(Q^c)^{-1}$, as {row: nonzero entry}, by one back
-    substitution over the rows of ``_qc_rows``.  Each unknown
-    $x_r = -\\sum_k Q^c_{r,k} x_k$ is accumulated in two lists, one per
-    power of s, and trimmed and negated once:
-    $(Q_e + Q_o s)(x_a + x_b s) = (Q_e x_a + Q_o x_b) + (Q_e x_b + Q_o x_a) s$."""
-    x: Dict[int, Tuple[IntPoly, IntPoly]] = {col: ((1,), ())}
-    for r in reversed(order[:order.index(col)]):
-        acc_a: List[int] = []
-        acc_b: List[int] = []
-        for k, q_e, q_o in rows.get(r, ()):
-            xk = x.get(k)
-            if xk is not None:
-                x_a, x_b = xk
-                if q_e:
-                    p_addmul(acc_a, q_e, x_a)
-                    p_addmul(acc_b, q_e, x_b)
-                if q_o:
-                    p_addmul(acc_a, q_o, x_b)
-                    p_addmul(acc_b, q_o, x_a)
-        a, b = p_trim(acc_a), p_trim(acc_b)
-        if a or b:
-            x[r] = (p_neg(a), p_neg(b))
-    return {r: WPoly(a, b) for r, (a, b) in x.items()}
-
-
-def _qc_inverse(b: Block) -> WPolyMatrix:
-    """$(Q^c)^{-1}$, the matrix whose q = 1 columns expand irreducibles:
-    one back substitution per column, over rows read once from Q."""
-    order, rows = _length_order(b), _qc_rows(b)
-    return {(r, c): v for c in order for r, v in _solve_column(order, rows, c).items()}
+def _solve_column(order: List[int], cols: QcCols, col: int) -> Dict[int, Tuple[int, int]]:
+    """Column col of $(Q^c)^{-1}$ at the point of ``cols`` as {row: (x_a, x_b)},
+    its nonzero entries $x_a + x_b s$.  Down the length order from col, each
+    final unknown is pushed into the rows of its column: $x_r \\mathrel{-}=
+    (Q_e x_a + Q_o x_b) + (Q_e x_b + Q_o x_a) s$, only nonzero products."""
+    acc = {col: (1, 0)}
+    for k in reversed(order[:order.index(col) + 1]):
+        x_a, x_b = acc.get(k, (0, 0))
+        if x_a or x_b:
+            for r, q_e, q_o in cols.get(k, ()):
+                a, b = acc.get(r, (0, 0))
+                acc[r] = (a - q_e * x_a - q_o * x_b, b - q_e * x_b - q_o * x_a)
+    return {k: v for k, v in acc.items() if v[0] or v[1]}
 
 
 def signature_P(b: Block) -> WPolyMatrix:
     """$P^c_{\\Gamma,\\Psi} = (-1)^{\\ell(\\Psi)-\\ell(\\Gamma)}$ times the
-    $(Q^c)^{-1}$ entry, computed by exact unitriangular inversion and checked
-    against the closed form $s^{(\\ell_o(\\Psi)-\\ell_o(\\Gamma))/2}
-    P_{\\Gamma,\\Psi}(sq)$."""
+    $(Q^c)^{-1}$ entry, solved by columns at $q = 2^{bits}$ (``p_slot_bits``),
+    checked, missing and extra entries included, against the closed form
+    $s^{(\\ell_o(\\Psi)-\\ell_o(\\Gamma))/2} P_{\\Gamma,\\Psi}(sq)$."""
     lengths = {e.id: e.length for e in b.elements}
     orient = {e.id: e.orient for e in b.elements}
-    qc_inv = _qc_inverse(b)
+    order = _length_order(b)
+    bits = p_slot_bits(order, b.Q)
+    cols = _qc_cols(b, bits)
     out: WPolyMatrix = {}
-    for (r, c), v in qc_inv.items():
-        out[(r, c)] = -v if (lengths[c] - lengths[r]) % 2 else v
+    for c in order:
+        for r, (x_a, x_b) in _solve_column(order, cols, c).items():
+            sign = -1 if (lengths[c] - lengths[r]) % 2 else 1
+            out[(r, c)] = WPoly(p_unpack(sign * x_a, bits), p_unpack(sign * x_b, bits))
     # closed-form cross-check: the same twist applied to the plain P matrix
     P = invert_multiplicity(b)
-    for (r, c), coeffs in P.items():
-        twisted = WPoly.from_int_coeffs(coeffs).twist_sq(orient[c] - orient[r])
-        if twisted != out.get((r, c), WPoly()):
-            raise InvariantViolation(
-                "signature-P: inverse route and twist route disagree at "
-                "(%d,%d)" % (r, c)
-            )
+    twisted = {(r, c): WPoly(coeffs).twist_sq(orient[c] - orient[r])
+               for (r, c), coeffs in P.items()}
+    if twisted != out:
+        raise InvariantViolation(
+            "signature-P: inverse route and twist route disagree at (%d,%d)"
+            % next(k for k in {**twisted, **out} if twisted.get(k) != out.get(k)))
     return out
 
 
@@ -265,14 +249,10 @@ def irreducible_in_standards(b: Block, psi) -> SignatureChar:
     """Expansion $sig^c_{J(\\Psi)} = \\sum_\\Gamma W^c_{\\Gamma,\\Psi}
     \\, sig^c_{I(\\Gamma)}$ with $W^c = (Q^c)^{-1}$ at $q = 1$; forgetting
     $s$ recovers the character-formula row $M_{\\cdot,\\Psi}$.  Only the
-    column of $\\Psi$ is solved, by one back substitution over the rows
-    of $Q^c$ read from the integer Q, a unit column as any other."""
-    column = _solve_column(_length_order(b), _qc_rows(b), _resolve_element(b, psi).id)
-    out = SignatureChar(b.group, "standard")
-    for e in b.elements:
-        if e.id in column:
-            out.add(e.param, column[e.id].eval_one())
-    return out
+    column of $\\Psi$ is solved, on the values of $Q^c$ at q = 1."""
+    column = _solve_column(_length_order(b), _qc_cols(b, 0), _resolve_element(b, psi).id)
+    return SignatureChar(b.group, "standard", {
+        e.param: WElem(*column[e.id]) for e in b.elements if e.id in column})
 
 
 def deform_step(b: Block, gamma) -> SignatureChar:
@@ -533,7 +513,11 @@ def unitary_test(
     matches the parity bit $\\epsilon(\\Lambda')$ globally, or anti-matches
     globally.  The test is invariant under flipping every parity bit, which
     absorbs the global square-root choice behind $\\epsilon$.  Nothing is
-    named.  A nonzero nu_im raises ValidationError."""
+    named.  A nonzero nu_im raises ValidationError.  At a wall point the
+    forms are limits from below (ALTV), so in rank one the terms of
+    $\\Psi$'s column other than $\\Psi$, the layers entering at $\\nu$, gain
+    $s^a$, a the number of walls below $\\nu$ (as in ``deform_to_zero``); a
+    one-term column reads no wall.  The rule for a general block is open."""
     _require_real(g)
     model = group_model(group)
     if not model.cartans:
@@ -549,9 +533,11 @@ def unitary_test(
                              "tempered parameter (nu = 0)")
 
     blk, e_psi, _ = provider.find(group, g)
+    column = irreducible_in_standards(blk, e_psi.id).terms
+    flip = len(column) > 1 and _walls_below(g, model.cartan(g.discrete.cartan)) % 2
     B = SignatureChar(group, "final_tempered")
-    for child, w in irreducible_in_standards(blk, e_psi.id).terms.items():
-        B.add_char(deform_to_zero(child, provider, group), w)
+    for child, w in column.items():
+        B.add_char(deform_to_zero(child, provider, group), W_S * w if flip and child != g else w)
 
     impure = frozenset(t for t, coef in B.terms.items() if not coef.is_monomial())
     missing = [t for t in B.terms if t not in impure and t.discrete.ktype_parity is None]

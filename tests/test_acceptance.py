@@ -31,9 +31,11 @@ from sigzero.errors import InvariantViolation
 from sigzero.jantzen import (
     RAT_ZERO,
     RatFn,
+    _c_ladder,
     jantzen_levels,
     oracle_signature,
     oracle_unitary,
+    sl2_ktypes,
 )
 from sigzero.params import hyperplanes, parse_frac
 from sigzero.rootdata import orientation_number
@@ -44,7 +46,7 @@ from sigzero.sigengine import (
     signature_Q,
     unitary_test,
 )
-from sigzero.sigring import WElem, WPoly
+from sigzero.sigring import W_ONE, W_S, WElem, WPoly
 
 F = Fraction
 
@@ -103,6 +105,24 @@ def test_ktype_signature_matches_the_oracle_at_every_cutoff():
             for cutoff in range(-3, 13):
                 assert ktype_signature(sc, cutoff) == oracle_signature(
                     parity, nu, cutoff), (eps, nu, cutoff)
+
+
+def test_B_at_a_wall_point_is_the_signature_of_J():
+    # J is the quotient on the K-types where c_n(nu) != 0, with the sign of
+    # c_n(nu) on each: the K-type expansion of B must be that form, at every
+    # integer nu up to 13, with an odd or an even number of walls below
+    cutoff = 16
+    for eps, parity in ((0, 1), (1, -1)):
+        c = _c_ladder(parity, cutoff)
+        for nu in range(1, 14):
+            res = unitary_test(sl2r_ps_param(eps, nu), BlockProvider())
+            want = {}
+            for n in sl2_ktypes(parity, cutoff):
+                value = c[abs(n)].evaluate(nu)
+                if value:
+                    want[n] = W_ONE if value > 0 else W_S
+            assert ktype_signature(res.B, cutoff) == want, (eps, nu)
+            assert res.is_unitary == classical_unitary(eps, nu), (eps, nu)
 
 
 def _identity_blocks():

@@ -56,6 +56,8 @@ CLI_CASES = (
     ]
     + _both_formats("unitary_nu1_2", ["unitary", "--nu", "1/2"])
     + _both_formats("unitary_nu3_2", ["unitary", "--nu", "3/2"])
+    # a wall point with one wall below it: the terms other than PS+(3) carry s
+    + _both_formats("unitary_nu3", ["unitary", "--nu", "3"])
     + _both_formats("scan_p+1_0_4", ["scan", "--parity", "+1", "--from", "0", "--to", "4"])
     + _both_formats("scan_p-1_0_4", ["scan", "--parity", "-1", "--from", "0", "--to", "4"])
     + _both_formats("hyperplanes_sl2r", ["hyperplanes"])

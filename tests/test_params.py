@@ -26,6 +26,7 @@ from sigzero.errors import SchemaError
 from sigzero.params import (
     DiscreteParam,
     LanglandsParam,
+    _walls_below,
     crossing_times,
     frac_str,
     hyperplanes,
@@ -214,6 +215,16 @@ def test_hyperplanes_radius_is_inclusive():
     assert walls[-1].level == 6
 
 
+def test_hyperplanes_radius_is_an_exact_rational():
+    # a float or a decimal string is refused, as by every other reader
+    d = sl2r_ps_param(0, 1).discrete
+    for radius in (2.5, 0.5, "0.5", "2.5"):
+        with pytest.raises(ValueError, match="^not an exact rational: "):
+            hyperplanes(d, SL2R_SPLIT, radius)
+    assert hyperplanes(d, SL2R_SPLIT, "5/2") == hyperplanes(d, SL2R_SPLIT, F(5, 2))
+    assert [h.level for h in hyperplanes(d, SL2R_SPLIT, "5/2")] == [1, 2]
+
+
 def test_hyperplane_levels_positive():
     for d, cart in (
         (sl2r_ps_param(0, 1).discrete, SL2R_SPLIT),
@@ -250,6 +261,18 @@ def test_crossing_times_descending():
     g = sl2r_ps_param(1, F(5, 2))
     assert crossing_times(g, SL2R_SPLIT) == [F(4, 5)]
     assert crossing_times(sl2r_ds_param(1, 2), SL2R_SPLIT) == []
+
+
+def test_walls_below_counts_the_crossing_times_below_one():
+    # the count that the wall-point flip of unitary_test reads, against its
+    # definition, on and off the walls, at real and complex roots
+    cases = [(sl2r_ps_param(eps, F(n, d)), SL2R_SPLIT)
+             for eps in (0, 1) for n in range(40) for d in (1, 2, 3)]
+    cases += [(sl2c_param(m, F(n, d)), SL2C_CARTAN)
+              for m in range(5) for n in range(30) for d in (1, 2, 3)]
+    assert {_walls_below(g, cart) for g, cart in cases} >= {0, 1, 2, 10}
+    for g, cart in cases:
+        assert _walls_below(g, cart) == sum(t < 1 for t in crossing_times(g, cart)), g
 
 
 def test_crossing_times_sl2c():

@@ -93,7 +93,26 @@ def test_signature_P_certificate_fires(monkeypatch):
     assert plain[(0, 2)] == (1,)
     monkeypatch.setattr(sigengine, "invert_multiplicity",
                         lambda blk: {**plain, (0, 2): (2,)})
-    with pytest.raises(InvariantViolation, match="signature-P"):
+    with pytest.raises(InvariantViolation, match=r"^signature-P: inverse route and twist "
+                                                 r"route disagree at \(0,2\)$"):
+        signature_P(b)
+
+
+@pytest.mark.parametrize("key", [(0, 2), (2, 0), (1, 0)])
+def test_signature_P_certificate_fires_on_a_missing_or_extra_entry(monkeypatch, key):
+    # the twist route's P = invert_multiplicity(b) without an entry of the
+    # inverse, (0, 2), or with one the inverse does not have: a
+    # disagreement at that entry either way
+    (b, _) = builtin_block("sl2r", (2,))
+    P = dict(sigengine.invert_multiplicity(b))
+    if key in P:
+        del P[key]
+    else:
+        P[key] = (1,)
+    monkeypatch.setattr(sigengine, "invert_multiplicity", lambda blk: P)
+    with pytest.raises(InvariantViolation,
+                       match=r"^signature-P: inverse route and twist route "
+                             r"disagree at \(%d,%d\)$" % key):
         signature_P(b)
 
 

@@ -1,36 +1,42 @@
 """The sparse unitriangular solvers against dense references.
 
 ``invert_multiplicity``, ``signature_P`` and ``irreducible_in_standards``
-walk only the nonzero entries of each row, and ``irreducible_in_standards``
-solves one column.  The references below loop over every position of the
-length order, as the solvers once did.  Both are checked on synthetic
-blocks shaped like the benchmark's and on the built-in SL(2,R) and SL(2,C)
-blocks up to 12, and so are the single columns of $(Q^c)^{-1}$ that a
-provider solves on demand.
+solve on packed integers (values at q = 2^bits, or at q = 1) and push only
+the nonzero entries of each column, and ``irreducible_in_standards`` solves
+one column.  The references below loop over every position of the length
+order in polynomial arithmetic, as the solvers once did.  Both are checked
+on synthetic blocks shaped like the benchmark's, on a block file whose
+coefficients need slots wider than 100 bits, and on the built-in SL(2,R)
+and SL(2,C) blocks up to 12, and so are the single columns of $(Q^c)^{-1}$
+that a provider solves on demand.  Packing and unpacking round-trip on
+balanced digits.
 """
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from sigzero.blocks import (
     Block,
     BlockElement,
     builtin_block,
     invert_multiplicity,
+    parse_block,
+    serialize_block,
     sl2r_ds_param,
 )
-from sigzero.intpoly import p_add, p_mul, p_neg
+from sigzero.intpoly import p_add, p_mul, p_neg, p_pack, p_slot_bits, p_trim, p_unpack
 from sigzero.sigengine import (
-    _qc_inverse,
-    _qc_rows,
+    _qc_cols,
     _solve_column,
     irreducible_in_standards,
     signature_P,
     signature_Q,
 )
-from sigzero.sigring import WPoly
+from sigzero.sigring import WElem, WPoly
 
 F = Fraction
 
@@ -145,10 +151,11 @@ def test_sparse_solvers_match_dense_on_builtin_blocks():
 
 
 def qc_columns(b):
-    """The columns of the full (Q^c)^-1, as {column: {row: entry}}."""
+    """The columns of the full (Q^c)^-1, read from signature_P, as
+    {column: {row: entry}}."""
     cols = {e.id: {} for e in b.elements}
-    for (r, c), v in _qc_inverse(b).items():
-        cols[c][r] = v
+    for (r, c), v in signature_P(b).items():
+        cols[c][r] = v * _sign(b, r, c)
     return cols
 
 
@@ -157,5 +164,46 @@ def test_on_demand_columns_match_the_full_inverse():
                                        for n in (24, 32, 40)]
     for b in blocks:
         want = qc_columns(b)
+        order, bits = _order(b), p_slot_bits(_order(b), b.Q)
+        packed, at_one = _qc_cols(b, bits), _qc_cols(b, 0)
         for e in b.elements:
-            assert _solve_column(_order(b), _qc_rows(b), e.id) == want[e.id]
+            got = _solve_column(order, packed, e.id)
+            assert {r: WPoly(p_unpack(x_a, bits), p_unpack(x_b, bits))
+                    for r, (x_a, x_b) in got.items()} == want[e.id]
+            # the column at q = 1, which irreducible_in_standards solves
+            values = {r: v.eval_one() for r, v in want[e.id].items()}
+            assert {r: WElem(*w) for r, w in _solve_column(order, at_one, e.id).items()} \
+                == {r: w for r, w in values.items() if w}
+
+
+def _digits(bits):
+    """Lists of balanced digits at the given slot width, the extreme digits
+    +-(2^(bits-1) - 1) and -2^(bits-1) drawn often."""
+    half = 1 << (bits - 1)
+    digit = st.one_of(st.integers(-half, half - 1), st.sampled_from([half - 1, 1 - half, -half]))
+    return st.lists(digit, max_size=9).map(lambda c: (bits, c))
+
+
+@given(st.integers(1, 140).flatmap(_digits))
+@example((1, [-1, 0, -1]))
+@example((2, [1, -1, -2, 0, 0]))
+@example((64, [2 ** 63 - 1, -(2 ** 63 - 1), 0, -(2 ** 63)]))
+def test_pack_unpack_round_trip(case):
+    # negative digits, zero digits anywhere, trailing zeros and the
+    # largest digits of the slot: unpacking returns the trimmed digits
+    bits, coeffs = case
+    assert p_unpack(p_pack(coeffs, bits), bits) == p_trim(coeffs)
+    assert p_pack(coeffs, 0) == sum(coeffs)
+
+
+def test_solvers_on_a_block_file_with_30_digit_coefficients():
+    # Q coefficients near 10^30, read from decimal strings: slots wider
+    # than 100 bits, against the dense references
+    rng = random.Random("solvers/wide")
+    obj = json.loads(serialize_block(synthetic_block(4, 24)))
+    for entry in obj["Q"]:
+        entry["coeffs"] = [str(rng.randint(10 ** 29, 10 ** 30)) for _ in entry["coeffs"]]
+    b = parse_block(json.dumps(obj))
+    assert max(max(v) for v in b.Q.values()) > 10 ** 29
+    assert p_slot_bits(_order(b), b.Q) > 100
+    check_solvers(b)
