@@ -14,16 +14,16 @@ from fractions import Fraction
 from sigzero import (
     BlockProvider,
     deform_to_zero,
-    group_cartan,
     hyperplanes,
     ktype_signature,
     sl2r_ps_param,
     unitary_test,
 )
+from sigzero.blocks import SL2R
 
 F = Fraction
 provider = BlockProvider()
-split = group_cartan("sl2r", "split")
+split = SL2R.cartan("split")
 
 ##############################################################################
 # The arrangement

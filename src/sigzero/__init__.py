@@ -16,6 +16,7 @@ from .errors import (
     MissingBlock,
     MissingParity,
     MissingRewriteTable,
+    NonIntegerData,
     OddOrientationDifference,
     SchemaError,
     SigzeroError,
@@ -60,7 +61,6 @@ from .blocks import (
     BlockProvider,
     block_to_json_obj,
     builtin_block,
-    group_cartan,
     invert_multiplicity,
     parse_block,
     serialize_block,

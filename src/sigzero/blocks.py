@@ -26,6 +26,7 @@ from .errors import (
     InvariantViolation,
     MissingBlock,
     MissingRewriteTable,
+    NonIntegerData,
     SchemaError,
     UnsupportedGroup,
     ValidationError,
@@ -70,7 +71,6 @@ __all__ = [
     "sl2r_ps_param",
     "sl2r_ds_param",
     "sl2c_param",
-    "group_cartan",
     "GroupModel",
     "SL2R",
     "SL2C",
@@ -230,10 +230,10 @@ class Block:
     def __post_init__(self):
         object.__setattr__(self, "inf_char", _vec(self.inf_char))
         Q = {}
-        for (r, c), v in self.Q.items():
+        for rc, v in self.Q.items():
             v = p_trim(v)
             if v:
-                Q[(int(r), int(c))] = v
+                Q[rc] = v
         object.__setattr__(self, "Q", Q)
         _validate_block(self)
 
@@ -275,6 +275,10 @@ class Block:
 def _validate_block(b: Block) -> None:
     seen = set()
     for e in b.elements:
+        for name in ("id", "cartan", "length", "orient"):
+            if type(getattr(e, name)) is not int:
+                raise NonIntegerData("integer-data: element %r has %s %r, not an int"
+                                     % (e.id, name, getattr(e, name)))
         if e.id in seen:
             raise InvariantViolation("duplicate-id: element %d repeated" % e.id)
         seen.add(e.id)
@@ -289,6 +293,9 @@ def _validate_block(b: Block) -> None:
             "one parity (got %s)" % (sorted(set(orients)),)
         )
     for (r, c), coeffs in b.Q.items():
+        if any(type(x) is not int for x in (r, c) + coeffs):
+            raise NonIntegerData("integer-data: Q[%r,%r] = %r is not made of ints"
+                                 % (r, c, coeffs))
         if r not in lengths or c not in lengths:
             raise InvariantViolation("unknown-element: Q entry (%d,%d)" % (r, c))
         if any(x < 0 for x in coeffs):
@@ -820,10 +827,6 @@ def group_model(group: str) -> GroupModel:
     return _GROUPS.get(group) or GroupModel(group)
 
 
-def group_cartan(group: str, name: str) -> CartanClass:
-    return group_model(group).cartan(name)
-
-
 def builtin_block(group: str, inf_char, shapes: Optional[dict] = None) -> List[Block]:
     """The full partition of B(chi) into blocks at this infinitesimal
     character, with lengths, orientation numbers, tau-invariants and Q in
@@ -845,15 +848,15 @@ class BlockProvider:
     is a hard MissingBlock error.  ``get`` serves the partition at a key,
     ``find`` the one block that holds a parameter.
 
-    The provider owns three caches, each one empty when the provider is
-    created and private to it: the built-in partitions it has served (None
-    for each block ``find`` has not built yet, and an empty list at a key
-    where ``find`` placed nothing; ``get`` fills them in), one
+    The provider owns four caches, each one empty when the provider is
+    created and private to it: the registered libraries, the built-in
+    blocks ``find`` has built (by partition index, under their key), one
     validated block shape per translation family (so a block is validated
     once per shape, not once per wall; the shape also holds the jump table
-    its blocks share), and the results of ``deform_to_zero``.  A built-in
-    partition depends only on its key and a shape only on its family key,
-    and ``get`` and ``find`` look up a registered library first, so
+    its blocks share), and the results of ``deform_to_zero``.  ``get``
+    builds a built-in partition from the shapes and keeps nothing.  A
+    built block depends only on its key and a shape only on its family
+    key, and ``get`` and ``find`` look up a registered library first, so
     ``register`` leaves both as they are.
     The deformation memo holds the points above the walls that a walk
     crossed, the query or a wall point $(\\Lambda, t_i\\nu)$, under the key
@@ -869,7 +872,7 @@ class BlockProvider:
 
     def __init__(self):
         self._store: Dict[Tuple[str, Tuple[Fraction, ...]], List[Block]] = {}
-        self._builtin: Dict[Tuple[str, Tuple[Fraction, ...]], List[Optional[Block]]] = {}
+        self._built: Dict[Tuple[str, Tuple[Fraction, ...]], Dict[int, Block]] = {}
         self._shapes: Dict[tuple, tuple] = {}
         self._deformations: Dict[tuple, object] = {}
 
@@ -902,16 +905,7 @@ class BlockProvider:
         if key in self._store:
             return self._store[key]
         if model.cartans:
-            blocks = self._builtin.get(key)
-            if not blocks:
-                blocks = self._builtin[key] = builtin_block(group, inf_char, self._shapes)
-            elif None in blocks:
-                # a partition ``find`` began: build only the blocks it has not
-                ic = key[1]
-                for i, form in enumerate(model.forms(ic)):
-                    if blocks[i] is None:
-                        blocks[i] = model.instantiate(ic, i, form, self._shapes)
-            return blocks
+            return builtin_block(group, key[1], self._shapes)
         raise MissingBlock(
             "no block data for group %r at infinitesimal character %s"
             % (group, [frac_str(x) for x in key[1]])
@@ -924,27 +918,23 @@ class BlockProvider:
         searched, and only a miss builds the block that holds ``g``, by
         ``place`` and ``instantiate``: its other slots get parameters of
         their own, and ``g``'s slot takes ``g``.  While no library is
-        registered, the key is hashed once: the partition's list is looked
-        up and, on a cold key, filed by one ``setdefault``.  When no block
-        there holds ``g``, raises MissingBlock naming that key."""
+        registered, the key is hashed once.  When no block there holds
+        ``g``, raises MissingBlock naming that key."""
         model = group_model(group)
         ic = model.block_key(g)
         key = (group, ic)
         library = self._store.get(key) if self._store else None
-        built_in = library is None and model.cartans
-        blocks = self._builtin.setdefault(key, []) if built_in else library or ()
-        for i, blk in enumerate(blocks):
-            e = None if blk is None else blk.find(g)
+        built = self._built.setdefault(key, {}) if library is None and model.cartans else None
+        for i, blk in built.items() if built is not None else enumerate(library or ()):
+            e = blk.find(g)
             if e is not None:
                 return blk, e, i
-        if built_in:
+        if built is not None:
             forms = model.forms(ic)
             placed = model.place(forms, g)
             if placed is not None:
                 i, eid = placed
-                if not blocks:
-                    blocks.extend([None] * len(forms))
-                blk = blocks[i] = model.instantiate(ic, i, forms[i], self._shapes, (eid, g))
+                blk = built[i] = model.instantiate(ic, i, forms[i], self._shapes, (eid, g))
                 return blk, blk.element(eid), i
         raise MissingBlock(
             "no block at infinitesimal character %s contains the parameter %s"

@@ -40,6 +40,11 @@ class InvariantViolation(ValidationError):
     """Block file violates a structural invariant; message names it."""
 
 
+class NonIntegerData(ValidationError):
+    """A block's ids, Cartan indices, lengths, orientation numbers or Q
+    entries hold a value that is not an int (a bool is not one)."""
+
+
 class UnsupportedGroup(UnsupportedError):
     """No built-in model for the requested group."""
 

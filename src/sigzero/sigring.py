@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
 from .errors import OddOrientationDifference
-from .intpoly import IntPoly, p_add, p_mul, p_neg, p_trim
+from .intpoly import IntPoly, p_add, p_mul, p_trim
 
 __all__ = [
     "WElem",
@@ -127,9 +127,6 @@ class WPoly:
     def __add__(self, other: "WPoly") -> "WPoly":
         return WPoly(p_add(self.a, other.a), p_add(self.b, other.b))
 
-    def __neg__(self) -> "WPoly":
-        return WPoly(p_neg(self.a), p_neg(self.b))
-
     def __mul__(self, other: Union["WPoly", WElem, int]) -> "WPoly":
         if isinstance(other, int):
             other = WElem(other, 0)
@@ -140,10 +137,6 @@ class WPoly:
         return WPoly(
             p_add(p_mul(a, c), p_mul(b, d)), p_add(p_mul(a, d), p_mul(b, c))
         )
-
-    def eval_one(self) -> WElem:
-        """Value at $q = 1$: the sum of all coefficients."""
-        return WElem(sum(self.a), sum(self.b))
 
     def twist_sq(self, delta: int) -> "WPoly":
         """$s^{\\delta/2} P(sq)$: coefficient of $q^k$ gains $s^{k+\\delta/2}$,

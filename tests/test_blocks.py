@@ -40,6 +40,7 @@ from sigzero.sigengine import deform_to_zero, unitary_test
 from sigzero.errors import (
     InvariantViolation,
     MissingBlock,
+    NonIntegerData,
     SchemaError,
     SigzeroError,
     UnsupportedGroup,
@@ -51,6 +52,11 @@ F = Fraction
 
 def labels(b):
     return [group_model(b.group).label(e.param) for e in b.elements]
+
+
+def _partitions(p, group, ic):
+    """The partition a provider serves at a key, by content."""
+    return list(map(serialize_block, p.get(group, ic)))
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +122,7 @@ def test_sl2c_coordinate_order():
     (b,) = builtin_block("sl2c", (F(1, 2), 1))
     assert labels(b) == ["PS(1,1/2)"]
     p = BlockProvider()
-    assert p.get("sl2c", (1, 2)) is p.get("sl2c", (2, 1))
+    assert _partitions(p, "sl2c", (1, 2)) == _partitions(p, "sl2c", (2, 1))
 
 
 def test_element_label():
@@ -205,10 +211,10 @@ def test_provider_canonical_key():
     assert p.get("sl2c", (1, 3))[0] is p.get("sl2c", (3, 1))[0]
 
 
-def test_provider_serves_builtin_partition_once():
+def test_provider_serves_builtin_partition_at_canonical_key():
     p = BlockProvider()
     first = p.get("sl2r", (F(5, 2),))
-    assert p.get("sl2r", F(-5, 2)) is first
+    assert _partitions(p, "sl2r", F(-5, 2)) == list(map(serialize_block, first))
     assert p.get("sl2r", (F(5, 2),)) is not BlockProvider().get("sl2r", (F(5, 2),))
 
 
@@ -224,11 +230,14 @@ def test_provider_register_wins_over_served_builtin():
 
 def test_register_keeps_the_served_builtin_partitions():
     # a built-in partition depends only on its key: a library registered
-    # at another key leaves it as it was served
+    # at another key leaves it as it was served, and leaves the blocks
+    # ``find`` built as they are
     p = BlockProvider()
-    served = p.get("sl2r", (2,))
+    served = _partitions(p, "sl2r", (2,))
+    found = p.find("sl2r", sl2r_ds_param(1, 2))[0]
     p.register(builtin_block("sl2r", (3,)))
-    assert p.get("sl2r", (2,)) is served
+    assert _partitions(p, "sl2r", (2,)) == served
+    assert p.find("sl2r", sl2r_ds_param(1, 2))[0] is found
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +392,7 @@ def test_find_computes_one_key(monkeypatch):
         "no block at infinitesimal character ['3', '1'] contains the parameter PS(1,3)")
 
 
-def test_get_completes_the_partition_find_began(monkeypatch):
+def test_get_after_find_serves_the_whole_partition(monkeypatch):
     calls = collections.Counter()
     _count_calls(monkeypatch, calls, blocks.GroupModel, "instantiate")
     # sl2r: chain and singleton, three singletons; sl2c: one 2-chain, one
@@ -398,15 +407,57 @@ def test_get_completes_the_partition_find_began(monkeypatch):
                 calls.clear()
                 found, _, j = p.find(group, e.param)
                 assert (j, calls["instantiate"]) == (i, 1)
-                # get builds only the blocks find did not
+                # get builds the whole partition, the block find built too
                 served = p.get(group, ic)
-                assert calls["instantiate"] == len(want)
-                assert served[i] is found
+                assert calls["instantiate"] == 1 + len(want)
+                assert serialize_block(served[i]) == serialize_block(found)
                 assert _fingerprint(served) == _fingerprint(want), (group, ic)
-                assert p.get(group, ic) is served
+                assert _fingerprint(p.get(group, ic)) == _fingerprint(served)
                 for k, other in enumerate(want):
                     for e2 in other.elements:
-                        assert p.find(group, e2.param)[0] is served[k]
+                        assert serialize_block(p.find(group, e2.param)[0]) == \
+                            serialize_block(served[k])
+
+
+def test_get_builds_a_fresh_partition_and_stores_nothing():
+    for group, ic in _built_in_keys():
+        fresh = builtin_block(group, ic)
+        want = list(map(serialize_block, fresh))
+        p = BlockProvider()
+        assert _partitions(p, group, ic) == want, (group, ic)
+        assert p._built == {} and p._store == {}
+        for blk in fresh:
+            p.find(group, blk.elements[-1].param)
+        built = {key: dict(v) for key, v in p._built.items()}
+        assert _partitions(p, group, ic) == want, (group, ic)
+        # get leaves the blocks find built as they were, identity included
+        assert p._built == built
+
+
+def test_get_validates_each_family_once(monkeypatch):
+    calls = collections.Counter()
+    _count_calls(monkeypatch, calls, blocks, "_validate_block")
+    p = BlockProvider()
+    for group, ic in _built_in_keys():
+        p.get(group, ic)
+    assert calls["_validate_block"] == len(p._shapes)
+    calls.clear()
+    for group, ic in _built_in_keys():
+        p.get(group, ic)
+    assert calls["_validate_block"] == 0
+
+
+def test_find_after_get_builds_one_block(monkeypatch):
+    calls = collections.Counter()
+    _count_calls(monkeypatch, calls, blocks.GroupModel, "instantiate")
+    for group, ic in _built_in_keys():
+        for blk in builtin_block(group, ic):
+            for e in blk.elements:
+                p = BlockProvider()
+                p.get(group, ic)
+                calls.clear()
+                p.find(group, e.param)
+                assert calls["instantiate"] == 1, (group, ic)
 
 
 def test_found_builtin_block_never_shadows_a_library():
@@ -730,6 +781,29 @@ def test_reject_negative_length(tmp_path, capsys):
         Block("sl2r", chain.inf_char, (bad,) + chain.elements[1:], chain.Q)
 
 
+def test_reject_non_integer_block_data():
+    # a block built from Python is held to the integers that parse_block's
+    # files are: no float, string or bool is coerced or let through
+    chain, _ = builtin_block("sl2r", (3,))
+    e0 = chain.elements[0]
+    bad_Q = [{(0, 2): (F(1, 2),), (1, 2): (1,)}, {(0, 2): (0.5,), (1, 2): (1,)},
+             {(0, 2): (True,), (1, 2): (1,)}, {(0, 2): (1,), (1.9, 2): (1,)},
+             {("0", "2"): (1,), (1, 2): (1,)}, {(0, 2): (1,), (True, 2): (1,)},
+             {(0, 2): (1,), (1, 2.0): (1,)}]
+    for Q in bad_Q:
+        with pytest.raises(NonIntegerData, match="integer-data: Q"):
+            Block("sl2r", chain.inf_char, chain.elements, Q)
+    for name, value in (("id", True), ("id", 0.0), ("cartan", 0.0), ("length", 1.5),
+                        ("length", F(1)), ("orient", "0"), ("orient", False)):
+        bad = dataclasses.replace(e0, **{name: value})
+        with pytest.raises(NonIntegerData, match="integer-data: element .* has %s" % name):
+            Block("sl2r", chain.inf_char, (bad,) + chain.elements[1:], chain.Q)
+    assert issubclass(NonIntegerData, ValidationError)
+    # the integer data of the chain itself is accepted as it is
+    assert serialize_block(Block("sl2r", chain.inf_char, chain.elements, chain.Q)) == \
+        serialize_block(chain)
+
+
 def test_reject_nonunit_diagonal():
     obj = _tampered(
         lambda o: [e.update(coeffs=[2]) for e in o["Q"] if e["row"] == 0 and e["col"] == 0]
@@ -775,7 +849,7 @@ def test_provider_key_arity_is_a_validation_error():
     with pytest.raises(ValidationError, match="'sl2c' needs 2"):
         builtin_block("sl2c", 3)
     # a scalar is a one-coordinate key
-    assert p.get("sl2r", 2) is p.get("sl2r", (2,))
+    assert _partitions(p, "sl2r", 2) == _partitions(p, "sl2r", (2,))
 
 
 def test_negative_continuous_coordinate_rejected():
