@@ -140,8 +140,9 @@ def sl2r_ps_param(eps: int, nu: Fraction) -> LanglandsParam:
     """Principal series parameter on the split Cartan; eps = 0 spherical
     (grading +1, final), eps = 1 nonspherical (grading -1, nonfinal), and
     nu >= 0."""
-    if eps not in (0, 1):
+    if type(eps) is not int or eps not in (0, 1):
         raise ValueError("parity must be 0 or 1")
+    nu = parse_frac(nu)
     if nu < 0:
         raise ValueError("principal series needs nu >= 0 (got %s)" % frac_str(nu))
     # nu > 0 avoids the kernel wall of the one real coroot; eps = 1 at
@@ -165,7 +166,8 @@ def sl2r_ds_param(sign: int, k: Fraction) -> LanglandsParam:
     sector: lowest K-type sign(k+1) positive gives 0, negative gives 1;
     even-sector lowest K-types always carry 0."""
     k = parse_frac(k)
-    if sign not in (1, -1) or k.numerator < 0 or k.denominator != 1:
+    if (type(sign) is not int or sign not in (1, -1)
+            or k.numerator < 0 or k.denominator != 1):
         raise ValueError("discrete series needs sign +-1 and integer k >= 0")
     return LanglandsParam(DiscreteParam(*_compact_args(sign, k)), _ZERO_NU)
 
@@ -229,13 +231,7 @@ class Block:
 
     def __post_init__(self):
         object.__setattr__(self, "inf_char", _vec(self.inf_char))
-        Q = {}
-        for rc, v in self.Q.items():
-            v = p_trim(v)
-            if v:
-                Q[rc] = v
-        object.__setattr__(self, "Q", Q)
-        _validate_block(self)
+        object.__setattr__(self, "Q", _validate_block(self))
 
     @classmethod
     def _derived(cls, group: str, inf_char: Tuple[Fraction, ...],
@@ -255,10 +251,12 @@ class Block:
         return tuple(e.id for e in self.elements)
 
     def element(self, eid: int) -> BlockElement:
-        for e in self.elements:
-            if e.id == eid:
-                return e
-        raise KeyError("no element %d in block" % eid)
+        """The element with id ``eid``, an int (a bool is not one)."""
+        if type(eid) is int:
+            for e in self.elements:
+                if e.id == eid:
+                    return e
+        raise KeyError("no element %r in block" % (eid,))
 
     def q_poly(self, row: int, col: int) -> IntPoly:
         if row == col:
@@ -272,7 +270,13 @@ class Block:
         return None
 
 
-def _validate_block(b: Block) -> None:
+def _validate_block(b: Block) -> Dict[Tuple[int, int], IntPoly]:
+    """Check every invariant of ``b``, its Q as given, and return its Q
+    without zero entries or trailing zero coefficients.  For a built-in
+    group each element is real and names one of the group's Cartans by
+    its index there."""
+    model = group_model(b.group)
+    cartan_ids = [c.id for c in model.cartans]
     seen = set()
     for e in b.elements:
         for name in ("id", "cartan", "length", "orient"):
@@ -285,6 +289,15 @@ def _validate_block(b: Block) -> None:
         if e.length < 0:
             raise InvariantViolation(
                 "nonnegative-length: element %d has length %d" % (e.id, e.length))
+        if not e.param.is_real():
+            raise SchemaError("param nu_im must be zero: block elements are real parameters")
+        cid = e.param.discrete.cartan
+        if cartan_ids and cid not in cartan_ids:
+            raise SchemaError("element %d: param cartan %r is not a Cartan of %s (%s)"
+                              % (e.id, cid, model.name, ", ".join(cartan_ids)))
+        if cartan_ids and e.cartan != cartan_ids.index(cid):
+            raise SchemaError("element %d: cartan index %d, but Cartan %r of %s has index %d"
+                              % (e.id, e.cartan, cid, model.name, cartan_ids.index(cid)))
     lengths = {e.id: e.length for e in b.elements}
     orients = [e.orient for e in b.elements]
     if orients and any((o - orients[0]) % 2 != 0 for o in orients):
@@ -292,10 +305,15 @@ def _validate_block(b: Block) -> None:
             "orientation-parity: orientation numbers of a block must share "
             "one parity (got %s)" % (sorted(set(orients)),)
         )
+    Q = {}
     for (r, c), coeffs in b.Q.items():
-        if any(type(x) is not int for x in (r, c) + coeffs):
+        if any(type(x) is not int for x in (r, c, *coeffs)):
             raise NonIntegerData("integer-data: Q[%r,%r] = %r is not made of ints"
                                  % (r, c, coeffs))
+        coeffs = p_trim(coeffs)
+        if not coeffs:
+            continue
+        Q[(r, c)] = coeffs
         if r not in lengths or c not in lengths:
             raise InvariantViolation("unknown-element: Q entry (%d,%d)" % (r, c))
         if any(x < 0 for x in coeffs):
@@ -319,6 +337,7 @@ def _validate_block(b: Block) -> None:
                 "degree-bound: deg Q[%d,%d] = %d exceeds (%d - %d - 1)/2"
                 % (r, c, len(coeffs) - 1, lengths[c], lengths[r])
             )
+    return Q
 
 
 # ---------------------------------------------------------------------------
@@ -413,27 +432,9 @@ def _parse_param(raw) -> LanglandsParam:
     if not isinstance(raw, Mapping):
         raise SchemaError("param must be an object")
     try:
-        param = param_from_json(raw)
+        return param_from_json(raw)
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError("bad param: %s" % e)
-    if not param.is_real():
-        raise SchemaError("param nu_im must be zero: block elements are real parameters")
-    return param
-
-
-def _check_cartan(model: GroupModel, e: BlockElement) -> None:
-    """For a built-in group, the element's parameter names one of its
-    Cartans and the integer ``cartan`` is that Cartan's index."""
-    if not model.cartans:
-        return
-    ids = [c.id for c in model.cartans]
-    cid = e.param.discrete.cartan
-    if cid not in ids:
-        raise SchemaError("element %d: param cartan %r is not a Cartan of %s (%s)"
-                          % (e.id, cid, model.name, ", ".join(ids)))
-    if e.cartan != ids.index(cid):
-        raise SchemaError("element %d: cartan index %d, but Cartan %r of %s has index %d"
-                          % (e.id, e.cartan, cid, model.name, ids.index(cid)))
 
 
 def block_to_json_obj(b: Block) -> dict:
@@ -481,7 +482,6 @@ def parse_block(data: Union[bytes, str, Mapping]) -> Block:
     group = data["group"]
     if not isinstance(group, str):
         raise SchemaError("group must be a string")
-    model = group_model(group)
     try:
         inf_char = tuple(parse_frac(x) for x in _json_list(data["inf_char"], "inf_char"))
     except ValueError as e:
@@ -504,7 +504,6 @@ def parse_block(data: Union[bytes, str, Mapping]) -> Block:
             tau=None if tau is None else frozenset(
                 _int_parse(x) for x in _json_list(tau, "tau")),
         )
-        _check_cartan(model, elem)
         elements.append(elem)
     Q = {}
     for raw in _json_list(data["Q"], "Q"):

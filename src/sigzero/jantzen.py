@@ -122,6 +122,9 @@ class RatFn:
     den: Tuple[int, ...] = (1,)
 
     def __post_init__(self):
+        for x in (*self.num, *self.den):
+            if type(x) is not int:
+                raise TypeError("RatFn coefficients must be ints (got %r)" % (x,))
         num, den = p_trim(self.num), p_trim(self.den)
         if not den:
             raise ZeroDivisionError("zero denominator")

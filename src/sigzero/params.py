@@ -144,12 +144,15 @@ class DiscreteParam:
                  final: bool = True, ktype_parity: Optional[int] = None):
         dl, grading = _vec(dlambda), dict(grading)
         for i, g in grading.items():
-            if g not in (1, -1):
+            if type(g) is not int or g not in (1, -1):
                 raise ValueError("grading values must be +-1 (root %d)" % i)
+        if type(final) is not bool:
+            raise ValueError("final must be a boolean (got %r)" % (final,))
         if final and -1 in grading.values():
             raise ValueError("final discrete parameter must have grading +1 "
                              "on every real root")
-        if ktype_parity not in (None, 0, 1):
+        if ktype_parity is not None and (type(ktype_parity) is not int
+                                         or ktype_parity not in (0, 1)):
             raise ValueError("ktype_parity must be 0, 1, or None")
         _set(self, "cartan", cartan)
         _set(self, "dlambda", dl)

@@ -242,7 +242,7 @@ def _resolve_element(b: Block, psi) -> BlockElement:
         if e is None:
             raise KeyError("parameter not found in block")
         return e
-    return b.element(int(psi))
+    return b.element(psi)
 
 
 def irreducible_in_standards(b: Block, psi) -> SignatureChar:
@@ -310,17 +310,6 @@ def _jump(blk: Block, e: BlockElement) -> Jump:
     return jump
 
 
-def _print_order(jump: Jump, elements: Tuple[BlockElement, ...], group: str) -> Jump:
-    """The jump, and each column, in the order a printed character lists
-    them and the trace follows: by name, ties in entry order."""
-    name = group_model(group).label
-
-    def key(entry):
-        return name(elements[entry[0]].param)
-    return tuple(sorted(((xp, coef, tuple(sorted(column, key=key)))
-                         for xp, coef, column in jump), key=key))
-
-
 def _less(x: Tuple[int, int], y: Tuple[int, int]) -> bool:
     """x < y for fractions given as (numerator, positive denominator)."""
     return x[0] * y[1] < y[0] * x[1]
@@ -365,14 +354,17 @@ def deform_to_zero(
     it remembers, or at $(\\Lambda, 0)$, which ``hs_rewrite`` answers.  A
     walk that crosses no wall ($\\nu = 0$ among them) reads no block: it is
     rewritten, not remembered.
-    A traced call never reads the memo, so that its stream is complete.
-    Every call returns an object of its own, which the caller may change;
-    the provider's entries are never handed out.  A wall's jump before its
-    flip reads only the block's ids, lengths, orientation numbers and Q, so
-    it is read from the jump table of the block holding the wall point,
-    which a translation family shares (``Block.jumps``): ``deform_step``
-    and ``irreducible_in_standards`` solve it once per table and wall
-    element.  A traced call reads the same table.
+    A traced call reads and writes the memo like any other call and only
+    adds records of the walk it makes: the walls from the top down, each
+    followed by its children in the block's element order.  A remembered
+    point ends the walk there, records included, so a complete stream
+    needs a fresh provider.  Every call returns an object of its own,
+    which the caller may change; the provider's entries are never handed
+    out.  A wall's jump before its flip reads only the block's ids,
+    lengths, orientation numbers and Q, so it is read from the jump table
+    of the block holding the wall point, which a translation family shares
+    (``Block.jumps``): ``deform_step`` and ``irreducible_in_standards``
+    solve it once per table and wall element.
 
     Each standard entering at the wall $t_j$ must have $|d\\lambda'|^2$
     strictly between $|d\\lambda|^2$ and $|d\\lambda|^2 +
@@ -385,11 +377,9 @@ def deform_to_zero(
     _require_real(g)
     if not any(g.nu):
         return hs_rewrite(g, group)
-    key = (group, g)
-    if trace is None:
-        hit = provider.deformation(key)
-        if hit is not None:
-            return hit.copy()
+    hit = provider.deformation((group, g))
+    if hit is not None:
+        return hit.copy()
 
     cart = group_model(group).cartan(g.discrete.cartan)
     dl2, (nu2_num, nu2_den) = g.discrete.dlambda_sq, _norm_sq_parts(g.nu)
@@ -422,7 +412,6 @@ def deform_to_zero(
                     "delta": delta.to_json_obj(),
                 }
             )
-            jump = _print_order(jump, elements, group)
         p, q = above.numerator, above.denominator
         cap = (dl2[0] * nu2_den * q * q + nu2_num * dl2[1] * p * p,
                dl2[1] * nu2_den * q * q)
@@ -451,10 +440,9 @@ def deform_to_zero(
                     )
                 children.append((deform_to_zero(child, provider, group, trace), coef * w))
         crossed.append((above_point, children))
-        if trace is None:
-            below = provider.deformation((group, gt))
-            if below is not None:
-                break
+        below = provider.deformation((group, gt))
+        if below is not None:
+            break
         above, above_point = t, gt
 
     out = below.copy() if below is not None else hs_rewrite(

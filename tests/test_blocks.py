@@ -712,6 +712,35 @@ def test_reject_cartan_not_of_the_group():
         parse_block(_tampered(reindex))
 
 
+def test_block_checks_q_as_given():
+    # Q's types are checked before zeros are trimmed: a float entry is not
+    # dropped, nor a float trailing zero cut off
+    chain, _ = builtin_block("sl2r", (1,))
+    for extra in ({(1.9, 2): (0.0,)}, {(0, 2): (1, 0.0)}):
+        with pytest.raises(NonIntegerData, match="^integer-data: Q"):
+            Block(chain.group, chain.inf_char, chain.elements, {**chain.Q, **extra})
+    trimmed = Block(chain.group, chain.inf_char, chain.elements,
+                    {**chain.Q, (0, 2): (1, 0), (2, 0): (0,)})
+    assert trimmed.Q == chain.Q
+
+
+def test_python_built_blocks_get_the_file_checks():
+    # the Cartan index and the refusal of a nonreal element hold for a
+    # block built in Python as for a file, with the file's texts
+    chain, _ = builtin_block("sl2r", (1,))
+    e, rest = chain.elements[0], chain.elements[1:]
+    nonreal = LanglandsParam(e.param.discrete, e.param.nu, (F(1, 2),))
+    for bad, text in [
+        (dataclasses.replace(e, cartan=1),
+         "element 0: cartan index 1, but Cartan 'compact' of sl2r has index 0"),
+        (dataclasses.replace(e, param=nonreal),
+         "param nu_im must be zero: block elements are real parameters"),
+    ]:
+        with pytest.raises(SchemaError) as err:
+            Block(chain.group, chain.inf_char, (bad,) + rest, chain.Q)
+        assert str(err.value) == text
+
+
 def test_file_only_group_keeps_its_own_cartan_names():
     obj = _tampered(lambda o: o.update(group="so5"))
     for e in obj["elements"]:

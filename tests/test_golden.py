@@ -38,6 +38,11 @@ CLI_CASES = (
         ("signature_sl2c_m1_nu4.json",
          ["signature", "--group", "sl2c", "--m", "1", "--nu", "4", "--format", "json"]),
         ("signature_nu7_2_trace.txt", ["signature", "--nu", "7/2", "--trace"]),
+        # one trace per built-in group, with recursion below the top walk
+        ("signature_sl2r_p-1_nu15_2_trace.txt",
+         ["signature", "--parity", "-1", "--nu", "15/2", "--trace"]),
+        ("signature_sl2c_m3_nu41_2_trace.txt",
+         ["signature", "--group", "sl2c", "--m", "3", "--nu", "41/2", "--trace"]),
     ]
     # deep queries: 20 to 80 walls of one translation family below nu
     + [

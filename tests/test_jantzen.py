@@ -47,6 +47,15 @@ def test_ratfn_normalization():
     assert RatFn((0,), (5,)) == RAT_ZERO
 
 
+def test_ratfn_takes_ints_only():
+    # checked as given: a bool would print as JSON true, and a float zero
+    # is refused before it is trimmed
+    for num, den in [((True,), (1,)), ((1,), (True,)), ((F(1, 2),), (1,)),
+                     ((0.5,), (1,)), ((1, 0.0), (1,)), ((0.0,), (1,)), ((1,), (2.0,))]:
+        with pytest.raises(TypeError, match="^RatFn coefficients must be ints"):
+            RatFn(num, den)
+
+
 def test_ratfn_arithmetic():
     half = RatFn((1,), (2,))
     third = RatFn((1,), (3,))

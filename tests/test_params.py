@@ -112,6 +112,28 @@ def test_discrete_param_checks_keep_their_texts():
         assert str(err.value) == text, kwargs
 
 
+def test_discrete_param_refuses_bools_and_floats():
+    # True equals and hashes like 1, and 1 like True: either would pass as
+    # the canonical value, yet param_to_json would print it as it came
+    cases = [
+        (dict(grading={0: True}), "grading values must be +-1 (root 0)"),
+        (dict(grading={0: -1.0}, final=False), "grading values must be +-1 (root 0)"),
+        (dict(grading={0: 2}, final=1), "grading values must be +-1 (root 0)"),
+        (dict(final=1), "final must be a boolean (got 1)"),
+        (dict(final=1, ktype_parity=2), "final must be a boolean (got 1)"),
+        (dict(ktype_parity=True), "ktype_parity must be 0, 1, or None"),
+        (dict(ktype_parity=0.0), "ktype_parity must be 0, 1, or None"),
+    ]
+    for kwargs, text in cases:
+        with pytest.raises(ValueError) as err:
+            DiscreteParam("split", (F(0),), **kwargs)
+        assert str(err.value) == text, kwargs
+    with pytest.raises(ValueError, match="^parity must be 0 or 1$"):
+        sl2r_ps_param(True, F(3, 2))
+    with pytest.raises(ValueError, match="^discrete series needs sign"):
+        sl2r_ds_param(True, 3)
+
+
 def test_params_keep_their_defaults_repr_and_frozen_fields():
     grading = {0: 1}
     d = DiscreteParam("split", (0,), grading)

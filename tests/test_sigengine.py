@@ -28,7 +28,7 @@ from sigzero.errors import (
     UnsupportedUnequalRank,
     ValidationError,
 )
-from sigzero.params import LanglandsParam, crossing_times
+from sigzero.params import LanglandsParam, crossing_times, param_to_json
 from sigzero.sigring import WElem, WPoly, W_ONE, W_S
 from sigzero.sigengine import (
     SignatureChar,
@@ -247,6 +247,18 @@ def test_deform_step_at_wall():
     assert as_dict(delta) == {"DS+(1)": S_MINUS_1, "DS-(1)": S_MINUS_1}
 
 
+def test_element_ids_are_looked_up_exactly():
+    # an id that is not an int, or is a bool, names no element: it is
+    # neither truncated nor taken as a number
+    chain, _ = builtin_block("sl2r", (3,))
+    for bad in (1.9, 2.7, True, 1.0, "1"):
+        for read in (irreducible_in_standards, deform_step, Block.element):
+            with pytest.raises(KeyError) as err:
+                read(chain, bad)
+            assert err.value.args[0] == "no element %r in block" % (bad,)
+    assert as_dict(irreducible_in_standards(chain, 1)) == {"DS-(3)": W_ONE}
+
+
 def test_deform_step_skips_even_length_differences():
     elements = tuple(
         BlockElement(i, 0, i, 2 * i, sl2r_ds_param(1, i + 1), frozenset())
@@ -367,18 +379,21 @@ def test_deform_to_zero_table(provider, eps, nu, want):
     assert as_dict(sc) == want
 
 
-def test_deform_memoized_and_trace_bypasses_cache(provider):
+def test_deform_memoized_and_traced_call_reads_the_memo(provider):
     g = sl2r_ps_param(0, F(7, 2))
-    first = deform_to_zero(g, provider)
-    assert deform_to_zero(g, provider) == first
     records = []
-    again = deform_to_zero(g, provider, trace=records.append)
-    assert again == first
+    first = deform_to_zero(g, provider, trace=records.append)
+    assert first == deform_to_zero(g, BlockProvider())
+    assert deform_to_zero(g, provider) == first
     events = {r["event"] for r in records}
     assert events == {"crossing", "recurse"}
     # 7/2 crosses the walls at 1 and 3: two crossing records at top level
     crossings = [r for r in records if r["event"] == "crossing"]
     assert [r["t"] for r in crossings] == ["6/7", "2/7"]
+    # a traced call on the warm provider is answered by the memo
+    again = []
+    assert deform_to_zero(g, provider, trace=again.append) == first
+    assert again == []
 
 
 def test_deform_is_provider_local():
@@ -495,36 +510,82 @@ def test_shared_provider_matches_fresh_providers(fresh_deformations, order):
     assert held > len(queries)
 
 
-def test_traced_stream_ignores_remembered_wall_points():
+def test_traced_stream_stops_at_remembered_wall_points():
     g = sl2r_ps_param(0, F(15, 2))
-    fresh = BlockProvider()
     fresh_records = []
-    traced = deform_to_zero(g, fresh, trace=fresh_records.append)
+    traced = deform_to_zero(g, BlockProvider(), trace=fresh_records.append)
+    crossings = [r for r in fresh_records if r["event"] == "crossing"]
+    assert [r["t"] for r in crossings] == ["14/15", "2/3", "2/5", "2/15"]
     warm = BlockProvider()
     untraced = deform_to_zero(sl2r_ps_param(0, F(29, 2)), warm)
     assert warm.deformation(("sl2r", sl2r_ps_param(0, F(7)))) is not None
     warm_records = []
     assert deform_to_zero(g, warm, trace=warm_records.append) == traced
-    assert warm_records == fresh_records
+    # the walk crosses its first wall, at t = 14/15, and stops below it at
+    # the remembered PS+(7): the fresh records up to the second crossing
+    assert warm_records == fresh_records[:fresh_records.index(crossings[1])]
+    assert [r["event"] for r in warm_records] == ["crossing", "recurse", "recurse"]
     assert traced == deform_to_zero(g, BlockProvider())
-    crossings = [r for r in fresh_records if r["event"] == "crossing"]
-    assert [r["t"] for r in crossings] == ["14/15", "2/3", "2/5", "2/15"]
     assert untraced == deform_to_zero(sl2r_ps_param(0, F(29, 2)), BlockProvider())
 
 
-def test_trace_follows_the_printed_order():
-    # a library listing its elements out of name order: the recurse records
-    # still follow the crossing's delta as it is printed
+def _reversed_sl2r_1():
+    """A provider holding the sl2r:1 library with the chain's elements
+    listed out of name order."""
     chain, single = builtin_block("sl2r", (1,))
     provider = BlockProvider()
     provider.register([Block(chain.group, chain.inf_char, chain.elements[::-1], chain.Q),
                        single])
+    return provider
+
+
+def _crossed_sl2c_5_1():
+    """A provider holding a synthetic sl2c library at (5, 1) whose wall
+    element PS(1,5) has two children with walls of their own, listed out
+    of name order, and the wall point PS(5,1) of one of them."""
+    params = [sl2c_param(5, 3), sl2c_param(3, 5), sl2c_param(1, 5), sl2c_param(5, 1)]
+    elements = tuple(BlockElement(i, 0, 1 if i == 2 else 0, 0, p)
+                     for i, p in enumerate(params))
+    provider = BlockProvider()
+    provider.register([Block("sl2c", (5, 1), elements, {(0, 2): (1,), (1, 2): (1,)})])
+    return provider
+
+
+def test_trace_follows_the_element_order():
+    # a library listing its elements out of name order: the recurse records
+    # follow the block's element order, the delta still prints by name
+    g = sl2r_ps_param(0, F(5, 2))
     records = []
-    deform_to_zero(sl2r_ps_param(0, F(5, 2)), provider, trace=records.append)
+    traced = deform_to_zero(g, _reversed_sl2r_1(), trace=records.append)
     (crossing,) = [r for r in records if r["event"] == "crossing"]
     assert [r["param"] for r in records if r["event"] == "recurse"] == [
-        t["label"]["param"] for t in crossing["delta"]["terms"]]
+        param_to_json(sl2r_ds_param(-1, 1)), param_to_json(sl2r_ds_param(1, 1))]
     assert [t["label"]["text"] for t in crossing["delta"]["terms"]] == ["DS+(1)", "DS-(1)"]
+    assert traced == deform_to_zero(g, _reversed_sl2r_1())
+
+
+@pytest.mark.parametrize("group, g, fresh", [
+    ("sl2r", sl2r_ps_param(0, F(15, 2)), BlockProvider),
+    ("sl2r", sl2r_ps_param(1, F(81, 2)), BlockProvider),
+    ("sl2c", sl2c_param(3, F(41, 2)), BlockProvider),
+    ("sl2c", sl2c_param(0, F(30)), BlockProvider),
+    ("sl2r", sl2r_ps_param(0, F(5, 2)), _reversed_sl2r_1),
+    ("sl2c", sl2c_param(1, F(7)), _crossed_sl2c_5_1),
+], ids=["sl2r+15_2", "sl2r-81_2", "sl2c3_41_2", "sl2c0_30", "reversed_sl2r_1",
+        "crossed_sl2c_5_1"])
+def test_traced_call_makes_the_untraced_walk(monkeypatch, group, g, fresh):
+    """On fresh providers a traced and an untraced call look up the same
+    wall points in the same order and give the same result."""
+    real_find = BlockProvider.find
+    calls = []
+    monkeypatch.setattr(BlockProvider, "find",
+                        lambda p, grp, h: calls.append(h) or real_find(p, grp, h))
+    walks = []
+    for trace in (None, [].append):
+        calls.clear()
+        result = deform_to_zero(g, fresh(), group, trace)
+        walks.append((list(calls), result))
+    assert walks[0][0] and walks[0] == walks[1]
 
 
 def test_deform_step_cost_on_warm_provider(monkeypatch):
