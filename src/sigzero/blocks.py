@@ -283,6 +283,10 @@ def _validate_block(b: Block) -> Dict[Tuple[int, int], IntPoly]:
             if type(getattr(e, name)) is not int:
                 raise NonIntegerData("integer-data: element %r has %s %r, not an int"
                                      % (e.id, name, getattr(e, name)))
+        if e.tau is not None and (type(e.tau) is not frozenset
+                                  or any(type(x) is not int for x in e.tau)):
+            raise NonIntegerData("integer-data: element %d has tau %r, not a frozenset "
+                                 "of ints" % (e.id, e.tau))
         if e.id in seen:
             raise InvariantViolation("duplicate-id: element %d repeated" % e.id)
         seen.add(e.id)

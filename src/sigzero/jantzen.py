@@ -219,19 +219,10 @@ def parse_ratmatrix(data: Union[str, bytes, Sequence]) -> RatMatrix:
             raise SchemaError("matrix must be square")
         cells = []
         for cell in row:
-            if not isinstance(cell, Mapping) or "num" not in cell:
+            # the shape only: RatFn refuses a coefficient that is not an int
+            if not (isinstance(cell, Mapping) and isinstance(cell.get("num"), list)
+                    and isinstance(cell.get("den", []), list)):
                 raise SchemaError('entries must be {"num": [...], "den": [...]}')
-            for key in ("num", "den"):
-                seq = cell.get(key, [1])
-                if (
-                    not isinstance(seq, Sequence)
-                    or isinstance(seq, (str, bytes))
-                    or any(
-                        not isinstance(x, int) or isinstance(x, bool)
-                        for x in seq
-                    )
-                ):
-                    raise SchemaError("coefficients must be integers")
             try:
                 cells.append(
                     RatFn(tuple(cell["num"]), tuple(cell.get("den", (1,))))
@@ -568,17 +559,14 @@ def level_signatures(L: RatMatrix, t0) -> List[Tuple[int, WElem]]:
 # SL(2,R) intertwining oracle
 
 def sl2_ktypes(parity: int, cutoff: int) -> List[int]:
-    """K-type weights of one parity up to |n| <= cutoff, ascending."""
-    if parity not in (1, -1):
+    """K-type weights of one parity up to |n| <= cutoff, ascending; the
+    parity and the cutoff are ints (a bool is not one)."""
+    if type(parity) is not int or parity not in (1, -1):
         raise ValueError("parity must be +1 (even) or -1 (odd)")
-    start = 0 if parity == 1 else 1
-    out = set()
-    n = start
-    while n <= cutoff:
-        out.add(n)
-        out.add(-n)
-        n += 2
-    return sorted(out)
+    if type(cutoff) is not int:
+        raise ValueError("cutoff must be an int (got %r)" % (cutoff,))
+    return sorted({m for n in range(0 if parity == 1 else 1, cutoff + 1, 2)
+                   for m in (n, -n)})
 
 
 def _c_ladder(parity: int, cutoff: int) -> Dict[int, RatFn]:
@@ -593,9 +581,11 @@ def _c_ladder(parity: int, cutoff: int) -> Dict[int, RatFn]:
 
 def sl2_c_function(parity: int, n: int) -> RatFn:
     """c_n(nu), equal to its closed-form product; c_{-n} = c_n by the
-    per-half normalization."""
-    if parity not in (1, -1):
+    per-half normalization; the parity and n are ints (a bool is not one)."""
+    if type(parity) is not int or parity not in (1, -1):
         raise ValueError("parity must be +1 (even) or -1 (odd)")
+    if type(n) is not int:
+        raise ValueError("n must be an int (got %r)" % (n,))
     n = abs(n)
     if parity == 1 and n % 2:
         raise ValueError("even-parity K-types are even")
@@ -639,10 +629,10 @@ def oracle_unitary(parity: int, nu, cutoff: int = 8) -> bool:
     (a_{-n} = -a_n), so the normalized oracle value is negated on n < 0.  At
     nu = 0 the operator degenerates and the form is the definite one."""
     nu = parse_frac(nu)
+    kt = sl2_ktypes(parity, cutoff)  # checks the parity and the cutoff
     if nu == 0:
         return True
     signs = set()
-    kt = sl2_ktypes(parity, cutoff)
     c = _c_ladder(parity, cutoff)
     for n in kt:
         v = c[abs(n)].evaluate(nu)

@@ -101,7 +101,8 @@ def _lex_positive(v: Sequence[Fraction]) -> bool:
 @dataclass(frozen=True)
 class RootDatum:
     """Roots in X* and coroots in X_*, both written in dual bases, so that
-    the perfect pairing of X* and X_* is the dot product."""
+    the perfect pairing of X* and X_* is the dot product; the rank is an
+    int, the number of coordinates of every root and coroot."""
 
     rank: int
     roots: Tuple[Vector, ...]
@@ -110,6 +111,10 @@ class RootDatum:
     def __post_init__(self):
         object.__setattr__(self, "roots", tuple(_vec(r) for r in self.roots))
         object.__setattr__(self, "coroots", tuple(_vec(c) for c in self.coroots))
+        if type(self.rank) is not int:
+            raise ValueError("rank must be an int (got %r)" % (self.rank,))
+        if any(len(v) != self.rank for v in (*self.roots, *self.coroots)):
+            raise ValueError("roots and coroots need %d coordinates each" % self.rank)
         if len(self.roots) != len(self.coroots):
             raise ValueError("roots and coroots must be in bijection")
         for i, (a, av) in enumerate(zip(self.roots, self.coroots)):
@@ -136,14 +141,15 @@ class RootDatum:
 
 @dataclass(frozen=True)
 class Involution:
-    """Order-2 lattice map theta on X*, stored as a matrix of rows."""
+    """Order-2 lattice map theta on X*, stored as a matrix of rows of ints
+    (a bool is not one)."""
 
     theta: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "theta", tuple(tuple(int(x) for x in row) for row in self.theta)
-        )
+        if any(type(x) is not int for row in self.theta for x in row):
+            raise InvalidInvolution("theta entries must be ints (got %r)" % (self.theta,))
+        object.__setattr__(self, "theta", tuple(map(tuple, self.theta)))
 
     def apply(self, v: Sequence) -> Vector:
         return tuple(dot(row, v) for row in self.theta)

@@ -552,12 +552,14 @@ def ktype_signature(sc: SignatureChar, cutoff: int) -> Dict[int, WElem]:
     |weight| <= cutoff, as {weight: coefficient} in ascending weight with
     zero coefficients dropped: the shape of ``jantzen.oracle_signature``.
     Each tempered parameter contributes its coefficient on every K-type of
-    its half or full ladder."""
+    its half or full ladder.  The cutoff is an int (a bool is not one)."""
     support = group_model(sc.group).ktype_support
     if support is None:
         raise UnsupportedGroup("no built-in K-type table for group %r" % sc.group)
     if sc.basis != "final_tempered":
         raise ValueError("ktype_signature needs a final_tempered character")
+    if type(cutoff) is not int:
+        raise ValueError("cutoff must be an int (got %r)" % (cutoff,))
     acc: Dict[int, WElem] = {}
     for g, coef in sc.terms.items():
         for n in support(g, cutoff):

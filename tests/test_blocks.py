@@ -833,6 +833,21 @@ def test_reject_non_integer_block_data():
         serialize_block(chain)
 
 
+def test_reject_tau_that_is_not_a_frozenset_of_ints():
+    chain, _ = builtin_block("sl2r", (3,))
+    e0 = chain.elements[0]
+    for tau in (frozenset({0.5, True}), frozenset({"0"}), {0}, [0], (0,)):
+        bad = dataclasses.replace(e0, tau=tau)
+        with pytest.raises(NonIntegerData) as err:
+            Block("sl2r", chain.inf_char, (bad,) + chain.elements[1:], chain.Q)
+        assert str(err.value) == (
+            "integer-data: element 0 has tau %r, not a frozenset of ints" % (tau,))
+    # None and a frozenset of ints, the empty one among them, are accepted
+    for tau in (None, frozenset(), frozenset({0})):
+        Block("sl2r", chain.inf_char, (dataclasses.replace(e0, tau=tau),)
+              + chain.elements[1:], chain.Q)
+
+
 def test_reject_nonunit_diagonal():
     obj = _tampered(
         lambda o: [e.update(coeffs=[2]) for e in o["Q"] if e["row"] == 0 and e["col"] == 0]

@@ -473,6 +473,31 @@ def test_block_load_malformed_exits_3(tmp_path, capsys, path, value):
     assert rc == 3 and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "path,value,text",
+    [
+        # element 2 is PS+(5), element 3 PS-(5): DiscreteParam refuses the
+        # value, and the reader adds no text of its own
+        (("elements", 2, "param", "final"), "false", "final must be a boolean (got 'false')"),
+        (("elements", 2, "param", "grading", "0"), 1.5, "grading values must be +-1 (root 0)"),
+        (("elements", 2, "param", "grading", "0"), True, "grading values must be +-1 (root 0)"),
+        (("elements", 3, "param", "grading", "0"), "-1", "grading values must be +-1 (root 0)"),
+        (("elements", 2, "param", "ktype_parity"), 0.0, "ktype_parity must be 0, 1, or None"),
+        (("elements", 2, "param", "ktype_parity"), True, "ktype_parity must be 0, 1, or None"),
+    ],
+)
+def test_block_load_param_refusal_is_the_constructors_text(tmp_path, capsys, path, value, text):
+    obj = json.loads(_library_file(tmp_path).read_text())
+    cur = obj
+    for k in path[:-1]:
+        cur = cur[k]
+    cur[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    rc, _, err = run(capsys, "block", "load", str(bad))
+    assert rc == 3 and err == "error: bad param: %s\n" % text
+
+
 def test_unitary_with_unknown_cartan_in_block_exits_3(tmp_path, capsys):
     obj = json.loads(_library_file(tmp_path).read_text())
     obj["elements"][2]["param"]["cartan"] = "bogus"

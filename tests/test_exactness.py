@@ -20,16 +20,25 @@ from sigzero.blocks import (
     sl2r_ps_param,
 )
 from sigzero.cli import main
-from sigzero.errors import NonIntegerData
+from sigzero.errors import InvalidInvolution, NonIntegerData
 from sigzero.jantzen import (
     RatFn,
     jantzen_levels,
     level_signatures,
     oracle_signature,
     oracle_unitary,
+    sl2_c_function,
+    sl2_intertwining,
+    sl2_ktypes,
 )
 from sigzero.params import DiscreteParam, LanglandsParam, frac_str, hyperplanes, parse_frac
-from sigzero.sigengine import deform_step, irreducible_in_standards
+from sigzero.rootdata import Involution, RootDatum
+from sigzero.sigengine import (
+    deform_step,
+    deform_to_zero,
+    irreducible_in_standards,
+    ktype_signature,
+)
 
 F = Fraction
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -39,6 +48,8 @@ CHAIN, _ = builtin_block("sl2r", (3,))
 SPLIT = DiscreteParam("split", (F(0),), {0: 1})
 DS1 = sl2r_ds_param(1, 1)
 FAMILY = [[RatFn((-2, 1))]]
+# PS-(5/2): a final tempered character on the two odd half ladders
+HALF_LADDERS = deform_to_zero(sl2r_ps_param(1, F(5, 2)), BlockProvider())
 VALUES = {"float": 0.5, "decimal": "0.5", "bool": True}
 
 
@@ -56,6 +67,14 @@ def _element_field(name):
         return NonIntegerData, "integer-data: element %r has %s %r, not an int" % (
             x if name == "id" else 0, name, x)
     return build, refusal
+
+
+def _int_arg(name):
+    return lambda x: (ValueError, "%s must be an int (got %r)" % (name, x))
+
+
+def _parity(x):
+    return ValueError, "parity must be +1 (even) or -1 (odd)"
 
 
 def _cli(*argv):
@@ -123,6 +142,25 @@ TABLE = {
                             lambda x: (ValueError, "final must be a boolean (got %r)" % (x,))),
     "DiscreteParam ktype_parity": (lambda x: DiscreteParam("split", (0,), ktype_parity=x),
                                    lambda x: (ValueError, "ktype_parity must be 0, 1, or None")),
+    "BlockElement tau": (
+        lambda x: Block("sl2r", (1,), (BlockElement(0, 0, 0, 0, DS1, tau=frozenset({x})),)),
+        lambda x: (NonIntegerData, "integer-data: element 0 has tau %r, not a frozenset "
+                   "of ints" % (frozenset({x}),))),
+    "Involution theta": (lambda x: Involution(((x,),)), lambda x: (
+        InvalidInvolution, "theta entries must be ints (got %r)" % (((x,),),))),
+    "RootDatum rank": (lambda x: RootDatum(x, ((2,), (-2,)), ((1,), (-1,))),
+                       _int_arg("rank")),
+    # the K-type cutoffs and parity selectors
+    "sl2_ktypes cutoff": (lambda x: sl2_ktypes(1, x), _int_arg("cutoff")),
+    "sl2_intertwining cutoff": (lambda x: sl2_intertwining(1, x), _int_arg("cutoff")),
+    "oracle_signature cutoff": (lambda x: oracle_signature(1, 1, x), _int_arg("cutoff")),
+    "oracle_unitary cutoff": (lambda x: oracle_unitary(1, F(1, 2), x), _int_arg("cutoff")),
+    "ktype_signature cutoff": (lambda x: ktype_signature(HALF_LADDERS, x), _int_arg("cutoff")),
+    "sl2_c_function n": (lambda x: sl2_c_function(-1, x), _int_arg("n")),
+    "sl2_ktypes parity": (lambda x: sl2_ktypes(x, 4), _parity),
+    "sl2_c_function parity": (lambda x: sl2_c_function(x, 1), _parity),
+    "oracle_signature parity": (lambda x: oracle_signature(x, 1, 2), _parity),
+    "oracle_unitary parity": (lambda x: oracle_unitary(x, 0), _parity),
     # the CLI's options and block keys
     "--nu": (_cli("signature", "--nu", "X"), _exit_3),
     "--from": (_cli("scan", "--from", "X", "--to", "4"), _exit_3),
@@ -136,8 +174,11 @@ TABLE = {
 
 # the finality flag is a bool: there the int 1 stands in for the bool
 FINAL_VALUES = {"float": 0.5, "decimal": "0.5", "int": 1}
+# a parity selector is +1 or -1: there each value stands for +1
+PARITY_VALUES = {"float": 1.0, "decimal": "1", "bool": True}
 CASES = [(entry, kind, x) for entry in TABLE
-         for kind, x in (FINAL_VALUES if entry == "DiscreteParam final" else VALUES).items()]
+         for kind, x in (FINAL_VALUES if entry == "DiscreteParam final" else PARITY_VALUES
+                         if entry.endswith(" parity") else VALUES).items()]
 
 
 @pytest.mark.parametrize("entry, x", [(e, x) for e, _, x in CASES],

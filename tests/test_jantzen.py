@@ -109,6 +109,29 @@ def test_parse_ratmatrix_rejects_malformed():
         parse_ratmatrix([[{"num": [1.5]}]])  # float coefficient
 
 
+_SHAPE = 'entries must be {"num": [...], "den": [...]}'
+
+
+@pytest.mark.parametrize(
+    "cell,text",
+    [
+        # the reader checks the shape; RatFn refuses each coefficient
+        ({"num": [True]}, "bad entry: RatFn coefficients must be ints (got True)"),
+        ({"num": ["1"]}, "bad entry: RatFn coefficients must be ints (got '1')"),
+        ({"num": [1.5]}, "bad entry: RatFn coefficients must be ints (got 1.5)"),
+        ({"num": [[1]]}, "bad entry: RatFn coefficients must be ints (got [1])"),
+        ({"num": "12"}, _SHAPE),
+        ({"num": 5}, _SHAPE),
+        ({"num": [1], "den": None}, _SHAPE),
+    ],
+)
+def test_parse_ratmatrix_refuses_each_fact_with_one_text(cell, text):
+    for data in ([[cell]], json.dumps([[cell]])):
+        with pytest.raises(SchemaError) as err:
+            parse_ratmatrix(data)
+        assert str(err.value) == text
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="no int-to-str digit limit in this Python")
 @pytest.mark.parametrize("key", ["num", "den"])

@@ -37,6 +37,15 @@ def test_datum_negation_closure():
     assert len(SL2C_DATUM.roots) == 4
 
 
+def test_root_datum_rank_is_the_number_of_coordinates():
+    for roots, coroots in ((((2,), (-2,)), ((1,), (-1,))),
+                           (((2, 0), (-2, 0)), ((1,), (-1,)))):
+        with pytest.raises(ValueError) as err:
+            RootDatum(rank=2, roots=roots, coroots=coroots)
+        assert str(err.value) == "roots and coroots need 2 coordinates each"
+    assert RootDatum(rank=1, roots=((2,), (-2,)), coroots=((1,), (-1,))) == SL2R_DATUM
+
+
 def test_involution_must_permute_roots():
     with pytest.raises(InvalidInvolution):
         Involution(((2,),)).validate(SL2R_DATUM)
