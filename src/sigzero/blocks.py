@@ -37,6 +37,7 @@ from .params import (
     DiscreteParam,
     LanglandsParam,
     RestrictedRoot,
+    _walls,
     canonical_json,
     decode_json,
     frac_str,
@@ -49,6 +50,7 @@ from .rootdata import (
     RootDatum,
     _vec,
     classify_roots,
+    dot,
     length,
     orientation_number,
 )
@@ -406,24 +408,10 @@ def split_components(b: Block) -> List[Block]:
 # ---------------------------------------------------------------------------
 # serialization
 
-_INT_LIMIT = 2 ** 53
-
-
-def _int_json(x: int) -> Union[int, str]:
-    return x if abs(x) <= _INT_LIMIT else str(x)
-
-
 def _int_parse(x) -> int:
-    if isinstance(x, bool) or isinstance(x, float):
-        raise SchemaError("integers must be JSON ints or decimal strings")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, str):
-        try:
-            return int(x, 10)
-        except ValueError:
-            raise SchemaError("bad integer literal %r" % x)
-    raise SchemaError("bad integer value %r" % (x,))
+    if type(x) is not int:
+        raise SchemaError("integers must be JSON integers (got %r)" % (x,))
+    return x
 
 
 def _json_list(x, what: str) -> list:
@@ -454,16 +442,11 @@ def block_to_json_obj(b: Block) -> dict:
                 "param": param_to_json(e.param),
             }
         )
-    qrows = []
-    for (r, c) in sorted(b.Q):
-        qrows.append(
-            {"row": r, "col": c, "coeffs": [_int_json(x) for x in b.Q[(r, c)]]}
-        )
     return {
         "group": b.group,
         "inf_char": [frac_str(x) for x in b.inf_char],
         "elements": elements,
-        "Q": qrows,
+        "Q": [{"row": r, "col": c, "coeffs": list(b.Q[(r, c)])} for (r, c) in sorted(b.Q)],
     }
 
 
@@ -490,8 +473,11 @@ def parse_block(data: Union[bytes, str, Mapping]) -> Block:
         inf_char = tuple(parse_frac(x) for x in _json_list(data["inf_char"], "inf_char"))
     except ValueError as e:
         raise SchemaError(str(e))
+    raw_elements = _json_list(data["elements"], "elements")
+    if not raw_elements:
+        raise SchemaError("elements must be a nonempty list")
     elements = []
-    for raw in _json_list(data["elements"], "elements"):
+    for raw in raw_elements:
         if not isinstance(raw, Mapping):
             raise SchemaError("element entries must be objects")
         for key in ("id", "cartan", "length", "orient", "param"):
@@ -882,7 +868,13 @@ class BlockProvider:
     def register(self, blocks: Sequence[Block]) -> None:
         """File the blocks of one library under their common key.  A list
         whose blocks lie at two keys, or a key already registered, raises
-        ValueError, and nothing is stored."""
+        ValueError; an element with a lower constituent (an off-diagonal
+        entry in its column of Q) off the reducibility walls of its Cartan
+        (``params._walls``) raises InvariantViolation; nothing is stored
+        then.  So a standard module off the walls is irreducible, as
+        ``scan`` assumes at its facet midpoints (built-in blocks are so by
+        construction).  A group without Cartans, known only through files,
+        is not checked until files can give it Cartans."""
         if not blocks:
             return
         keys = [(b.group, group_model(b.group).key(b.inf_char)) for b in blocks]
@@ -899,6 +891,16 @@ class BlockProvider:
                 "duplicate block library for %s at %s"
                 % (key[0], [frac_str(x) for x in key[1]])
             )
+        model = group_model(key[0])
+        for b in blocks if model.cartans else ():
+            for c in sorted({c for r, c in b.Q if r != c}):
+                g = b.element(c).param
+                if not any(level == x for rr in model.cartan(g.discrete.cartan).restricted
+                           for x in (dot(g.nu, rr.covector),)
+                           for level, _ in _walls(rr, g.discrete, x, True)):
+                    raise InvariantViolation(
+                        "reducible-on-wall: element %d (%s) has a lower constituent but "
+                        "lies on no reducibility wall of its Cartan" % (c, model.label(g)))
         self._store[key] = list(blocks)
         self._deformations.clear()
 

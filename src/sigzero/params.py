@@ -341,6 +341,9 @@ def param_from_json(data: Mapping) -> LanglandsParam:
     if ig is not None and not (isinstance(ig, Mapping)
                                and all(isinstance(v, str) for v in ig.values())):
         raise ValueError("imaginary_grading must be null or an object of strings")
+    for i in (*grading, *(ig or ())):
+        if not (isinstance(i, str) and i.isdecimal() and i == str(int(i))):
+            raise ValueError("grading keys must be root indices in plain decimal (got %r)" % (i,))
     d = DiscreteParam(
         cartan=cartan,
         dlambda=dlambda,

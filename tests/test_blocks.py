@@ -496,6 +496,46 @@ def test_register_refuses_blocks_at_two_keys():
     assert (got["DS+(5)"].p, got["DS+(5)"].q) == (-2, 2)
 
 
+def _swapped(k):
+    """The sl2r:k library with its two principal series swapped: the one
+    that tops the chain is reducible at nu = k, no wall of its parity."""
+    chain, single = builtin_block("sl2r", (k,))
+    e0, e1, e2 = chain.elements
+    (e3,) = single.elements
+    return split_components(Block(
+        chain.group, chain.inf_char,
+        (e0, e1, dataclasses.replace(e2, param=e3.param), dataclasses.replace(e3, param=e2.param)),
+        {**chain.Q, **single.Q}))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_register_refuses_a_reducible_element_off_the_walls(k):
+    library = _swapped(k)
+    p = BlockProvider()
+    with pytest.raises(InvariantViolation) as err:
+        p.register(library)
+    top = labels(library[0])[2]
+    assert top == ("PS-(%d)" if k % 2 else "PS+(%d)") % k
+    assert str(err.value).startswith("reducible-on-wall: element 2 (%s) " % top)
+    assert p._store == {}
+    # a group without Cartans has no walls to check against
+    p.register([Block("psl2r", b.inf_char, b.elements, b.Q) for b in library])
+
+
+def test_built_in_reducible_elements_lie_on_walls():
+    # what scan relies on at a facet midpoint: an element with a lower
+    # constituent lies on a reducibility wall, so its crossing times start
+    # at 1, and every built-in partition registers
+    for group, ic in _built_in_keys():
+        comps = builtin_block(group, ic)
+        model = group_model(group)
+        for b in comps:
+            for c in {c for r, c in b.Q if r != c}:
+                g = b.element(c).param
+                assert crossing_times(g, model.cartan(g.discrete.cartan))[:1] == [1], (group, ic)
+        BlockProvider().register(comps)
+
+
 @pytest.mark.parametrize("build", [
     lambda: sl2r_ps_param(0, 0.1),
     lambda: sl2c_param(3, 0.5),
@@ -560,7 +600,7 @@ def test_round_trip_bytes():
             assert text == again
 
 
-def test_big_coefficients_serialize_as_strings():
+def test_big_coefficients_serialize_as_json_integers():
     (b, _) = builtin_block("sl2r", (1,))
     big = Block(
         b.group,
@@ -570,8 +610,11 @@ def test_big_coefficients_serialize_as_strings():
     )
     obj = block_to_json_obj(big)
     ent = [e for e in obj["Q"] if e["row"] == 0 and e["col"] == 2]
-    assert ent[0]["coeffs"] == [str(2**60)]
-    assert parse_block(json.dumps(obj)).q_poly(0, 2) == (2**60,)
+    assert ent[0]["coeffs"] == [2**60]
+    text = serialize_block(big)
+    assert '"coeffs":[%d]' % 2**60 in text
+    assert parse_block(text).q_poly(0, 2) == (2**60,)
+    assert serialize_block(parse_block(text)) == text
 
 
 def _tampered(mutate):

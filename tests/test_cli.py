@@ -16,7 +16,7 @@ from sigzero import cli, jantzen
 from sigzero.blocks import SL2R, Block, BlockProvider, builtin_block, serialize_block
 from sigzero.cli import main
 from sigzero.errors import DegenerateResidual, SingularFamily
-from sigzero.sigengine import SignatureChar, deform_to_zero, unitary_test
+from sigzero.sigengine import SignatureChar, unitary_test
 from sigzero.jantzen import RatFn, ratmatrix_to_json_obj
 
 
@@ -323,17 +323,16 @@ def _swapped_library(tmp_path):
 
 
 def test_scan_certificate_fires_on_a_reducible_representative(tmp_path, capsys):
-    path = _swapped_library(tmp_path)
-    # the samples 11/6 and 13/6 of the old check are irreducible here, so
-    # sampling reported this facet as nonunitary
-    session = cli.Session([str(path)])
-    for nu in (Fraction(11, 6), Fraction(13, 6)):
-        g = SL2R.line(1, 0, nu)
-        assert unitary_test(g, session.provider).B == deform_to_zero(g, session.provider)
-    rc, out, err = run(capsys, "scan", "--from", "3/2", "--to", "5/2",
-                       "--block", str(path))
-    assert rc == 3 and out == ""
-    assert "facet representative 2 is reducible" in err
+    # the reducible PS+(2) off its walls is refused when the library is
+    # registered, so neither scan reaches a facet; without that check,
+    # scan --from 3/2 --to 3 reported (3/2, 3) as one facet
+    path = str(_swapped_library(tmp_path))
+    for argv in (("block", "load", path),
+                 ("scan", "--from", "3/2", "--to", "5/2", "--block", path),
+                 ("scan", "--from", "3/2", "--to", "3", "--block", path)):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 3 and out == ""
+        assert err.startswith("error: reducible-on-wall: element 2 (PS+(2)) ")
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +458,18 @@ def test_block_load(tmp_path, capsys):
         # element 2 is PS+(5) on the split Cartan, index 1 of sl2r
         (("elements", 2, "param", "cartan"), "bogus"),
         (("elements", 2, "cartan"), 0),
+        # integers are JSON integers: no decimal string is read, however
+        # plain or padded
+        (("elements", 0, "id"), "0"),
+        (("elements", 0, "length"), " 0_0 "),
+        (("elements", 0, "orient"), "+0"),
+        (("elements", 0, "tau", 0), "0"),
+        (("Q", 0, "coeffs"), ["\t1 "]),
+        # a grading key is the plain decimal index of a root: each of these
+        # was read as root 0 of PS-(5)
+        (("elements", 3, "param", "grading"), {"00": -1}),
+        (("elements", 3, "param", "grading"), {" +0 ": -1}),
+        (("elements", 3, "param", "grading"), {"0": 1, "0_0": -1}),
     ],
 )
 def test_block_load_malformed_exits_3(tmp_path, capsys, path, value):
@@ -471,6 +482,16 @@ def test_block_load_malformed_exits_3(tmp_path, capsys, path, value):
     bad.write_text(json.dumps(obj))
     rc, _, err = run(capsys, "block", "load", str(bad))
     assert rc == 3 and err.startswith("error:")
+
+
+def test_block_load_empty_library_exits_3(tmp_path, capsys):
+    # an empty file registers nothing, so a later lookup would silently
+    # serve the built-in partition
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"group": "sl2r", "inf_char": ["3"], "elements": [], "Q": []}))
+    rc, out, err = run(capsys, "block", "load", str(path))
+    assert (rc, out) == (3, "")
+    assert err == "error: elements must be a nonempty list\n"
 
 
 @pytest.mark.parametrize(

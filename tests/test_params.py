@@ -186,6 +186,16 @@ def test_nu_im_length_must_match_nu():
             LanglandsParam(g.discrete, g.nu, nu_im)
 
 
+@pytest.mark.parametrize("key", ["00", " +0 ", "0_0", "+0", "-0", "\u0660", "", 0])
+def test_grading_keys_are_plain_decimal_root_indices(key):
+    raw = param_to_json(sl2r_ps_param(1, 5))
+    assert param_from_json(dict(raw, grading={"0": -1}))
+    for bad in (dict(raw, grading={key: -1}), dict(raw, grading={"0": 1, key: -1}),
+                dict(raw, imaginary_grading={key: "noncompact"})):
+        with pytest.raises(ValueError, match="grading keys must be root indices"):
+            param_from_json(bad)
+
+
 def test_param_vectors_are_checked_where_the_param_is_built():
     g = sl2r_ps_param(0, F(3, 2))
     raw = param_to_json(g)

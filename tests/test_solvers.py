@@ -198,12 +198,12 @@ def test_pack_unpack_round_trip(case):
 
 
 def test_solvers_on_a_block_file_with_30_digit_coefficients():
-    # Q coefficients near 10^30, read from decimal strings: slots wider
+    # Q coefficients near 10^30, read from JSON integers: slots wider
     # than 100 bits, against the dense references
     rng = random.Random("solvers/wide")
     obj = json.loads(serialize_block(synthetic_block(4, 24)))
     for entry in obj["Q"]:
-        entry["coeffs"] = [str(rng.randint(10 ** 29, 10 ** 30)) for _ in entry["coeffs"]]
+        entry["coeffs"] = [rng.randint(10 ** 29, 10 ** 30) for _ in entry["coeffs"]]
     b = parse_block(json.dumps(obj))
     assert max(max(v) for v in b.Q.values()) > 10 ** 29
     assert p_slot_bits(_order(b), b.Q) > 100
