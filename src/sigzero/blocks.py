@@ -18,9 +18,10 @@ components is split into separate blocks by the loader.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     InvariantViolation,
@@ -272,6 +273,14 @@ class Block:
         return None
 
 
+def _set_text(x) -> str:
+    """repr(x) with a set's entries sorted by repr, not in hash-seed order."""
+    if not isinstance(x, (set, frozenset)) or not x:
+        return repr(x)
+    text = "{%s}" % ", ".join(sorted(map(repr, x)))
+    return text if type(x) is set else "%s(%s)" % (type(x).__name__, text)
+
+
 def _validate_block(b: Block) -> Dict[Tuple[int, int], IntPoly]:
     """Check every invariant of ``b``, its Q as given, and return its Q
     without zero entries or trailing zero coefficients.  For a built-in
@@ -287,8 +296,8 @@ def _validate_block(b: Block) -> Dict[Tuple[int, int], IntPoly]:
                                      % (e.id, name, getattr(e, name)))
         if e.tau is not None and (type(e.tau) is not frozenset
                                   or any(type(x) is not int for x in e.tau)):
-            raise NonIntegerData("integer-data: element %d has tau %r, not a frozenset "
-                                 "of ints" % (e.id, e.tau))
+            raise NonIntegerData("integer-data: element %d has tau %s, not a frozenset "
+                                 "of ints" % (e.id, _set_text(e.tau)))
         if e.id in seen:
             raise InvariantViolation("duplicate-id: element %d repeated" % e.id)
         seen.add(e.id)

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
 from itertools import groupby
 from types import MappingProxyType
-from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import SchemaError
 from .rootdata import Involution, RootClass, _norm_sq_parts, _vec, dot, parse_frac

@@ -77,8 +77,9 @@ def _vec(v: Sequence) -> Vector:
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
-    """The dot product of two vectors of ints or Fractions, as a Fraction."""
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    """The dot product of two vectors of ints or Fractions, summed from the
+    int 0: a Fraction whenever an entry is one (every caller passes those)."""
+    return sum(a * b for a, b in zip(u, v))
 
 
 def _norm_sq_parts(v: Sequence) -> Tuple[int, int]:

@@ -259,19 +259,16 @@ def deform_step(b: Block, gamma) -> SignatureChar:
     """Signature delta on crossing the wall from below:
     $(s-1) \\sum_{\\Xi<\\Gamma,\\ \\Delta\\ell\\ odd}
     s^{(\\ell_o(\\Xi)-\\ell_o(\\Gamma))/2} Q_{\\Xi,\\Gamma}(s)\\,
-    sig^c_{J(\\Xi)}$, expressed in the irreducible basis of the block.  Each
-    coefficient is $(s-1) Q^c_{\\Xi,\\Gamma}(1)$, read by ``_qc_entry``."""
+    sig^c_{J(\\Xi)}$ in the irreducible basis, in the block's element order.
+    Each coefficient is $(s-1) Q^c_{\\Xi,\\Gamma}(1)$, read from the column
+    of $\\Gamma$ in ``_qc_cols(b, 0)``, which ``irreducible_in_standards``
+    solves with; its rows lie below $\\Gamma$, as Q is triangular."""
     e_gamma = _resolve_element(b, gamma)
+    column = {r: (q_e, q_o) for r, q_e, q_o in _qc_cols(b, 0).get(e_gamma.id, ())}
     out = SignatureChar(b.group, "irreducible")
     for e in b.elements:
-        if e.length >= e_gamma.length or (e_gamma.length - e.length) % 2 == 0:
-            continue
-        coeffs = b.q_poly(e.id, e_gamma.id)
-        if not coeffs:
-            continue
-        # the block's orientation numbers share one parity
-        q_e, q_o = _qc_entry(coeffs, (e.orient - e_gamma.orient) // 2)
-        out.add(e.param, W_S_MINUS_ONE * WElem(sum(q_e), sum(q_o)))
+        if e.id in column and (e_gamma.length - e.length) % 2:
+            out.add(e.param, W_S_MINUS_ONE * WElem(*column[e.id]))
     return out
 
 
@@ -370,10 +367,10 @@ def deform_to_zero(
     strictly between $|d\\lambda|^2$ and $|d\\lambda|^2 +
     t_{prev}^2|\\nu|^2$, where $t_{prev}$ is the next crossing time above
     $t_j$, or 1 at the top: the cap a direct call on that wall point uses,
-    so a remembered wall point is certified as a direct call would be.
-    The trace prints the caller's cap $|d\\lambda|^2 + |\\nu|^2$.  Both
-    norms are integer fractions (numerator, denominator), so the bound
-    compares integers.  A nonzero nu_im raises ValidationError."""
+    so a remembered wall point is certified as a direct call would be, and
+    the trace prints that cap.  Both norms are integer fractions
+    (numerator, denominator), so the bound compares integers.  A nonzero
+    nu_im raises ValidationError."""
     _require_real(g)
     if not any(g.nu):
         return hs_rewrite(g, group)
@@ -403,15 +400,9 @@ def deform_to_zero(
         if trace is not None:
             delta = SignatureChar(group, "irreducible", {
                 elements[xp].param: W_S * coef if flip else coef for xp, coef, _ in jump})
-            trace(
-                {
-                    "event": "crossing",
-                    "t": frac_str(t),
-                    "inf_char": [frac_str(x) for x in blk.inf_char],
-                    "block": blk_idx,
-                    "delta": delta.to_json_obj(),
-                }
-            )
+            trace({"event": "crossing", "t": frac_str(t),
+                   "inf_char": [frac_str(x) for x in blk.inf_char],
+                   "block": blk_idx, "delta": delta.to_json_obj()})
         p, q = above.numerator, above.denominator
         cap = (dl2[0] * nu2_den * q * q + nu2_num * dl2[1] * p * p,
                dl2[1] * nu2_den * q * q)
@@ -429,15 +420,8 @@ def deform_to_zero(
                         % (_frac_text(cdl2), _frac_text(dl2), _frac_text(cap))
                     )
                 if trace is not None:
-                    trace(
-                        {
-                            "event": "recurse",
-                            "param": param_to_json(child),
-                            "dlambda_sq": _frac_text(cdl2),
-                            "cap": _frac_text((dl2[0] * nu2_den + nu2_num * dl2[1],
-                                               dl2[1] * nu2_den)),
-                        }
-                    )
+                    trace({"event": "recurse", "param": param_to_json(child),
+                           "dlambda_sq": _frac_text(cdl2), "cap": _frac_text(cap)})
                 children.append((deform_to_zero(child, provider, group, trace), coef * w))
         crossed.append((above_point, children))
         below = provider.deformation((group, gt))
@@ -505,20 +489,21 @@ def unitary_test(
     forms are limits from below (ALTV), so in rank one the terms of
     $\\Psi$'s column other than $\\Psi$, the layers entering at $\\nu$, gain
     $s^a$, a the number of walls below $\\nu$ (as in ``deform_to_zero``); a
-    one-term column reads no wall.  The rule for a general block is open."""
+    one-term column reads no wall.  The rule for a general block is open.
+    A tempered parameter ($\\nu = 0$) is unitary in every built-in group;
+    an unequal-rank group refuses every other (UnsupportedUnequalRank)."""
     _require_real(g)
     model = group_model(group)
     if not model.cartans:
         raise UnsupportedGroup("unitarity test needs a built-in group (got %r)" % group)
+    if all(x == 0 for x in g.nu):
+        return UnitaryResult("unitary", hs_rewrite(g, group),
+                             "tempered parameter (nu = 0)")
     if not model.equal_rank:
         raise UnsupportedUnequalRank(
             "%s is not equal rank; the c-form to invariant-form "
             "comparison is out of scope" % group
         )
-
-    if all(x == 0 for x in g.nu):
-        return UnitaryResult("unitary", hs_rewrite(g, group),
-                             "tempered parameter (nu = 0)")
 
     blk, e_psi, _ = provider.find(group, g)
     column = irreducible_in_standards(blk, e_psi.id).terms

@@ -1,6 +1,7 @@
 """The public API: every name a module lists in __all__ exists, the
-package re-exports only names its modules export, and every module loads
-only names it binds and uses every name it imports."""
+package re-exports only names its modules export, every module loads
+only names it binds and uses every name it imports, and no module checks
+a value against a ``typing`` alias."""
 
 import ast
 import builtins
@@ -71,3 +72,22 @@ def test_module_names_bound_and_imports_used(name):
     assert not unbound, "%s loads unbound names %s" % (name, sorted(unbound))
     unused = imported - loaded
     assert not unused, "%s imports unused names %s" % (name, sorted(unused))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_isinstance_takes_no_typing_alias(name):
+    # isinstance(x, typing.Mapping) answers as isinstance(x,
+    # collections.abc.Mapping) at more than twice the cost
+    with open(importlib.import_module("sigzero." + name).__file__) as fh:
+        tree = ast.parse(fh.read())
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "typing":
+            aliases.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            aliases.update(a.asname or a.name for a in node.names if a.name == "typing")
+    passed = {n.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2
+              for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+    assert not passed & aliases, "%s passes %s to isinstance" % (name, sorted(passed & aliases))

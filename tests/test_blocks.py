@@ -8,6 +8,7 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -238,6 +239,14 @@ def test_register_keeps_the_served_builtin_partitions():
     p.register(builtin_block("sl2r", (3,)))
     assert _partitions(p, "sl2r", (2,)) == served
     assert p.find("sl2r", sl2r_ds_param(1, 2))[0] is found
+
+
+def test_register_of_no_blocks_stores_nothing_and_keeps_the_memo():
+    p = BlockProvider()
+    g = sl2r_ps_param(0, F(7, 2))
+    want = deform_to_zero(g, p)
+    p.register([])
+    assert p._store == {} and p.deformation(("sl2r", g)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -889,6 +898,41 @@ def test_reject_tau_that_is_not_a_frozenset_of_ints():
     for tau in (None, frozenset(), frozenset({0})):
         Block("sl2r", chain.inf_char, (dataclasses.replace(e0, tau=tau),)
               + chain.elements[1:], chain.Q)
+
+
+# refuses a tau of three strings, whose own order follows the hash seed
+_TAU_OF_STRINGS = """
+import dataclasses
+from sigzero.blocks import Block, builtin_block
+chain, _ = builtin_block("sl2r", (3,))
+bad = dataclasses.replace(chain.elements[0], tau=frozenset({"0", "1", "2"}))
+try:
+    Block("sl2r", chain.inf_char, (bad,) + chain.elements[1:], chain.Q)
+except Exception as err:
+    print(err)
+"""
+
+
+def test_tau_refusal_text_is_the_same_under_every_hash_seed():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blocks.__file__)))
+    texts = [subprocess.run([sys.executable, "-c", _TAU_OF_STRINGS], check=True,
+                            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+                            capture_output=True, text=True).stdout
+             for seed in ("0", "1")]
+    assert texts == ["integer-data: element 0 has tau frozenset({'0', '1', '2'}), "
+                     "not a frozenset of ints\n"] * 2
+
+
+def test_reject_block_file_that_is_not_a_json_object():
+    for text in ("[]", "5", '"sl2r"'):
+        with pytest.raises(SchemaError, match="^block file must be a JSON object$"):
+            parse_block(text)
+
+
+def test_reject_duplicate_q_entry():
+    obj = _tampered(lambda o: o["Q"].append(dict(o["Q"][-1], coeffs=[1])))
+    with pytest.raises(SchemaError, match=r"^duplicate Q entry \(\d+, \d+\)$"):
+        parse_block(obj)
 
 
 def test_reject_nonunit_diagonal():

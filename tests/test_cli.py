@@ -13,7 +13,8 @@ import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from sigzero import cli, jantzen
-from sigzero.blocks import SL2R, Block, BlockProvider, builtin_block, serialize_block
+from sigzero.blocks import (SL2R, Block, BlockElement, BlockProvider, builtin_block,
+                            serialize_block, sl2r_ds_param)
 from sigzero.cli import main
 from sigzero.errors import DegenerateResidual, SingularFamily
 from sigzero.sigengine import SignatureChar, unitary_test
@@ -122,6 +123,13 @@ def test_exit_code_unsupported(capsys):
     assert rc == 4 and err
     rc, _, err = run(capsys, "scan", "--group", "sl2c", "--from", "0", "--to", "1")
     assert rc == 4
+
+
+def test_tempered_sl2c_parameter_answers(capsys):
+    rc, out, _ = run(capsys, "unitary", "--group", "sl2c", "--m", "3", "--nu", "0")
+    assert rc == 0 and out.splitlines()[0] == "verdict: unitary"
+    rc, out, _ = run(capsys, "scan", "--group", "sl2c", "--m", "3", "--from", "0", "--to", "0")
+    assert rc == 0 and out == "{0}  unitary\n"
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -601,6 +609,19 @@ def test_block_show_round_trip(capsys):
     assert out1 == out2
     comps = json.loads(out1)
     assert len(comps) == 2
+
+
+def test_block_show_prints_each_power_of_q(tmp_path, capsys):
+    # Q[0,1] = 1 + q across lengths 0 and 3, Q[0,2] = 3 q^2 across 0 and 5:
+    # the degree bound (l(c) - l(r) - 1)/2 holds for both
+    elements = tuple(BlockElement(i, 0, l, 0, sl2r_ds_param(1, i + 1))
+                     for i, l in enumerate((0, 3, 5)))
+    path = tmp_path / "synth.json"
+    path.write_text(serialize_block(
+        Block("synth", (1,), elements, {(0, 1): (1, 1), (0, 2): (0, 0, 3)})))
+    rc, out, _ = run(capsys, "block", "show", "synth:1", "--block", str(path))
+    assert rc == 0
+    assert out.splitlines()[-2:] == ["Q[0,1] = 1 + q", "Q[0,2] = 3 q^2"]
 
 
 def test_block_show_sl2c_coordinate_order(capsys):

@@ -92,6 +92,14 @@ def test_valuation_and_residual():
     assert g.valuation(1) == -1
 
 
+def test_ratfn_residual_of_zero_and_value_at_a_pole_raise():
+    with pytest.raises(ZeroDivisionError, match="^zero function has no residual$"):
+        RAT_ZERO.residual(F(1))
+    with pytest.raises(ZeroDivisionError, match="^pole at t0$"):
+        RatFn((1,), (-1, 1)).evaluate(F(1))
+    assert RatFn((1,), (-1, 1)).evaluate(F(3)) == F(1, 2)
+
+
 def test_ratfn_json_round_trip():
     m = [[T_MINUS_1, RAT_ONE], [RAT_ONE, T]]
     obj = ratmatrix_to_json_obj(m)

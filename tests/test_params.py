@@ -26,6 +26,7 @@ from sigzero.errors import SchemaError
 from sigzero.params import (
     DiscreteParam,
     LanglandsParam,
+    RestrictedRoot,
     _walls_below,
     crossing_times,
     frac_str,
@@ -235,6 +236,42 @@ def test_unpickled_params_hash_as_this_process_does():
             assert back == fresh and hash(back) == hash(fresh)
             assert {fresh: 1}.get(back) == 1
     assert len(their_hashes) == 2
+
+
+# loads PS+(7/2) and its discrete part from stdin and checks them against
+# ones built here: equal, with equal hashes, and a key of the memo
+_UNPICKLER = """
+import pickle, sys
+from fractions import Fraction
+from sigzero.blocks import BlockProvider, sl2r_ps_param
+from sigzero.sigengine import deform_to_zero
+g, discrete = pickle.loads(sys.stdin.buffer.read())
+fresh = sl2r_ps_param(0, Fraction(7, 2))
+assert (g, discrete) == (fresh, fresh.discrete)
+assert (hash(g), hash(discrete)) == (hash(fresh), hash(fresh.discrete))
+provider = BlockProvider()
+deform_to_zero(g, provider)
+assert provider.deformation(("sl2r", fresh)) is not None
+print("ok")
+"""
+
+
+def test_params_pickled_here_load_under_another_hash_seed():
+    g = sl2r_ps_param(0, F(7, 2))
+    data = pickle.dumps((g, g.discrete))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sigzero.__file__)))
+    for hashseed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _UNPICKLER], env=env, input=data,
+                             capture_output=True)
+        assert out.stdout == b"ok\n", out.stderr.decode()
+
+
+def test_restricted_root_refusals():
+    with pytest.raises(ValueError, match="^restricted root kind must be real or complex$"):
+        RestrictedRoot((F(1),), "imaginary")
+    with pytest.raises(ValueError, match="^restricted root covector must be nonzero$"):
+        RestrictedRoot((F(0), F(0)), "real")
 
 
 def test_hyperplanes_radius_is_inclusive():

@@ -31,6 +31,14 @@ def test_dot_and_norm():
     assert dot((2,), (1,)) == 2
 
 
+def test_dot_is_a_fraction_whenever_an_entry_is_one():
+    for u, v, want in (((F(2),), (F(1),), 2), ((F(1, 2), F(3)), (F(2), F(1, 3)), 2),
+                       ((F(3, 2),), (1,), F(3, 2)), ((2, F(1, 4)), (1, 2), F(5, 2))):
+        got = dot(u, v)
+        assert type(got) is Fraction and got == want
+    assert type(dot((2, 3), (1, 1))) is int and dot((2, 3), (1, 1)) == 5
+
+
 def test_datum_negation_closure():
     assert SL2R_DATUM.rank == 1
     assert len(SL2R_DATUM.roots) == 2
@@ -50,6 +58,25 @@ def test_involution_must_permute_roots():
     with pytest.raises(InvalidInvolution):
         Involution(((2,),)).validate(SL2R_DATUM)
     Involution(((-1,),)).validate(SL2R_DATUM)
+
+
+def test_root_datum_refusals():
+    for roots, coroots, text in (
+            (((2,), (-2,)), ((1,),), "roots and coroots must be in bijection"),
+            (((2,), (-2,)), ((2,), (-2,)), "pairing <alpha, alpha^vee> != 2 at index 0"),
+            (((2,), (2,)), ((1,), (1,)), "root set not closed under negation")):
+        with pytest.raises(ValueError) as err:
+            RootDatum(rank=1, roots=roots, coroots=coroots)
+        assert str(err.value) == text
+
+
+def test_involution_validate_refusals():
+    # theta of the wrong shape, and an involution sending (0, 2) to (2, -2)
+    for theta, text in ((((1, 0),), "theta has wrong shape"),
+                        (((1, 1), (0, -1)), "theta does not permute the roots")):
+        with pytest.raises(InvalidInvolution) as err:
+            Involution(theta).validate(SL2C_DATUM)
+        assert str(err.value) == text
 
 
 def test_classify_roots_kinds():

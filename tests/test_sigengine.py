@@ -247,6 +247,14 @@ def test_deform_step_at_wall():
     assert as_dict(delta) == {"DS+(1)": S_MINUS_1, "DS-(1)": S_MINUS_1}
 
 
+def test_a_parameter_missing_from_a_block_is_refused():
+    chain, _ = builtin_block("sl2r", (3,))
+    for read in (irreducible_in_standards, deform_step):
+        with pytest.raises(KeyError) as err:
+            read(chain, sl2r_ps_param(0, F(7, 2)))
+        assert err.value.args[0] == "parameter not found in block"
+
+
 def test_element_ids_are_looked_up_exactly():
     # an id that is not an int, or is a bool, names no element: it is
     # neither truncated nor taken as a number
@@ -529,6 +537,35 @@ def test_traced_stream_stops_at_remembered_wall_points():
     assert untraced == deform_to_zero(sl2r_ps_param(0, F(29, 2)), BlockProvider())
 
 
+def _by_crossing(records):
+    """A trace stream as (crossing, records up to the next crossing) pairs."""
+    walls = []
+    for r in records:
+        if r["event"] == "crossing":
+            walls.append((r, []))
+        else:
+            walls[-1][1].append(r)
+    return walls
+
+
+@pytest.mark.parametrize("g", [sl2r_ps_param(1, F(15, 2)), sl2r_ps_param(0, F(81, 2))],
+                         ids=["sl2r-15_2", "sl2r+81_2"])
+def test_recurse_records_print_the_cap_of_the_wall_point_above(g):
+    # every child is tempered, so no nested walk interleaves the stream: the
+    # records after each wall below the top are the ones a fresh call on the
+    # wall point above prints after its first wall, caps included
+    records = []
+    deform_to_zero(g, BlockProvider(), trace=records.append)
+    walls = _by_crossing(records)
+    assert len(walls) >= 3
+    assert all(recs and {r["event"] for r in recs} == {"recurse"} for _, recs in walls)
+    for (above, _), (_, recs) in zip(walls, walls[1:]):
+        point = LanglandsParam(g.discrete, tuple(F(above["t"]) * x for x in g.nu))
+        fresh = []
+        deform_to_zero(point, BlockProvider(), trace=fresh.append)
+        assert _by_crossing(fresh)[0][1] == recs
+
+
 def _reversed_sl2r_1():
     """A provider holding the sl2r:1 library with the chain's elements
     listed out of name order."""
@@ -789,6 +826,14 @@ def test_tempered_is_unitary(provider):
     assert res.is_unitary
 
 
+def test_tempered_parameter_of_an_unequal_rank_group_is_unitary(provider):
+    # nu = 0 reads no c-form comparison, so sl2c answers it
+    res = unitary_test(sl2c_param(3, 0), provider, "sl2c")
+    assert res.verdict == "unitary"
+    assert res.reason == "tempered parameter (nu = 0)"
+    assert res.B == hs_rewrite(sl2c_param(3, 0), "sl2c")
+
+
 @pytest.mark.parametrize("eps,nu", [(0, F(3, 2)), (0, F(1)), (1, F(1, 2)), (0, F(0))])
 def test_zero_nu_im_is_a_real_parameter(provider, eps, nu):
     g = sl2r_ps_param(eps, nu)
@@ -834,3 +879,16 @@ def test_ktype_signature_rejects_wrong_basis():
     sc = SignatureChar("sl2r", "standard")
     with pytest.raises(ValueError):
         ktype_signature(sc, 4)
+
+
+def test_ktype_signature_has_no_sl2c_table():
+    sc = hs_rewrite(sl2c_param(3, 0), "sl2c")
+    with pytest.raises(UnsupportedGroup, match="^no built-in K-type table for group 'sl2c'$"):
+        ktype_signature(sc, 4)
+
+
+def test_add_char_refuses_to_mix_bases():
+    sc = SignatureChar("sl2r", "standard", {sl2r_ps_param(0, 1): W_ONE})
+    with pytest.raises(ValueError, match="^cannot mix bases 'standard' and 'irreducible'$"):
+        sc.add_char(SignatureChar("sl2r", "irreducible", {sl2r_ps_param(0, 1): W_ONE}))
+    assert sc.terms == {sl2r_ps_param(0, 1): W_ONE}
