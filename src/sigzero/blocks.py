@@ -38,7 +38,7 @@ from .params import (
     DiscreteParam,
     LanglandsParam,
     RestrictedRoot,
-    _walls,
+    _reducibility,
     canonical_json,
     decode_json,
     frac_str,
@@ -879,8 +879,8 @@ class BlockProvider:
         whose blocks lie at two keys, or a key already registered, raises
         ValueError; an element with a lower constituent (an off-diagonal
         entry in its column of Q) off the reducibility walls of its Cartan
-        (``params._walls``) raises InvariantViolation; nothing is stored
-        then.  So a standard module off the walls is irreducible, as
+        (``params._reducibility``) raises InvariantViolation; nothing is
+        stored then.  So a standard module off the walls is irreducible, as
         ``scan`` assumes at its facet midpoints (built-in blocks are so by
         construction).  A group without Cartans, known only through files,
         is not checked until files can give it Cartans."""
@@ -904,9 +904,12 @@ class BlockProvider:
         for b in blocks if model.cartans else ():
             for c in sorted({c for r, c in b.Q if r != c}):
                 g = b.element(c).param
-                if not any(level == x for rr in model.cartan(g.discrete.cartan).restricted
-                           for x in (dot(g.nu, rr.covector),)
-                           for level, _ in _walls(rr, g.discrete, x, True)):
+                for rr in model.cartan(g.discrete.cartan).restricted:
+                    first, step = _reducibility(rr, g.discrete)
+                    x = dot(g.nu, rr.covector)
+                    if x >= first and (x - first) % step == 0:
+                        break
+                else:
                     raise InvariantViolation(
                         "reducible-on-wall: element %d (%s) has a lower constituent but "
                         "lies on no reducibility wall of its Cartan" % (c, model.label(g)))

@@ -22,14 +22,14 @@ through the origin, so signatures are constant near $\\nu = 0$.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
 from itertools import groupby
+from numbers import Rational
 from types import MappingProxyType
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import SchemaError
 from .rootdata import Involution, RootClass, _norm_sq_parts, _vec, dot, parse_frac
@@ -232,36 +232,28 @@ class Hyperplane:
 
     phi_covector: Tuple[Fraction, ...]
     level: Fraction
-    kind: str  # "reducibility" | "reorient_positive", as ``_walls`` yields them
+    kind: str  # "reducibility" at the levels of ``_reducibility``, else "reorient_positive"
 
 
-def _walls(rr: RestrictedRoot, d: DiscreteParam, bound,
-           reducible_only: bool = False) -> Iterator[Tuple[Fraction, str]]:
-    """The walls (level, kind) of one restricted root with
-    0 < level <= bound, in increasing level; with ``reducible_only``, the
-    reducibility walls alone.
+def _reducibility(rr: RestrictedRoot, d: DiscreteParam) -> Tuple[Rational, int]:
+    """(first, step): the reducibility levels of one restricted root are
+    first + i * step for i >= 0, all positive; first is an int for a real
+    root, so its levels are ints.
 
-    A real root has every integer level: parity opposite to the grading
-    gives reducibility, the same parity a positively reorienting wall.  A
-    complex root has reducibility levels q = n - ell_alpha for the integers
-    n > |ell_alpha|."""
+    A real root is reducible at the integers of the parity opposite to its
+    grading: grading +1 pairs with even integer parts, so its walls sit at
+    the odd levels, and grading -1 swaps the parities; the integers of the
+    other parity are its positively reorienting walls.  A complex root is
+    reducible at q = n - ell_alpha for the integers n > |ell_alpha|."""
     if rr.kind == "real":
-        # grading +1 pairs with even integer parts, so reducibility sits at
-        # odd levels; grading -1 swaps the parities.
-        red_parity = 1 if d.grading.get(rr.root_index, 1) == 1 else 0
-        top = math.floor(bound)
-        # the reducibility levels alone start at the first level of their
-        # parity and step over the reorienting ones
-        levels = range(2 - red_parity, top + 1, 2) if reducible_only else range(1, top + 1)
-        for n in levels:
-            yield (Fraction(n),
-                   "reducibility" if n % 2 == red_parity else "reorient_positive")
-    else:
-        la = rr.ell_alpha(d.dlambda)
-        q = int(abs(la)) + 1 - la
-        while q <= bound:
-            yield q, "reducibility"
-            q += 1
+        return (1 if d.grading.get(rr.root_index, 1) == 1 else 2), 2
+    la = rr.ell_alpha(d.dlambda)
+    return int(abs(la)) + 1 - la, 1
+
+
+def _levels(first: Rational, step: int, bound) -> List[Rational]:
+    """The levels first + i * step <= bound, increasing."""
+    return [first + i * step for i in range((bound - first) // step + 1)]
 
 
 def hyperplanes(
@@ -270,11 +262,14 @@ def hyperplanes(
     """All potential reducibility and reorienting walls with
     0 < level <= radius, sorted by level; radius is read by ``parse_frac``."""
     radius = parse_frac(radius)
-    walls = [
-        Hyperplane(rr.covector, level, kind)
-        for rr in cartan.restricted
-        for level, kind in _walls(rr, d, radius)
-    ]
+    walls = []
+    for rr in cartan.restricted:
+        first, step = _reducibility(rr, d)
+        walls += [Hyperplane(rr.covector, Fraction(q), "reducibility")
+                  for q in _levels(first, step, radius)]
+        if rr.kind == "real":
+            walls += [Hyperplane(rr.covector, Fraction(q), "reorient_positive")
+                      for q in _levels(3 - first, 2, radius)]
     walls.sort(key=lambda h: (h.level, h.kind, h.phi_covector))
     return walls
 
@@ -290,7 +285,7 @@ def crossing_times(g: LanglandsParam, cartan: CartanClass) -> List[Fraction]:
     per_root = []
     for rr in cartan.restricted:
         x = dot(g.nu, rr.covector)
-        per_root.append([level / x for level, _ in _walls(rr, g.discrete, x, True)])
+        per_root.append([q / x for q in _levels(*_reducibility(rr, g.discrete), x)])
     times = [t for t, _ in groupby(merge(*per_root))]
     times.reverse()
     return times
@@ -298,12 +293,10 @@ def crossing_times(g: LanglandsParam, cartan: CartanClass) -> List[Fraction]:
 
 def _walls_below(g: LanglandsParam, cartan: CartanClass) -> int:
     """The number of g's crossing times below 1 in rank one, none of them
-    built: the reducibility levels below x = <nu, phi^vee> run from the
-    first level of ``_walls`` in steps of 2 for a real root, 1 for a complex."""
+    built: the reducibility levels first + i * step below x = <nu, phi^vee>."""
     (rr,) = cartan.restricted
-    x = dot(g.nu, rr.covector)
-    first = next((level for level, _ in _walls(rr, g.discrete, x, True)), x)
-    return -((first - x) // (2 if rr.kind == "real" else 1))
+    first, step = _reducibility(rr, g.discrete)
+    return max(0, -((first - dot(g.nu, rr.covector)) // step))
 
 
 def param_to_json(g: LanglandsParam) -> dict:

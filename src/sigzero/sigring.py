@@ -34,13 +34,22 @@ __all__ = [
     "W_S",
 ]
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class WElem:
-    """Element $p + qs$ of $\\mathbb{W} = \\mathbb{Z}[s]/(s^2-1)$."""
+    """Element $p + qs$ of $\\mathbb{W} = \\mathbb{Z}[s]/(s^2-1)$.  The one
+    ``__init__`` refuses a p or q that is not an int (a bool is not one)."""
 
     p: int
     q: int
+
+    def __init__(self, p: int, q: int):
+        if type(p) is not int or type(q) is not int:
+            raise TypeError("WElem components must be ints (got %r, %r)" % (p, q))
+        _set(self, "p", p)
+        _set(self, "q", q)
 
     def __add__(self, other: "WElem") -> "WElem":
         return WElem(self.p + other.p, self.q + other.q)

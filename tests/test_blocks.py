@@ -531,6 +531,27 @@ def test_register_refuses_a_reducible_element_off_the_walls(k):
     p.register([Block("psl2r", b.inf_char, b.elements, b.Q) for b in library])
 
 
+@pytest.mark.parametrize("m, v", [(0, 2), (1, 3), (3, 5), (2, 4), (0, 8)])
+def test_register_refuses_an_sl2c_chain_top_off_its_walls(m, v):
+    # the complex root's walls: PS(m, v) is reducible where v + m is even
+    # and v > 0, so the chain top PS(m, v), m < v, moved to v + 1 lies on
+    # none of them
+    (chain,) = [b for b in builtin_block("sl2c", group_model("sl2c").block_key(sl2c_param(m, v)))
+                if len(b.elements) == 2]
+    (top,) = {c for r, c in chain.Q if r != c}
+    assert labels(chain)[top] == "PS(%d,%d)" % (m, v)
+    moved = tuple(dataclasses.replace(e, param=sl2c_param(m, v + 1)) if e.id == top else e
+                  for e in chain.elements)
+    library = [Block(chain.group, chain.inf_char, moved, chain.Q)]
+    p = BlockProvider()
+    with pytest.raises(InvariantViolation) as err:
+        p.register(library)
+    assert str(err.value).startswith(
+        "reducible-on-wall: element %d (PS(%d,%d)) " % (top, m, v + 1))
+    assert p._store == {}
+    p.register([chain])
+
+
 def test_built_in_reducible_elements_lie_on_walls():
     # what scan relies on at a facet midpoint: an element with a lower
     # constituent lies on a reducibility wall, so its crossing times start

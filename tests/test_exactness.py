@@ -39,6 +39,7 @@ from sigzero.sigengine import (
     irreducible_in_standards,
     ktype_signature,
 )
+from sigzero.sigring import WElem
 
 F = Fraction
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -126,6 +127,10 @@ TABLE = {
                   lambda x: (TypeError, "RatFn coefficients must be ints (got %r)" % (x,))),
     "RatFn den": (lambda x: RatFn((1,), (x,)),
                   lambda x: (TypeError, "RatFn coefficients must be ints (got %r)" % (x,))),
+    "WElem p": (lambda x: WElem(x, 0),
+                lambda x: (TypeError, "WElem components must be ints (got %r, 0)" % (x,))),
+    "WElem q": (lambda x: WElem(0, x),
+                lambda x: (TypeError, "WElem components must be ints (got 0, %r)" % (x,))),
     # element ids and selectors
     "Block.element": (CHAIN.element, lambda x: (KeyError, "no element %r in block" % (x,))),
     "irreducible_in_standards": (lambda x: irreducible_in_standards(CHAIN, x),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -15,6 +16,9 @@ import sigzero
 from sigzero.blocks import (
     SL2C_CARTAN,
     SL2R_SPLIT,
+    Block,
+    BlockElement,
+    BlockProvider,
     builtin_block,
     parse_block,
     serialize_block,
@@ -22,7 +26,7 @@ from sigzero.blocks import (
     sl2r_ds_param,
     sl2r_ps_param,
 )
-from sigzero.errors import SchemaError
+from sigzero.errors import InvariantViolation, SchemaError
 from sigzero.params import (
     DiscreteParam,
     LanglandsParam,
@@ -342,6 +346,62 @@ def test_walls_below_counts_the_crossing_times_below_one():
     assert {_walls_below(g, cart) for g, cart in cases} >= {0, 1, 2, 10}
     for g, cart in cases:
         assert _walls_below(g, cart) == sum(t < 1 for t in crossing_times(g, cart)), g
+
+
+def _defined_levels(g, bound):
+    """(reducibility, reorienting) levels 0 < q <= bound of g's one
+    restricted root, enumerated from their definition: a real root is
+    reducible at the integers of the parity opposite to its grading and
+    reorients at the others; a complex root is reducible at n - ell_alpha
+    for the integers n > |ell_alpha|, and never reorients."""
+    d = g.discrete
+    if d.cartan == "split":
+        reducible_parity = 1 if d.grading[0] == 1 else 0
+        ints = [F(n) for n in range(1, math.floor(bound) + 1)]
+        return ([q for q in ints if q % 2 == reducible_parity],
+                [q for q in ints if q % 2 != reducible_parity])
+    # dlambda = (m/2, m/2) pairs with the t-part (1/2, 1/2) to m/2
+    la = d.dlambda[0]
+    return [n - la for n in range(math.floor(bound + la) + 1) if n > abs(la)], []
+
+
+def _registers(g, cart):
+    """register's on-wall verdict on g: whether it files a library of one
+    block in which g's element has a lower constituent."""
+    group = "sl2r" if cart is SL2R_SPLIT else "sl2c"
+    cid = 1 if cart is SL2R_SPLIT else 0  # the Cartan's index in its group
+    # only the column of element 1 has an off-diagonal entry to check
+    elements = (BlockElement(0, cid, 0, 0, g), BlockElement(1, cid, 1, 0, g))
+    try:
+        BlockProvider().register([Block(group, g.gamma, elements, {(0, 1): (1,)})])
+    except InvariantViolation as err:
+        assert str(err).startswith("reducible-on-wall: element 1 "), err
+        return False
+    return True
+
+
+def test_reducibility_levels_against_their_definition():
+    # every reader of the closed form, against the levels enumerated one by
+    # one, on and off the walls, at real roots of both gradings and complex
+    # roots of five shifts
+    cases = [(sl2r_ps_param(eps, F(n, d)), SL2R_SPLIT)
+             for eps in (0, 1) for n in range(40) for d in (1, 2, 3)]
+    cases += [(sl2c_param(m, F(n, d)), SL2C_CARTAN)
+              for m in range(5) for n in range(40) for d in (1, 2, 3)]
+    on_wall = 0
+    for g, cart in cases:
+        (rr,) = cart.restricted
+        x = sum(a * b for a, b in zip(g.nu, rr.covector))
+        red, reo = _defined_levels(g, x + 3)
+        want = sorted([(q, "reducibility") for q in red] + [(q, "reorient_positive") for q in reo])
+        walls = hyperplanes(g.discrete, cart, x + 3)
+        assert [(h.level, h.kind) for h in walls] == want, g
+        assert all(type(h.level) is F and h.phi_covector == rr.covector for h in walls), g
+        assert crossing_times(g, cart) == sorted((q / x for q in red if q <= x), reverse=True), g
+        assert _walls_below(g, cart) == sum(q < x for q in red), g
+        assert _registers(g, cart) == (x in red), g
+        on_wall += x in red
+    assert 0 < on_wall < len(cases)
 
 
 def test_crossing_times_sl2c():
