@@ -214,8 +214,9 @@ class BlockElement:
 class Block:
     """Immutable block at one infinitesimal character.
 
-    Q maps (row id, col id) to ascending integer coefficient tuples;
-    absent entries are zero, diagonal entries are the constant 1.  A block
+    Q maps (row id, col id) to ascending integer coefficient tuples, its
+    nonzero entries off the diagonal: Q holds no diagonal key, its unit
+    diagonal is implied (``q_poly`` returns it).  A block
     is validated once per shape, in ``__post_init__``, against every named
     invariant of ``_validate_block``; a block derived from validated facts
     (``_derived``: a built-in block instantiated from a known shape, a
@@ -283,7 +284,8 @@ def _set_text(x) -> str:
 
 def _validate_block(b: Block) -> Dict[Tuple[int, int], IntPoly]:
     """Check every invariant of ``b``, its Q as given, and return its Q
-    without zero entries or trailing zero coefficients.  For a built-in
+    without trailing zero coefficients, zero entries or diagonal entries:
+    a stated diagonal entry must be 1 (``diagonal-unit``).  For a built-in
     group each element is real and names one of the group's Cartans by
     its index there."""
     model = group_model(b.group)
@@ -326,9 +328,8 @@ def _validate_block(b: Block) -> Dict[Tuple[int, int], IntPoly]:
             raise NonIntegerData("integer-data: Q[%r,%r] = %r is not made of ints"
                                  % (r, c, coeffs))
         coeffs = p_trim(coeffs)
-        if not coeffs:
+        if not (coeffs or r == c):
             continue
-        Q[(r, c)] = coeffs
         if r not in lengths or c not in lengths:
             raise InvariantViolation("unknown-element: Q entry (%d,%d)" % (r, c))
         if any(x < 0 for x in coeffs):
@@ -341,6 +342,7 @@ def _validate_block(b: Block) -> Dict[Tuple[int, int], IntPoly]:
                     "diagonal-unit: Q[%d,%d] must be 1" % (r, c)
                 )
             continue
+        Q[(r, c)] = coeffs
         if lengths[r] >= lengths[c]:
             raise InvariantViolation(
                 "triangularity: Q[%d,%d] nonzero needs length %d < %d"
@@ -375,8 +377,7 @@ def invert_multiplicity(b: Block) -> Dict[Tuple[int, int], IntPoly]:
     bits = p_slot_bits(order, b.Q)
     cols: Dict[int, List[Tuple[int, int]]] = {}
     for (r, k), q in b.Q.items():
-        if r != k:
-            cols.setdefault(k, []).append((r, p_pack(q, bits)))
+        cols.setdefault(k, []).append((r, p_pack(q, bits)))
     P: Dict[Tuple[int, int], IntPoly] = {}
     for j, c in enumerate(order):
         acc = {c: 1}
@@ -400,8 +401,7 @@ def split_components(b: Block) -> List[Block]:
         return x
 
     for (r, c) in b.Q:
-        if r != c:
-            parent[find(r)] = find(c)
+        parent[find(r)] = find(c)
     comps: Dict[int, List[BlockElement]] = {}
     for e in b.elements:
         comps.setdefault(find(e.id), []).append(e)
@@ -439,6 +439,8 @@ def _parse_param(raw) -> LanglandsParam:
 
 
 def block_to_json_obj(b: Block) -> dict:
+    """A block file's JSON object; its Q lists the implied unit diagonal
+    entry of every element too, sorted with the rest by (row, col)."""
     elements = []
     for e in sorted(b.elements, key=lambda e: e.id):
         elements.append(
@@ -451,11 +453,12 @@ def block_to_json_obj(b: Block) -> dict:
                 "param": param_to_json(e.param),
             }
         )
+    entries = sorted([((e.id, e.id), (1,)) for e in b.elements] + list(b.Q.items()))
     return {
         "group": b.group,
         "inf_char": [frac_str(x) for x in b.inf_char],
         "elements": elements,
-        "Q": [{"row": r, "col": c, "coeffs": list(b.Q[(r, c)])} for (r, c) in sorted(b.Q)],
+        "Q": [{"row": r, "col": c, "coeffs": list(q)} for (r, c), q in entries],
     }
 
 
@@ -527,13 +530,12 @@ Form = Tuple[List[Slot], Dict[Tuple[int, int], IntPoly]]
 # the tau-invariants and Q of the closed forms; a block copies its Q when
 # it is validated and shares its shape's otherwise, so these are only read
 _NO_TAU, _TAU_0 = frozenset(), frozenset({0})
-_UNIT_Q = tuple({(eid, eid): (1,)} for eid in range(4))
-_SL2R_CHAIN_Q = {(0, 0): (1,), (1, 1): (1,), (2, 2): (1,), (0, 2): (1,), (1, 2): (1,)}
-_SL2C_CHAIN_Q = {(0, 0): (1,), (1, 1): (1,), (0, 1): (1,)}
+_SL2R_CHAIN_Q = {(0, 2): (1,), (1, 2): (1,)}
+_SL2C_CHAIN_Q = {(0, 1): (1,)}
 
 
 def _singleton(eid: int, args: tuple, nu: Tuple[Fraction, ...]) -> Form:
-    return [(eid, args, nu, _NO_TAU)], _UNIT_Q[eid]
+    return [(eid, args, nu, _NO_TAU)], {}
 
 
 class GroupModel:
@@ -902,7 +904,7 @@ class BlockProvider:
             )
         model = group_model(key[0])
         for b in blocks if model.cartans else ():
-            for c in sorted({c for r, c in b.Q if r != c}):
+            for c in sorted({c for _, c in b.Q}):
                 g = b.element(c).param
                 for rr in model.cartan(g.discrete.cartan).restricted:
                     first, step = _reducibility(rr, g.discrete)

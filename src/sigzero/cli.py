@@ -157,8 +157,7 @@ def cmd_block_show(args) -> int:
             )
         _print_table(rows)
         for (r, col), poly in sorted(c.Q.items()):
-            if r != col:
-                print("Q[%d,%d] = %s" % (r, col, _poly_str(poly)))
+            print("Q[%d,%d] = %s" % (r, col, _poly_str(poly)))
     return 0
 
 

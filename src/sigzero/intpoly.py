@@ -82,8 +82,9 @@ def p_unpack(v: int, bits: int) -> IntPoly:
 
 def p_slot_bits(order: Sequence[int], entries: Mapping[Tuple[int, int], IntPoly]) -> int:
     """A slot width at which ``p_unpack`` reads each entry of $X = N^{-1}$, N
-    unitriangular in ``order`` with off-diagonal ``entries``, over Z[q] or
-    W[q] ($\\|a + bs\\| = \\|a\\|_1 + \\|b\\|_1$).  Proof: $U_r = 1 + \\sum_k
+    unitriangular in ``order``, over Z[q] or W[q], from ``entries``, the
+    nonzero entries off its implied unit diagonal, as in ``Block.Q``
+    ($\\|a + bs\\| = \\|a\\|_1 + \\|b\\|_1$).  Proof: $U_r = 1 + \\sum_k
     \\|N_{rk}\\|_1 U_k$ from the end of the order back bounds $\\|X_{rc}\\|_1$,
     as $X_{cc} = 1$, $X_{rc} = -\\sum_k N_{rk} X_{kc}$ and the L1 norm is
     submultiplicative, so each coefficient is below $2^{bits-1} > \\max U$ in
@@ -92,8 +93,7 @@ def p_slot_bits(order: Sequence[int], entries: Mapping[Tuple[int, int], IntPoly]
     U = dict.fromkeys(order, 1)
     # by column, last first: U[k] is complete before it is read
     for (r, k), a in sorted(entries.items(), key=lambda e: pos[e[0][1]], reverse=True):
-        if r != k:
-            U[r] += sum(map(abs, a)) * U[k]
+        U[r] += sum(map(abs, a)) * U[k]
     return max(U.values(), default=1).bit_length() + 1
 
 

@@ -168,8 +168,7 @@ def signature_Q(b: Block) -> WPolyMatrix:
     for e in b.elements:
         out[(e.id, e.id)] = WPoly.from_int_coeffs((1,))
     for (r, c), coeffs in b.Q.items():
-        if r != c:
-            out[(r, c)] = WPoly.from_int_coeffs(coeffs).twist_sq(orient[r] - orient[c])
+        out[(r, c)] = WPoly.from_int_coeffs(coeffs).twist_sq(orient[r] - orient[c])
     return out
 
 
@@ -188,10 +187,9 @@ def _qc_cols(b: Block, bits: int) -> QcCols:
     orient = {e.id: e.orient for e in b.elements}
     cols: QcCols = {}
     for (r, k), coeffs in b.Q.items():
-        if r != k:
-            # the block's orientation numbers share one parity
-            q_e, q_o = _qc_entry(coeffs, (orient[r] - orient[k]) // 2)
-            cols.setdefault(k, []).append((r, p_pack(q_e, bits), p_pack(q_o, bits)))
+        # the block's orientation numbers share one parity
+        q_e, q_o = _qc_entry(coeffs, (orient[r] - orient[k]) // 2)
+        cols.setdefault(k, []).append((r, p_pack(q_e, bits), p_pack(q_o, bits)))
     return cols
 
 

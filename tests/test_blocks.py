@@ -37,7 +37,12 @@ from sigzero.blocks import (
 )
 from sigzero.cli import main
 from sigzero.params import DiscreteParam, LanglandsParam, crossing_times
-from sigzero.sigengine import deform_to_zero, unitary_test
+from sigzero.sigengine import (
+    deform_to_zero,
+    irreducible_in_standards,
+    signature_P,
+    unitary_test,
+)
 from sigzero.errors import (
     InvariantViolation,
     MissingBlock,
@@ -957,11 +962,37 @@ def test_reject_duplicate_q_entry():
 
 
 def test_reject_nonunit_diagonal():
-    obj = _tampered(
-        lambda o: [e.update(coeffs=[2]) for e in o["Q"] if e["row"] == 0 and e["col"] == 0]
-    )
-    with pytest.raises(InvariantViolation, match="diagonal-unit"):
-        parse_block(obj)
+    # a stated zero diagonal entry is refused too, not dropped as zero
+    for coeffs in ([2], [0], []):
+        obj = _tampered(
+            lambda o: [e.update(coeffs=coeffs) for e in o["Q"] if e["row"] == 0 and e["col"] == 0]
+        )
+        with pytest.raises(InvariantViolation, match="diagonal-unit"):
+            parse_block(obj)
+
+
+def test_the_unit_diagonal_is_implied():
+    # a block file with every unit-diagonal entry of Q and one with none
+    # are one block: same Q (no diagonal key), bytes, components, inverses
+    # and irreducible expansions, and both register
+    for group, ic in _built_in_keys():
+        for blk in builtin_block(group, ic):
+            assert not [k for k in blk.Q if k[0] == k[1]], (group, ic)
+            full = block_to_json_obj(blk)
+            bare = dict(full, Q=[q for q in full["Q"] if q["row"] != q["col"]])
+            assert len(full["Q"]) - len(bare["Q"]) == len(blk.elements)
+            listed, omitted = parse_block(full), parse_block(bare)
+            assert listed.Q == omitted.Q == blk.Q
+            assert serialize_block(listed) == serialize_block(omitted)
+            parts = split_components(listed)
+            assert [p.ids() for p in parts] == [p.ids() for p in split_components(omitted)]
+            assert invert_multiplicity(listed) == invert_multiplicity(omitted)
+            assert signature_P(listed) == signature_P(omitted)
+            for e in blk.elements:
+                assert irreducible_in_standards(listed, e.id) == \
+                    irreducible_in_standards(omitted, e.id)
+            for b in (listed, omitted):
+                BlockProvider().register(split_components(b))
 
 
 def test_reject_malformed_schema():
