@@ -196,11 +196,15 @@ def sl2c_param(m: Fraction, v: Fraction) -> LanglandsParam:
 # ---------------------------------------------------------------------------
 # data structures
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class BlockElement:
     """One parameter in a block with its length, orientation number, and
     optional tau-invariant (ids of simple integral roots).  It checks
-    nothing itself (``_validate_block`` checks a whole block)."""
+    nothing itself (``_validate_block`` checks a whole block); the one
+    ``__init__`` sets each attribute once."""
 
     id: int
     cartan: int
@@ -208,6 +212,15 @@ class BlockElement:
     orient: int
     param: LanglandsParam
     tau: Optional[frozenset] = None
+
+    def __init__(self, id: int, cartan: int, length: int, orient: int,
+                 param: LanglandsParam, tau: Optional[frozenset] = None):
+        _set(self, "id", id)
+        _set(self, "cartan", cartan)
+        _set(self, "length", length)
+        _set(self, "orient", orient)
+        _set(self, "param", param)
+        _set(self, "tau", tau)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,13 +238,16 @@ class Block:
     shape share, must not be mutated afterwards.  The jump table ``jumps``,
     which ``sigengine.deform_to_zero`` fills, is shared by the blocks of one
     translation family (``GroupModel.instantiate``); every other block
-    starts with a table of its own."""
+    starts with a table of its own.  ``at_one`` holds the length order and
+    the columns of $Q^c$ at q = 1 once ``sigengine`` has solved on the
+    block (None before), so they are built once per block."""
 
     group: str
     inf_char: Tuple[Fraction, ...]
     elements: Tuple[BlockElement, ...]
     Q: Mapping[Tuple[int, int], IntPoly] = field(default_factory=dict)
     jumps: Dict[int, tuple] = field(default_factory=dict, init=False, repr=False)
+    at_one: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "inf_char", _vec(self.inf_char))
@@ -248,7 +264,7 @@ class Block:
         not run again."""
         b = cls.__new__(cls)
         b.__dict__.update(group=group, inf_char=inf_char, elements=elements, Q=Q,
-                          jumps={} if jumps is None else jumps)
+                          jumps={} if jumps is None else jumps, at_one=None)
         return b
 
     def ids(self) -> Tuple[int, ...]:
@@ -573,7 +589,7 @@ class GroupModel:
                 "group %r needs %d infinitesimal-character coordinate(s), got %d"
                 % (self.name, self.coords, len(inf_char))
             )
-        coords = [x if x >= 0 else -x for x in _vec(inf_char)]
+        coords = [x if x.numerator >= 0 else -x for x in _vec(inf_char)]
         if len(coords) > 1:
             coords.sort(reverse=True)
         return tuple(coords)
@@ -601,7 +617,7 @@ class GroupModel:
             args = g.discrete.args()
             for i, (slots, _) in enumerate(forms):
                 for eid, slot_args, nu, _ in slots:
-                    if nu == g.nu and slot_args == args:
+                    if slot_args == args and nu == g.nu:
                         return i, eid
         return None
 
@@ -611,7 +627,9 @@ class GroupModel:
         from its closed ``form``: each slot's parameter, with lengths and
         orientation numbers.  ``held`` is a slot id and the parameter
         ``place`` found there, which that slot takes as it is, so a wall
-        lookup builds the parameters of the other slots only.
+        lookup builds the parameters of the other slots only.  The family
+        key is computed once per call, and a block of a known shape is
+        those parameters, one ``BlockElement`` per slot and the block.
 
         ``shapes`` maps a family key to the Cartan indices, lengths and
         orientation numbers of a block's elements, its validated Q and the
@@ -626,22 +644,23 @@ class GroupModel:
         orientation numbers and Q; the family's first block is validated."""
         slots, Q = form
         hid, hg = held or (None, None)
-        specs = [(eid, hg if eid == hid else LanglandsParam(DiscreteParam(*args), nu), tau)
-                 for eid, args, nu, tau in slots]
+        params = [hg if eid == hid else LanglandsParam(DiscreteParam(*args), nu)
+                  for eid, args, nu, _ in slots]
         family = (self.name,
-                  tuple((x.denominator, x.numerator % (2 * x.denominator), x.numerator > 0)
-                        for x in ic),
-                  tuple(x == y for x, y in zip(ic, ic[1:])), i)
+                  tuple([(x.denominator, x.numerator % (2 * x.denominator), x.numerator > 0)
+                         for x in ic]),
+                  tuple([x == y for x, y in zip(ic, ic[1:])]), i)
         shape = shapes.get(family)
         if shape is None:
-            b = Block(self.name, ic, tuple(self.element(*s) for s in specs), Q)
+            b = Block(self.name, ic, tuple([self.element(slot[0], param, slot[3])
+                                            for slot, param in zip(slots, params)]), Q)
             shapes[family] = (tuple((e.cartan, e.length, e.orient) for e in b.elements),
                               b.Q, b.jumps)
             return b
         invariants, Q, jumps = shape
-        return Block._derived(self.name, ic, tuple(
+        return Block._derived(self.name, ic, tuple([
             BlockElement(eid, c, n, o, param, tau)
-            for (eid, param, tau), (c, n, o) in zip(specs, invariants)), Q, jumps)
+            for (eid, _, _, tau), param, (c, n, o) in zip(slots, params, invariants)]), Q, jumps)
 
     def label(self, param: LanglandsParam) -> str:
         """The name of a block element, and of a term in the standard and
@@ -782,17 +801,21 @@ class _SL2C(GroupModel):
     coords = 2
 
     def block_key(self, g: LanglandsParam) -> Tuple[Fraction, ...]:
-        return self.key((2 * g.discrete.dlambda[0], 2 * g.nu[0]))
+        # the key of (2 dlambda_1, 2 nu_1), each doubled as one Fraction of
+        # its integers
+        return self.key([Fraction(2 * x.numerator, x.denominator)
+                         for x in (g.discrete.dlambda[0], g.nu[0])])
 
     def forms(self, ic: Tuple[Fraction, ...]) -> List[Form]:
         a, b = ic
         # the key holds 2 dlambda_1 and 2 nu_1; a slot's parameter holds
-        # their halves
-        half_a, half_b = a / 2, b / 2
+        # their halves, each one Fraction of the key's integers
+        half_a = Fraction(a.numerator, 2 * a.denominator)
+        half_b = Fraction(b.numerator, 2 * b.denominator)
         if (
             a.denominator == 1
             and b.denominator == 1
-            and a > b
+            and a.numerator > b.numerator
             and (a.numerator - b.numerator) % 2 == 0
         ):
             # one 2-chain: I(b, a) has the J(a, b) constituent below
@@ -936,24 +959,35 @@ class BlockProvider:
         is searched alone; else the built-in blocks already built are
         searched, and only a miss builds the block that holds ``g``, by
         ``place`` and ``instantiate``: its other slots get parameters of
-        their own, and ``g``'s slot takes ``g``.  While no library is
-        registered, the key is hashed once.  When no block there holds
-        ``g``, raises MissingBlock naming that key."""
+        their own, and ``g``'s slot takes ``g``.  So a cold miss pays for
+        the key, the closed forms at it, the parameters of the other slots
+        and a constant: the block's elements and the block itself, from
+        its family's shape.  While no library is registered, the key is
+        hashed once on a hit and twice on a miss (``get``, then the store
+        of the new block); a key where nothing was placed keeps no entry.
+        When no block there holds ``g``, raises MissingBlock naming that
+        key."""
         model = group_model(group)
         ic = model.block_key(g)
         key = (group, ic)
         library = self._store.get(key) if self._store else None
-        built = self._built.setdefault(key, {}) if library is None and model.cartans else None
-        for i, blk in built.items() if built is not None else enumerate(library or ()):
-            e = blk.find(g)
-            if e is not None:
-                return blk, e, i
-        if built is not None:
+        if library is not None:
+            for i, blk in enumerate(library):
+                e = blk.find(g)
+                if e is not None:
+                    return blk, e, i
+        elif model.cartans:
+            built = self._built.get(key)
+            for i, blk in built.items() if built is not None else ():
+                e = blk.find(g)
+                if e is not None:
+                    return blk, e, i
             forms = model.forms(ic)
             placed = model.place(forms, g)
             if placed is not None:
                 i, eid = placed
-                blk = built[i] = model.instantiate(ic, i, forms[i], self._shapes, (eid, g))
+                blk = model.instantiate(ic, i, forms[i], self._shapes, (eid, g))
+                self._built.setdefault(key, {})[i] = blk
                 return blk, blk.element(eid), i
         raise MissingBlock(
             "no block at infinitesimal character %s contains the parameter %s"

@@ -32,7 +32,7 @@ from types import MappingProxyType
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import SchemaError
-from .rootdata import Involution, RootClass, _norm_sq_parts, _vec, dot, parse_frac
+from .rootdata import Involution, RootClass, _dot_parts, _norm_sq_parts, _vec, dot, parse_frac
 
 __all__ = [
     "CartanClass",
@@ -244,11 +244,14 @@ def _reducibility(rr: RestrictedRoot, d: DiscreteParam) -> Tuple[Rational, int]:
     grading: grading +1 pairs with even integer parts, so its walls sit at
     the odd levels, and grading -1 swaps the parities; the integers of the
     other parity are its positively reorienting walls.  A complex root is
-    reducible at q = n - ell_alpha for the integers n > |ell_alpha|."""
+    reducible at q = n - ell_alpha for the integers n > |ell_alpha|: with
+    ell_alpha = a / b, first = (floor(|a| / b) + 1) - a / b, one Fraction
+    of integers."""
     if rr.kind == "real":
         return (1 if d.grading.get(rr.root_index, 1) == 1 else 2), 2
     la = rr.ell_alpha(d.dlambda)
-    return int(abs(la)) + 1 - la, 1
+    a, b = la.numerator, la.denominator
+    return Fraction((abs(a) // b + 1) * b - a, b), 1
 
 
 def _levels(first: Rational, step: int, bound) -> List[Rational]:
@@ -274,29 +277,57 @@ def hyperplanes(
     return walls
 
 
+def _pairing(g: LanglandsParam, rr: RestrictedRoot) -> Tuple[int, int]:
+    """<nu, phi^vee> as integers (x, y), y > 0, which is x / y; a negative
+    pairing raises ValueError naming ``g``: the path t nu meets the walls
+    of positive levels only, so it would silently miss every wall."""
+    x, y = _dot_parts(g.nu, rr.covector)
+    if x < 0:
+        d = g.discrete
+        raise ValueError(
+            "nu pairs negatively with a restricted root (<nu, phi^vee> = %s) in the "
+            "parameter on Cartan %r with dlambda (%s), grading %r and nu (%s); "
+            "deformation needs every pairing >= 0"
+            % (frac_str(Fraction(x, y)), d.cartan, ", ".join(map(frac_str, d.dlambda)),
+               dict(sorted(d.grading.items())), ", ".join(map(frac_str, g.nu))))
+    return x, y
+
+
 def crossing_times(g: LanglandsParam, cartan: CartanClass) -> List[Fraction]:
     """Times 0 < t <= 1 at which the line t nu meets a reducibility wall,
     deduplicated and sorted descending.
 
     A root meets its walls at t = level / <nu, phi^vee>, so only the walls
-    with level <= <nu, phi^vee> count; nu = 0 meets none.  Each root's
-    levels come out increasing and distinct, so its times do too: the
-    roots' times are merged and equal neighbours dropped."""
+    with level <= <nu, phi^vee> count; nu = 0 meets none, and a negative
+    pairing raises ValueError naming ``g``.  With the pairing x / y and the
+    levels (p + i s q) / q from ``_reducibility`` in integers, each time is
+    one Fraction, (p + i s q) y / (q x).  Each root's levels are distinct,
+    so its times are too; they are built descending, so one root's times
+    are the answer, and several roots' times are merged and equal
+    neighbours dropped."""
     per_root = []
     for rr in cartan.restricted:
-        x = dot(g.nu, rr.covector)
-        per_root.append([q / x for q in _levels(*_reducibility(rr, g.discrete), x)])
-    times = [t for t, _ in groupby(merge(*per_root))]
-    times.reverse()
-    return times
+        x, y = _pairing(g, rr)
+        first, step = _reducibility(rr, g.discrete)
+        p, q = first.numerator, first.denominator
+        sq, den = step * q, q * x
+        # the levels <= x / y: (p + i s q) y <= x q
+        per_root.append([Fraction((p + i * sq) * y, den)
+                         for i in range((x * q - p * y) // (sq * y), -1, -1)])
+    if len(per_root) == 1:
+        return per_root[0]
+    return [t for t, _ in groupby(merge(*per_root, reverse=True))]
 
 
 def _walls_below(g: LanglandsParam, cartan: CartanClass) -> int:
     """The number of g's crossing times below 1 in rank one, none of them
-    built: the reducibility levels first + i * step below x = <nu, phi^vee>."""
+    built: the reducibility levels first + i * step below <nu, phi^vee>,
+    counted in integers.  A negative pairing raises ValueError naming ``g``."""
     (rr,) = cartan.restricted
+    x, y = _pairing(g, rr)
     first, step = _reducibility(rr, g.discrete)
-    return max(0, -((first - dot(g.nu, rr.covector)) // step))
+    p, q = first.numerator, first.denominator
+    return max(0, -((p * y - x * q) // (step * q * y)))
 
 
 def param_to_json(g: LanglandsParam) -> dict:

@@ -76,10 +76,26 @@ def _vec(v: Sequence) -> Vector:
     return v if type(v) is tuple else tuple(v)
 
 
+def _dot_parts(u: Sequence, v: Sequence) -> Tuple[int, int]:
+    """The dot product of two vectors of ints or Fractions as an integer
+    numerator over a positive integer denominator, not necessarily in
+    lowest terms."""
+    num, den = 0, 1
+    for a, b in zip(u, v):
+        d = a.denominator * b.denominator
+        num, den = num * d + a.numerator * b.numerator * den, den * d
+    return num, den
+
+
 def dot(u: Sequence, v: Sequence) -> Fraction:
-    """The dot product of two vectors of ints or Fractions, summed from the
-    int 0: a Fraction whenever an entry is one (every caller passes those)."""
-    return sum(a * b for a, b in zip(u, v))
+    """The dot product of two vectors of ints or Fractions, summed in
+    integers (``_dot_parts``) and divided once: a Fraction whenever an entry
+    is one (every caller passes those), else an int."""
+    num, den = _dot_parts(u, v)
+    for x in (*u, *v):
+        if type(x) is not int:
+            return Fraction(num, den)
+    return num
 
 
 def _norm_sq_parts(v: Sequence) -> Tuple[int, int]:

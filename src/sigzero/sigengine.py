@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .blocks import (
     Block,
@@ -243,12 +243,23 @@ def _resolve_element(b: Block, psi) -> BlockElement:
     return b.element(psi)
 
 
+def _at_one(b: Block) -> Tuple[List[int], QcCols]:
+    """The length order of ``b`` and the columns of $Q^c$ at q = 1 by
+    ``_qc_cols``: built on the first solve on ``b`` and kept in
+    ``Block.at_one``, so a jump-table miss builds them once for
+    ``deform_step`` and every ``irreducible_in_standards`` it calls."""
+    if b.at_one is None:
+        object.__setattr__(b, "at_one", (_length_order(b), _qc_cols(b, 0)))
+    return b.at_one
+
+
 def irreducible_in_standards(b: Block, psi) -> SignatureChar:
     """Expansion $sig^c_{J(\\Psi)} = \\sum_\\Gamma W^c_{\\Gamma,\\Psi}
     \\, sig^c_{I(\\Gamma)}$ with $W^c = (Q^c)^{-1}$ at $q = 1$; forgetting
     $s$ recovers the character-formula row $M_{\\cdot,\\Psi}$.  Only the
-    column of $\\Psi$ is solved, on the values of $Q^c$ at q = 1."""
-    column = _solve_column(_length_order(b), _qc_cols(b, 0), _resolve_element(b, psi).id)
+    column of $\\Psi$ is solved, on the values of $Q^c$ at q = 1
+    (``_at_one``)."""
+    column = _solve_column(*_at_one(b), _resolve_element(b, psi).id)
     return SignatureChar(b.group, "standard", {
         e.param: WElem(*column[e.id]) for e in b.elements if e.id in column})
 
@@ -259,10 +270,11 @@ def deform_step(b: Block, gamma) -> SignatureChar:
     s^{(\\ell_o(\\Xi)-\\ell_o(\\Gamma))/2} Q_{\\Xi,\\Gamma}(s)\\,
     sig^c_{J(\\Xi)}$ in the irreducible basis, in the block's element order.
     Each coefficient is $(s-1) Q^c_{\\Xi,\\Gamma}(1)$, read from the column
-    of $\\Gamma$ in ``_qc_cols(b, 0)``, which ``irreducible_in_standards``
-    solves with; its rows lie below $\\Gamma$, as Q is triangular."""
+    of $\\Gamma$ in the columns of $Q^c$ at q = 1 (``_at_one``), which
+    ``irreducible_in_standards`` solves with; its rows lie below
+    $\\Gamma$, as Q is triangular."""
     e_gamma = _resolve_element(b, gamma)
-    column = {r: (q_e, q_o) for r, q_e, q_o in _qc_cols(b, 0).get(e_gamma.id, ())}
+    column = {r: (q_e, q_o) for r, q_e, q_o in _at_one(b)[1].get(e_gamma.id, ())}
     out = SignatureChar(b.group, "irreducible")
     for e in b.elements:
         if e.id in column and (e_gamma.length - e.length) % 2:
@@ -281,28 +293,38 @@ def hs_rewrite(g: LanglandsParam, group: str) -> SignatureChar:
     rewritten by the model's Hecht-Schmid table."""
     if any(g.nu) or not g.is_real():
         raise ValueError("hs_rewrite needs a parameter at nu = 0")
-    tempered = (g,) if g.discrete.final else group_model(group).hs_rewrite(g.discrete)
-    return SignatureChar(group, "final_tempered", {t: W_ONE for t in tempered})
+    return SignatureChar(group, "final_tempered", {t: W_ONE for t in _tempered(g, group)})
+
+
+def _tempered(g: LanglandsParam, group: str) -> Tuple[LanglandsParam, ...]:
+    """The terms of ``hs_rewrite(g, group)``, each with coefficient 1."""
+    return (g,) if g.discrete.final else group_model(group).hs_rewrite(g.discrete)
 
 
 # a wall's jump before its s-flip, in positions of its block's elements:
-# per constituent Xi of the delta, its position, its coefficient and its
-# column of (Q^c)^{-1} at q = 1 as (child position, W) pairs
+# per constituent Xi of the delta, its position, its coefficient c and its
+# column of (Q^c)^{-1} at q = 1 as (child position, c W) pairs
 Jump = Tuple[Tuple[int, WElem, Tuple[Tuple[int, WElem], ...]], ...]
 
 
 def _jump(blk: Block, e: BlockElement) -> Jump:
     """The jump at the wall element ``e`` from the block's jump table; on a
-    miss, solved by ``deform_step`` and ``irreducible_in_standards`` and
-    stored in the element positions that the blocks sharing it have in common."""
+    miss, solved by ``deform_step`` and ``irreducible_in_standards`` (which
+    share the block's solve data, ``_at_one``) and stored in the element
+    positions that the blocks sharing it have in common."""
     jump = blk.jumps.get(e.id)
     if jump is None:
         pos = {x.param: i for i, x in enumerate(blk.elements)}
         jump = blk.jumps[e.id] = tuple(
-            (pos[xi], coef, tuple((pos[child], w) for child, w in
+            (pos[xi], coef, tuple((pos[child], coef * w) for child, w in
                                   irreducible_in_standards(blk, xi).terms.items()))
             for xi, coef in deform_step(blk, e.id).terms.items())
     return jump
+
+
+# a child's deformation in the upward sum: its SignatureChar, or at nu = 0
+# the terms of its rewrite, each with coefficient 1
+Child = Union[SignatureChar, Tuple[LanglandsParam, ...]]
 
 
 def _less(x: Tuple[int, int], y: Tuple[int, int]) -> bool:
@@ -359,7 +381,13 @@ def deform_to_zero(
     lengths, orientation numbers and Q, so it is read from the jump table
     of the block holding the wall point, which a translation family shares
     (``Block.jumps``): ``deform_step`` and ``irreducible_in_standards``
-    solve it once per table and wall element.
+    solve it once per table and wall element, on one build of the block's
+    solve data (``_at_one``), and the table keeps each child's weight
+    multiplied by its constituent's coefficient.  A child at $\\nu = 0$ joins the sum as the
+    terms of its rewrite (``hs_rewrite``), with no walk and no
+    ``SignatureChar`` of its own; any other child is walked.  The sum
+    adds the children of each wall in the block's element order, so the
+    terms enter in the order a walk of every child would give.
 
     Each standard entering at the wall $t_j$ must have $|d\\lambda'|^2$
     strictly between $|d\\lambda|^2$ and $|d\\lambda|^2 +
@@ -385,11 +413,13 @@ def deform_to_zero(
         times = times[1:]
     # per wall crossed: the point whose limit from below its jump
     # completes, and the jump as (child deformation, coefficient) pairs
-    crossed: List[Tuple[LanglandsParam, List[Tuple[SignatureChar, WElem]]]] = []
+    crossed: List[Tuple[LanglandsParam, List[Tuple[Child, WElem]]]] = []
     below: Optional[SignatureChar] = None
     above, above_point = Fraction(1), g
     for pos, t in enumerate(times):
-        gt = LanglandsParam(g.discrete, tuple(t * x for x in g.nu))
+        # the wall point t nu, one Fraction of integers per coordinate
+        gt = LanglandsParam(g.discrete, tuple([
+            Fraction(t.numerator * x.numerator, t.denominator * x.denominator) for x in g.nu]))
         blk, e_gt, blk_idx = provider.find(group, gt)
         elements, jump = blk.elements, _jump(blk, e_gt)
         # times is deduplicated and descending: the walls below t are the
@@ -405,9 +435,7 @@ def deform_to_zero(
         cap = (dl2[0] * nu2_den * q * q + nu2_num * dl2[1] * p * p,
                dl2[1] * nu2_den * q * q)
         children = []
-        for _, coef, column in jump:
-            if flip:
-                coef = W_S * coef
+        for _, _, column in jump:
             for cp, w in column:
                 child = elements[cp].param
                 cdl2 = child.discrete.dlambda_sq
@@ -420,7 +448,9 @@ def deform_to_zero(
                 if trace is not None:
                     trace({"event": "recurse", "param": param_to_json(child),
                            "dlambda_sq": _frac_text(cdl2), "cap": _frac_text(cap)})
-                children.append((deform_to_zero(child, provider, group, trace), coef * w))
+                children.append((deform_to_zero(child, provider, group, trace)
+                                 if any(child.nu) else _tempered(child, group),
+                                 W_S * w if flip else w))
         crossed.append((above_point, children))
         below = provider.deformation((group, gt))
         if below is not None:
@@ -433,7 +463,11 @@ def deform_to_zero(
     # every entry is an object of its own, and so is the result
     for point, children in reversed(crossed):
         for sub, coef in children:
-            out.add_char(sub, coef)
+            if type(sub) is tuple:
+                for t in sub:
+                    out.add(t, coef)
+            else:
+                out.add_char(sub, coef)
         provider.remember_deformation((group, point), out.copy())
     return out
 

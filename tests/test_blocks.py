@@ -406,6 +406,19 @@ def test_find_computes_one_key(monkeypatch):
         "no block at infinitesimal character ['3', '1'] contains the parameter PS(1,3)")
 
 
+def test_a_find_that_places_nothing_keeps_no_entry():
+    # the formal limit PS-(0) lies in no block at key 0: the miss raises
+    # and leaves the built blocks as they were
+    p = BlockProvider()
+    with pytest.raises(MissingBlock):
+        p.find("sl2r", sl2r_ps_param(1, 0))
+    assert p._built == {}
+    p.find("sl2r", sl2r_ps_param(0, 0))
+    with pytest.raises(MissingBlock):
+        p.find("sl2r", sl2r_ps_param(1, 0))
+    assert list(p._built.values()) == [{0: p.find("sl2r", sl2r_ps_param(0, 0))[0]}]
+
+
 def test_get_after_find_serves_the_whole_partition(monkeypatch):
     calls = collections.Counter()
     _count_calls(monkeypatch, calls, blocks.GroupModel, "instantiate")

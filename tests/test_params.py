@@ -27,7 +27,9 @@ from sigzero.blocks import (
     sl2r_ps_param,
 )
 from sigzero.errors import InvariantViolation, SchemaError
+from sigzero.sigengine import deform_to_zero, unitary_test
 from sigzero.params import (
+    CartanClass,
     DiscreteParam,
     LanglandsParam,
     RestrictedRoot,
@@ -409,6 +411,49 @@ def test_crossing_times_sl2c():
     # ell_alpha = 1/2, level 3/2: q = n - 1/2 for n = 1 gives t = 1/3, and
     # the wall at the point itself t = 1
     assert crossing_times(g, SL2C_CARTAN) == [F(1), F(1, 3)]
+
+
+def test_crossing_times_of_two_roots_merge_and_drop_equal_times():
+    # two real roots pairing with nu to 3 and 5: levels 1, 3 and 1, 3, 5
+    # (grading +1: the odd levels), so t = 1/3, 1 and 1/5, 3/5, 1 merge to
+    # one descending list with t = 1 once
+    cart = CartanClass("two", SL2R_SPLIT.theta, SL2R_SPLIT.root_class, (
+        RestrictedRoot((1, 0), "real", root_index=0), RestrictedRoot((0, 1), "real", root_index=1)))
+    g = LanglandsParam(DiscreteParam("two", (0, 0), {0: 1, 1: 1}), (3, 5))
+    assert crossing_times(g, cart) == [F(1), F(3, 5), F(1, 3), F(1, 5)]
+
+
+def test_a_negative_pairing_is_refused_naming_the_parameter():
+    # PS+ at nu = -7/2 pairs to -7/2: its walls at -1 and -3 lie below no
+    # positive level, so the deformation read none and answered PS0 alone,
+    # where nu = 7/2 has five terms
+    g = LanglandsParam(sl2r_ps_param(0, F(7, 2)).discrete, (F(-7, 2),))
+    text = ("nu pairs negatively with a restricted root (<nu, phi^vee> = -7/2) in the "
+            "parameter on Cartan 'split' with dlambda (0), grading {0: 1} and nu (-7/2); "
+            "deformation needs every pairing >= 0")
+    for call in (crossing_times, _walls_below):
+        with pytest.raises(ValueError) as err:
+            call(g, SL2R_SPLIT)
+        assert str(err.value) == text
+    assert len(deform_to_zero(sl2r_ps_param(0, F(7, 2)), BlockProvider()).terms) == 5
+    with pytest.raises(ValueError) as err:
+        deform_to_zero(g, BlockProvider())
+    assert str(err.value) == text
+    h = LanglandsParam(sl2c_param(3, 5).discrete, (F(-5, 2), F(5, 2)))
+    with pytest.raises(ValueError, match=r"= -5/2\) in the parameter on Cartan 'complex' "
+                       r"with dlambda \(3/2, 3/2\), grading \{\} and nu \(-5/2, 5/2\)"):
+        crossing_times(h, SL2C_CARTAN)
+    # the second route: a registered library holding the parameter, whose
+    # one-term column unitary_test deforms
+    p = BlockProvider()
+    p.register([parse_block(json.dumps({
+        "group": "sl2r", "inf_char": ["7/2"],
+        "elements": [{"id": 0, "cartan": 1, "length": 0, "orient": 0,
+                      "param": param_to_json(g)}],
+        "Q": []}))])
+    with pytest.raises(ValueError) as err:
+        unitary_test(g, p)
+    assert str(err.value) == text
 
 
 def _times_read_off_hyperplanes(g, cart):

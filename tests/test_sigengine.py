@@ -5,7 +5,7 @@ from fractions import Fraction
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sigzero.blocks import (
     SL2R,
@@ -28,6 +28,7 @@ from sigzero.errors import (
     UnsupportedUnequalRank,
     ValidationError,
 )
+from sigzero.jantzen import oracle_signature
 from sigzero.params import LanglandsParam, crossing_times, param_to_json
 from sigzero.sigring import WElem, WPoly, W_ONE, W_S
 from sigzero.sigengine import (
@@ -694,6 +695,56 @@ def test_cold_sl2c_walk_solves_no_family_slot_twice(monkeypatch):
     assert deform_to_zero(g, p, "sl2c") == want
     assert len(solved) == len(set(solved))
     assert {table for table, _ in solved} <= {id(shape[2]) for shape in p._shapes.values()}
+
+
+def test_a_jump_table_miss_builds_its_solve_data_once(monkeypatch):
+    # deform_step and every irreducible_in_standards of one miss read one
+    # length order and one set of Q^c columns at q = 1
+    builds = []
+    real_cols, real_order = sigengine._qc_cols, sigengine._length_order
+    monkeypatch.setattr(sigengine, "_qc_cols",
+                        lambda b, bits: builds.append(("cols", bits)) or real_cols(b, bits))
+    monkeypatch.setattr(sigengine, "_length_order",
+                        lambda b: builds.append("order") or real_order(b))
+    for g, group in ((sl2r_ps_param(0, F(81, 2)), "sl2r"), (sl2c_param(3, F(41, 2)), "sl2c")):
+        builds.clear()
+        solved, _ = _count_solves(monkeypatch)
+        want = _wall_by_wall(g, group)
+        solved.clear(), builds.clear()
+        assert deform_to_zero(g, BlockProvider(), group) == want
+        assert solved
+        assert sorted(builds, key=str) == [("cols", 0)] * len(solved) + ["order"] * len(solved)
+
+
+# a walk on a fresh provider against the same walk on a provider warmed by
+# a walk above it on the same ray: the cold lookup against the warm one
+_ABOVE = st.integers(1, 4).map(lambda a: 1 + F(a, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 1),
+       st.integers(1, 9).flatmap(lambda d: st.integers(1, 60 * d).map(lambda n: F(n, d))),
+       _ABOVE, st.integers(0, 16))
+def test_sl2r_cold_walk_equals_the_warm_walk_and_the_oracle(eps, nu, above, cutoff):
+    cold = deform_to_zero(sl2r_ps_param(eps, nu), BlockProvider())
+    warm = BlockProvider()
+    deform_to_zero(sl2r_ps_param(eps, above * nu), warm)
+    # equal terms, entered in one order
+    assert list(deform_to_zero(sl2r_ps_param(eps, nu), warm).terms.items()) == \
+        list(cold.terms.items())
+    assert ktype_signature(cold, cutoff) == oracle_signature(1 - 2 * eps, nu, cutoff)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6),
+       st.integers(1, 2).flatmap(lambda d: st.integers(1, 40 * d).map(lambda n: F(n, d))),
+       _ABOVE)
+def test_sl2c_cold_walk_equals_the_warm_walk(m, v, above):
+    cold = deform_to_zero(sl2c_param(m, v), BlockProvider(), "sl2c")
+    warm = BlockProvider()
+    deform_to_zero(sl2c_param(m, above * v), warm, "sl2c")
+    assert list(deform_to_zero(sl2c_param(m, v), warm, "sl2c").terms.items()) == \
+        list(cold.terms.items())
 
 
 def _library_at_3(chain, single=None):
